@@ -27,22 +27,17 @@ from pathlib import Path
 import numpy as np
 
 from . import continuum as ct
-from .conservation import iter_pair_stats, link_counts, q1, q_G, verify_trajectory
-from .dynamics import Trajectory, evolve, step_forward
+from .conservation import PairStats, q1, verify_stream
+from .dynamics import stream_states
 from .errors import (
-    DegenerateStateError,
-    DimensionMismatch,
     InstabilityError,
-    ModelValidationError,
-    NonCommutingError,
     OntologicalRegimeError,
-    SignalRangeError,
     SingularSpectrumError,
     SpectralFailure,
 )
-from .gaussian import GaussInt, GaussMatrix, GaussVector, is_hermitian
-from .models import HamiltonianSpec, basis_state, build_hamiltonian, resolve_builtin
-from .ontology import default_scan_budget, find_period, scan_ontological_pairs
+from .gaussian import GaussMatrix, GaussVector
+from .models import HamiltonianSpec, build_hamiltonian, resolve_builtin
+from .ontology import default_scan_budget, find_period, neighbour_pair_period, scan_ontological_pairs
 from .serialization import (
     TrajectoryWriter,
     format_float,
@@ -66,28 +61,17 @@ EXIT_ONTOLOGICAL = 7
 EXIT_INSTABILITY = 8
 
 
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
-        super().__init__(message)
-
-
-def _fail(message: str, code: int = EXIT_VALIDATION) -> "_CliError":
-    return _CliError(code, message)
-
-
 def _load_model_arg(label_or_path: str) -> HamiltonianSpec:
     builtin = resolve_builtin(label_or_path)
     if builtin is not None:
         return builtin
     path = Path(label_or_path)
     if not path.exists():
-        raise _fail(f"model: no built-in named {label_or_path!r} and no such file")
+        raise ValueError(f"model: no built-in named {label_or_path!r} and no such file")
     try:
         return load_model(path)
-    except (ModelValidationError, ValueError) as exc:
-        raise _fail(f"model: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"model: {exc}")
 
 
 def _load_vector_arg(name: str, text: str, dim: int) -> GaussVector:
@@ -97,9 +81,9 @@ def _load_vector_arg(name: str, text: str, dim: int) -> GaussVector:
         else:
             vec = parse_gauss_vector(text)
     except (ValueError, OSError) as exc:
-        raise _fail(f"{name}: {exc}")
+        raise ValueError(f"{name}: {exc}")
     if len(vec) != dim:
-        raise _fail(f"{name}: has {len(vec)} components, model needs {dim}")
+        raise ValueError(f"{name}: has {len(vec)} components, model needs {dim}")
     return vec
 
 
@@ -110,13 +94,13 @@ def _g_matrix_arg(spec: HamiltonianSpec, text: str) -> GaussMatrix:
         return build_hamiltonian(spec)
     path = Path(text)
     if not path.exists():
-        raise _fail(f"G: expected 'identity', 'hamiltonian' or a model file, got {text!r}")
+        raise ValueError(f"G: expected 'identity', 'hamiltonian' or a model file, got {text!r}")
     try:
         gspec = load_model(path)
-    except (ModelValidationError, ValueError) as exc:
-        raise _fail(f"G: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"G: {exc}")
     if gspec.dim != spec.dim:
-        raise _fail(f"G: dimension {gspec.dim} does not match model dimension {spec.dim}")
+        raise ValueError(f"G: dimension {gspec.dim} does not match model dimension {spec.dim}")
     return build_hamiltonian(gspec)
 
 
@@ -130,47 +114,34 @@ def _cmd_run(args: argparse.Namespace) -> int:
     psi0 = _load_vector_arg("psi0", args.psi0, spec.dim)
     psi1 = _load_vector_arg("psi1", args.psi1, spec.dim)
     if args.steps < 0:
-        raise _fail(f"steps must be >= 0, got {args.steps}")
+        raise ValueError(f"steps must be >= 0, got {args.steps}")
     if args.l <= 0:
-        raise _fail(f"l must be positive, got {args.l}")
-    H = build_hamiltonian(spec)
+        raise ValueError(f"l must be positive, got {args.l}")
 
-    writer = None
-    out_fh = None
+    # q1 alone: the link total L is the same sum, q1 / 2
+    q_start = q1(psi0, psi1)
+    first_drift = None
+
+    def probe(n: int, a: GaussVector, b: GaussVector) -> None:
+        nonlocal first_drift
+        if first_drift is None and q1(a, b) != q_start:
+            first_drift = n
+
+    states = stream_states(psi0, psi1, spec, args.steps, probe if args.probe else None)
     if args.out:
-        out_fh = open(args.out, "w", newline="")
-        writer = TrajectoryWriter(out_fh, spec, args.l)
-
-    probe_q = None
-    probe_links = None
-    first_bad = None
-    try:
-        prev: GaussVector | None = None
-        curr = psi0
-        n = 0
-        while True:
-            if writer is not None:
-                writer.write_state(curr)
-            if prev is not None and args.probe:
-                qv = q1(prev, curr)
-                lr = link_counts(prev, curr)
-                if probe_q is None:
-                    probe_q, probe_links = qv, lr.total
-                elif (qv, lr.total) != (probe_q, probe_links) and first_bad is None:
-                    first_bad = n - 1
-            if n == args.steps + 1:
-                break
-            prev, curr = curr, (psi1 if n == 0 else step_forward(prev, curr, H))
-            n += 1
-    finally:
-        if out_fh is not None:
-            out_fh.close()
+        with open(args.out, "w", newline="") as fh:
+            writer = TrajectoryWriter(fh, spec, args.l)
+            for psi in states:
+                writer.write_state(psi)
+    else:
+        for _ in states:
+            pass
     if args.probe:
-        print(f"probe: q1 = {probe_q}, L = {probe_links}, pairs checked = {args.steps + 1}")
-        if first_bad is not None:
-            print(f"probe: conservation drift first seen at pair {first_bad}")
+        print(f"probe: q1 = {q_start}, L = {q_start // 2}, pairs checked = {args.steps + 1}")
+        if first_drift is not None:
+            print(f"probe: conservation drift first seen at pair {first_drift}")
             return EXIT_VIOLATION
-    if writer is not None:
+    if args.out:
         print(f"wrote {writer.states_written} states to {args.out}")
     return EXIT_OK
 
@@ -183,54 +154,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         model, l, stream = read_trajectory_stream(args.trajectory)
-    except (ValueError, OSError, ModelValidationError) as exc:
-        raise _fail(f"trajectory: {exc}")
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"trajectory: {exc}")
     G = _g_matrix_arg(model, args.g)
-    H = build_hamiltonian(model)
-    from .conservation import PairStats, commutator
-
-    comm = commutator(G, H)
-    if not comm.is_zero():
-        raise _fail(f"G does not commute with the model Hamiltonian; commutator = {comm}")
-
-    report_rows = []
-    q_value: GaussInt | None = None
-    window: list[GaussVector] = []
-    count = 0
-    first_violation = None
-    reason = ""
-    for n, psi in stream:
-        if n != count:
-            raise _fail(f"trajectory: record {n} out of order")
-        window.append(psi)
-        if len(window) >= 2:
-            a, b = window[-2], window[-1]
-            qv = q_G(a, b, G)
-            lr = link_counts(a, b)
-            report_rows.append(PairStats(n=n - 1, q=qv, links=lr))
-            if q_value is None:
-                q_value = qv
-            elif qv != q_value and first_violation is None:
-                first_violation = n - 1
-                reason = f"q_G changed from {q_value} to {qv}"
-            if 2 * lr.total != q1(a, b) and first_violation is None:
-                first_violation = n - 1
-                reason = "2L != q1"
-        if len(window) == 3:
-            if step_forward(window[0], window[1], H) != window[2] and first_violation is None:
-                first_violation = n
-                reason = "update rule violated"
-            window.pop(0)
-        count += 1
-    if count < 2:
-        raise _fail("trajectory: fewer than two states")
+    rows: list[PairStats] | None = [] if args.report else None
+    report = verify_stream((psi for _, psi in stream), build_hamiltonian(model), G, rows)
     if args.report:
         with open(args.report, "w", newline="") as fh:
-            write_conservation_csv(fh, model.dim, report_rows)
-    if first_violation is not None:
-        print(f"FAIL at step {first_violation}: {reason}")
+            write_conservation_csv(fh, model.dim, rows)
+    if not report.ok:
+        print(f"FAIL at step {report.first_violation}: {report.message}")
         return EXIT_VIOLATION
-    print(f"OK: q_G = {q_value} constant over {count - 1} pairs (l = {format_float(l)})")
+    print(f"OK: q_G = {report.q_value} constant over {report.pairs_checked} pairs (l = {format_float(l)})")
     return EXIT_OK
 
 
@@ -248,22 +183,13 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
         try:
             k = int(args.pair[2:])
         except ValueError:
-            raise _fail(f"pair: cannot parse {args.pair!r}")
+            raise ValueError(f"pair: cannot parse {args.pair!r}")
         if not 1 <= k <= spec.dim - 1:
-            raise _fail(f"pair: k must be in 1..{spec.dim - 1}")
-        reports = [
-            find_period(
-                basis_state(spec.dim, k),
-                basis_state(spec.dim, k + 1),
-                spec,
-                budget,
-                pair_index=k,
-                expected_period=4 * spec.dim,
-            )
-        ]
+            raise ValueError(f"pair: k must be in 1..{spec.dim - 1}")
+        reports = [neighbour_pair_period(spec, k, budget)]
     else:
         if not args.psi1:
-            raise _fail("pair: use 'all', 'k=<index>', or pass --psi1 with an explicit pair")
+            raise ValueError("pair: use 'all', 'k=<index>', or pass --psi1 with an explicit pair")
         psi0 = _load_vector_arg("pair/psi0", args.pair, spec.dim)
         psi1 = _load_vector_arg("psi1", args.psi1, spec.dim)
         reports = [find_period(psi0, psi1, spec, budget)]
@@ -294,17 +220,33 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 def _cmd_continuum(args: argparse.Namespace) -> int:
     spec = _load_model_arg(args.model)
-    H = build_hamiltonian(spec)
-    mode = args.mode
-    if mode == "closedform":
-        return _continuum_closedform(args, spec, H)
-    if mode == "sinh":
-        return _continuum_sinh(args, spec, H)
-    if mode == "q1":
-        return _continuum_q1(args, spec, H)
-    if mode == "born":
-        return _continuum_born(args, spec, H)
-    raise _fail(f"unknown continuum mode {mode!r}", EXIT_USAGE)
+    modes = {
+        "closedform": _continuum_closedform,
+        "sinh": _continuum_sinh,
+        "q1": _continuum_q1,
+        "born": _continuum_born,
+    }
+    return modes[args.mode](args, spec, build_hamiltonian(spec))
+
+
+def _write_float_report(path: str | None, header: list[str], rows: list[tuple]) -> None:
+    if path:
+        with open(path, "w", newline="") as fh:
+            write_float_csv(fh, header, rows)
+
+
+def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+
+def _smooth_trajectory(args, spec, H) -> np.ndarray:
+    """Float trajectory from a seeded random state and its smooth-branch partner."""
+    psi0 = _random_state(np.random.default_rng(args.seed), spec.dim)
+    try:
+        psi1 = ct.smooth_partner(H, psi0)
+    except SingularSpectrumError:
+        psi1 = psi0  # band-edge model: fall back to the repeated-state start
+    return ct.evolve_float(psi0, psi1, H, args.steps)
 
 
 def _continuum_closedform(args, spec, H) -> int:
@@ -313,32 +255,21 @@ def _continuum_closedform(args, spec, H) -> int:
     rows = []
     worst = 0.0
     for pair in range(args.pairs):
-        psi0 = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
-        psi1 = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        psi0 = _random_state(rng, spec.dim)
+        psi1 = _random_state(rng, spec.dim)
         states = ct.evolve_float(psi0, psi1, H, args.nmax)
         scale = max(float(np.abs(states).max()), 1.0)
-        dev = 0.0
-        for n in range(args.nmax + 2):
-            d = float(np.max(np.abs(solver.state_at(psi0, psi1, n) - states[n]))) / scale
-            dev = max(dev, d)
+        dev = float(np.max(np.abs(solver.states_upto(psi0, psi1, args.nmax + 1) - states))) / scale
         rows.append((pair, dev))
         worst = max(worst, dev)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_float_csv(fh, ["pair", "max_rel_dev"], rows)
+    _write_float_report(args.out, ["pair", "max_rel_dev"], rows)
     print(f"closedform: worst relative deviation {format_float(worst)} over {args.pairs} pairs")
     return EXIT_OK if worst <= args.tol else EXIT_TOLERANCE
 
 
 def _continuum_sinh(args, spec, H) -> int:
     windows = [int(w) for w in args.windows.split(",")]
-    rng = np.random.default_rng(args.seed)
-    psi0 = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
-    try:
-        psi1 = ct.smooth_partner(H, psi0)
-    except SingularSpectrumError:
-        psi1 = psi0  # band-edge model: fall back to the repeated-state start
-    states = ct.evolve_float(psi0, psi1, H, args.steps)
+    states = _smooth_trajectory(args, spec, H)
     rows = []
     means = []
     for W in windows:
@@ -346,15 +277,13 @@ def _continuum_sinh(args, spec, H) -> int:
         lo = (W + 2) * args.l
         hi = (len(states) - 3 - W) * args.l
         if hi <= lo:
-            raise _fail(f"steps={args.steps} too short for window {W}")
+            raise ValueError(f"steps={args.steps} too short for window {W}")
         ts = np.linspace(lo, hi, args.points) + 0.37 * args.l
         res = [ct.sinh_residual(sig, H, float(t)) for t in ts]
         mean = float(np.mean(res))
         rows.append((W, mean, float(np.max(res))))
         means.append(mean)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_float_csv(fh, ["window", "mean_residual", "max_residual"], rows)
+    _write_float_report(args.out, ["window", "mean_residual", "max_residual"], rows)
     decreasing = all(a > b for a, b in zip(means, means[1:]))
     for W, mean, mx in rows:
         print(f"sinh: W={W} mean residual {format_float(mean)} max {format_float(mx)}")
@@ -362,22 +291,14 @@ def _continuum_sinh(args, spec, H) -> int:
 
 
 def _continuum_q1(args, spec, H) -> int:
-    rng = np.random.default_rng(args.seed)
-    psi0 = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
-    try:
-        psi1 = ct.smooth_partner(H, psi0)
-    except SingularSpectrumError:
-        psi1 = psi0
-    states = ct.evolve_float(psi0, psi1, H, args.steps)
+    states = _smooth_trajectory(args, spec, H)
     sig = ct.BandlimitedSignal(states, l=args.l, window=args.window)
     lo = (args.window + 2) * args.l
     hi = (len(states) - 3 - args.window) * args.l
     ts = [float(t) for t in np.linspace(lo, hi, args.points)]
     results, spread = ct.q1_constancy(sig, ts, args.convention)
     rows = [(t, r.value, r.expansion, r.remainder) for t, r in zip(ts, results)]
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_float_csv(fh, ["t", "value", "expansion", "remainder"], rows)
+    _write_float_report(args.out, ["t", "value", "expansion", "remainder"], rows)
     scale = max(abs(r.value) for r in results) + 1e-30
     print(f"q1: value {format_float(results[0].value)} spread {format_float(spread)}")
     return EXIT_OK if spread <= args.tol * scale else EXIT_TOLERANCE
@@ -388,16 +309,13 @@ def _continuum_born(args, spec, H) -> int:
     if args.psi:
         psi0 = np.array([complex(p) for p in args.psi.split(",")])
     else:
-        rng = np.random.default_rng(args.seed)
-        psi0 = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        psi0 = _random_state(np.random.default_rng(args.seed), spec.dim)
     psi1 = None
     if args.psi1:
         psi1 = np.array([complex(p) for p in args.psi1.split(",")])
     report = ct.born_convergence(H, psi0, ls, horizon=args.horizon, psi1=psi1)
     rows = [(e.l, e.steps, e.link_total, e.max_error) for e in report.entries]
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            write_float_csv(fh, ["l", "steps", "link_total", "max_error"], rows)
+    _write_float_report(args.out, ["l", "steps", "link_total", "max_error"], rows)
     for e in report.entries:
         print(f"born: l={format_float(e.l)} max|w-p|={format_float(e.max_error)}")
     errs = report.errors
@@ -422,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--l", type=float, default=1.0, help="discreteness scale (metadata)")
     run.add_argument("--out", help="trajectory output path (JSON Lines)")
     run.add_argument("--probe", action="store_true", help="online q1/L conservation probe (streaming)")
-    run.add_argument("--seed", type=int, default=0, help="seed for randomized helpers")
     run.set_defaults(func=_cmd_run)
 
     chk = sub.add_parser("check", help="verify conservation and the update rule on a trajectory file")
@@ -467,9 +384,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
     except SingularSpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
@@ -479,15 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSTABILITY
-    except (
-        ModelValidationError,
-        DimensionMismatch,
-        DegenerateStateError,
-        NonCommutingError,
-        SignalRangeError,
-        SpectralFailure,
-        ValueError,
-    ) as exc:
+    except (SpectralFailure, ValueError) as exc:  # ValueError covers the validation errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, step_forward
 from .errors import DimensionMismatch, NonCommutingError
 from .gaussian import GaussInt, GaussMatrix, GaussVector, inner_product, mat_vec
 
@@ -109,6 +109,12 @@ class PairStats:
 
 @dataclass(frozen=True)
 class ConservationReport:
+    """Outcome of one verification pass.
+
+    first_violation is the index of the first broken pair (q_G change,
+    2L != q1) or broken state (update rule), and message says which.
+    """
+
     ok: bool
     q_value: GaussInt | None
     pairs_checked: int
@@ -122,15 +128,23 @@ def iter_pair_stats(traj: Trajectory, G: GaussMatrix) -> Iterator[PairStats]:
         yield PairStats(n=n, q=q_G(a, b, G), links=link_counts(a, b))
 
 
-def verify_trajectory(traj: Trajectory, G: GaussMatrix) -> ConservationReport:
-    """Check that q_G is one constant along the trajectory and that the
-    link total matches q1 / 2 at every step.
+def verify_stream(
+    states: Iterable[GaussVector],
+    H: GaussMatrix,
+    G: GaussMatrix,
+    rows: list[PairStats] | None = None,
+) -> ConservationReport:
+    """Check a state sequence in one pass: q_G is one constant, the link
+    total matches q1 / 2 at every pair, and every state from index 2 on
+    obeys the update rule.
 
-    Raises NonCommutingError (with the commutator as witness) when G does
-    not commute with the model Hamiltonian; a report with ok = False and
-    the first offending pair index signals a broken trajectory instead.
+    Only a sliding window of states is held, so the sequence may be a
+    generator over a file.  The whole sequence is read even after a
+    violation; when `rows` is given, the PairStats of every pair are
+    appended to it.  Raises NonCommutingError (with the commutator as
+    witness) when G does not commute with H, and ValueError when the
+    sequence has fewer than two states.
     """
-    H = traj.hamiltonian()
     if G.shape != H.shape:
         raise DimensionMismatch(f"G has shape {G.shape}, model needs {H.shape}")
     comm = commutator(G, H)
@@ -140,27 +154,35 @@ def verify_trajectory(traj: Trajectory, G: GaussMatrix) -> ConservationReport:
             witness=comm,
         )
     value: GaussInt | None = None
-    count = 0
-    for stats in iter_pair_stats(traj, G):
-        if value is None:
-            value = stats.q
-        elif stats.q != value:
-            return ConservationReport(
-                ok=False,
-                q_value=value,
-                pairs_checked=count,
-                first_violation=stats.n,
-                message=f"q_G changed from {value} to {stats.q} at pair {stats.n}",
-            )
-        if 2 * stats.links.total != q1(traj[stats.n], traj[stats.n + 1]):
-            return ConservationReport(
-                ok=False,
-                q_value=value,
-                pairs_checked=count,
-                first_violation=stats.n,
-                message=f"link total 2L != q1 at pair {stats.n}",
-            )
-        count += 1
+    first: int | None = None
+    message = ""
+    pairs = 0
+    prev2 = prev = g_prev = None
+    for n, psi in enumerate(states):
+        g_psi = mat_vec(G, psi)
+        if prev is not None:
+            # q_G(prev, psi, G), reusing G applied to each state once
+            q = inner_product(psi, g_prev) + inner_product(prev, g_psi)
+            links = link_counts(prev, psi)
+            if rows is not None:
+                rows.append(PairStats(n=n - 1, q=q, links=links))
+            if value is None:
+                value = q
+            elif q != value and first is None:
+                first, message = n - 1, f"q_G changed from {value} to {q}"
+            if first is None and 2 * links.total != q1(prev, psi):
+                first, message = n - 1, "2L != q1"
+            pairs += 1
+        if first is None and prev2 is not None and step_forward(prev2, prev, H) != psi:
+            first, message = n, "update rule violated"
+        prev2, prev, g_prev = prev, psi, g_psi
+    if pairs == 0:
+        raise ValueError("a trajectory needs at least two states")
     return ConservationReport(
-        ok=True, q_value=value, pairs_checked=count, first_violation=None
+        ok=first is None, q_value=value, pairs_checked=pairs, first_violation=first, message=message
     )
+
+
+def verify_trajectory(traj: Trajectory, G: GaussMatrix) -> ConservationReport:
+    """verify_stream over a stored trajectory and its model Hamiltonian."""
+    return verify_stream(traj, traj.hamiltonian(), G)

@@ -130,33 +130,25 @@ def evolve_float(
     return out
 
 
-def _mode_coefficients(lam: float, c0: complex, c1: complex):
-    """Per-eigenvalue solution of u_{n+1} = u_{n-1} - i*lam*u_n.
+def _mode_values(lam: float, c0: complex, c1: complex, ns: np.ndarray) -> np.ndarray:
+    """u_n for every n in ns, where u_{n+1} = u_{n-1} - i*lam*u_n and
+    (u_0, u_1) = (c0, c1).
 
-    Returns a callable n -> u_n.  Distinct characteristic roots give the
-    two-exponential form; at |lam| = 2 the roots collide and the solution
-    picks up a linear-in-n factor instead of blowing up.
+    Distinct characteristic roots give the two-exponential form; at
+    |lam| = 2 the roots collide and the solution picks up a linear-in-n
+    factor instead of blowing up.
     """
     disc = 4.0 - lam * lam
     if abs(disc) <= _DEGENERATE_CUTOFF:
         z = -1j * lam / 2.0
         z = z / abs(z)  # clamp to the unit circle against eigenvalue jitter
-        slope = c1 / z - c0
-
-        def u(n: int) -> complex:
-            return (c0 + n * slope) * z**n
-
-        return u
+        return (c0 + ns * (c1 / z - c0)) * z**ns
     s = np.sqrt(complex(disc))
     zp = (-1j * lam + s) / 2.0
     zm = (-1j * lam - s) / 2.0
     a = (c1 - c0 * zm) / (zp - zm)
     b = (c0 * zp - c1) / (zp - zm)
-
-    def u(n: int) -> complex:
-        return a * zp**n + b * zm**n
-
-    return u
+    return a * zp**ns + b * zm**ns
 
 
 class ClosedFormSolver:
@@ -186,42 +178,26 @@ class ClosedFormSolver:
     def dim(self) -> int:
         return self.spectral.eigenvectors.shape[0]
 
-    def state_at(self, psi0: StateLike, psi1: StateLike, n: int) -> np.ndarray:
-        if n < 0:
-            raise ValueError(f"step index must be >= 0, got {n}")
+    def _states(self, psi0: StateLike, psi1: StateLike, ns: np.ndarray) -> np.ndarray:
+        """States at the step indices ns, shape (len(ns), m)."""
         V = self.spectral.eigenvectors
         c0 = V.conj().T @ as_state(psi0, self.dim)
         c1 = V.conj().T @ as_state(psi1, self.dim)
-        modes = [
-            _mode_coefficients(float(lam), c0[k], c1[k])
-            for k, lam in enumerate(self.spectral.eigenvalues)
-        ]
-        return V @ np.array([u(n) for u in modes], dtype=np.complex128)
+        modes = np.array(
+            [_mode_values(float(lam), c0[k], c1[k], ns) for k, lam in enumerate(self.spectral.eigenvalues)]
+        )
+        return (V @ modes).T
+
+    def state_at(self, psi0: StateLike, psi1: StateLike, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError(f"step index must be >= 0, got {n}")
+        return self._states(psi0, psi1, np.array([n]))[0]
 
     def states_upto(self, psi0: StateLike, psi1: StateLike, n_max: int) -> np.ndarray:
         """All states 0..n_max at once, shape (n_max + 1, m)."""
         if n_max < 0:
             raise ValueError(f"n_max must be >= 0, got {n_max}")
-        V = self.spectral.eigenvectors
-        c0 = V.conj().T @ as_state(psi0, self.dim)
-        c1 = V.conj().T @ as_state(psi1, self.dim)
-        ns = np.arange(n_max + 1)
-        coeffs = np.empty((self.dim, n_max + 1), dtype=np.complex128)
-        for k, lam in enumerate(self.spectral.eigenvalues):
-            lam = float(lam)
-            disc = 4.0 - lam * lam
-            if abs(disc) <= _DEGENERATE_CUTOFF:
-                z = -1j * lam / 2.0
-                z = z / abs(z)
-                coeffs[k] = (c0[k] + ns * (c1[k] / z - c0[k])) * z**ns
-            else:
-                s = np.sqrt(complex(disc))
-                zp = (-1j * lam + s) / 2.0
-                zm = (-1j * lam - s) / 2.0
-                a = (c1[k] - c0[k] * zm) / (zp - zm)
-                b = (c0[k] * zp - c1[k]) / (zp - zm)
-                coeffs[k] = a * zp**ns + b * zm**ns
-        return (V @ coeffs).T
+        return self._states(psi0, psi1, np.arange(n_max + 1))
 
 
 def closed_form(

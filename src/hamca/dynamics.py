@@ -102,17 +102,8 @@ def evolve(
     """Run n_steps updates from the initial pair; result holds n_steps + 2 states."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    spec, H = _as_spec_and_matrix(model)
-    if len(psi0) != spec.dim or len(psi1) != spec.dim:
-        raise DimensionMismatch(
-            f"initial states of length {len(psi0)}/{len(psi1)} for a dim-{spec.dim} model"
-        )
-    states = [psi0, psi1]
-    prev, curr = psi0, psi1
-    for _ in range(n_steps):
-        prev, curr = curr, step_forward(prev, curr, H)
-        states.append(curr)
-    return Trajectory(model=spec, states=tuple(states), l=l)
+    spec, _ = _as_spec_and_matrix(model)
+    return Trajectory(model=spec, states=tuple(stream_states(psi0, psi1, model, n_steps)), l=l)
 
 
 def evolve_matched(psi0: GaussVector, model: ModelLike, n_steps: int, l: float = 1.0) -> Trajectory:
@@ -135,21 +126,21 @@ def stream_states(
     """
     spec, H = _as_spec_and_matrix(model)
     if len(psi0) != spec.dim or len(psi1) != spec.dim:
-        raise DimensionMismatch("initial state lengths do not match the model dimension")
+        raise DimensionMismatch(
+            f"initial states of length {len(psi0)}/{len(psi1)} for a dim-{spec.dim} model"
+        )
     yield psi0
     yield psi1
     if probe is not None:
         probe(0, psi0, psi1)
     prev, curr = psi0, psi1
     n = 1
-    emitted = 0
-    while n_steps is None or emitted < n_steps:
+    while n_steps is None or n <= n_steps:
         prev, curr = curr, step_forward(prev, curr, H)
         yield curr
         if probe is not None:
             probe(n, prev, curr)
         n += 1
-        emitted += 1
 
 
 def step_xp(

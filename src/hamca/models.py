@@ -9,6 +9,7 @@ plain integer arithmetic before any complex value exists.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,6 +19,13 @@ from .gaussian import GaussInt, GaussMatrix, GaussVector, ONE, ZERO, is_hermitia
 IntRows = tuple[tuple[int, ...], ...]
 
 
+def _strict_int(value, name: str) -> int:
+    """value as a Python int; bools, floats and strings are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ModelValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _freeze_int_rows(rows: Sequence[Sequence[int]], name: str, dim: int) -> IntRows:
     out = []
     if len(rows) != dim:
@@ -25,7 +33,7 @@ def _freeze_int_rows(rows: Sequence[Sequence[int]], name: str, dim: int) -> IntR
     for r in rows:
         if len(r) != dim:
             raise ModelValidationError(f"{name} must be {dim}x{dim}, got a row of length {len(r)}")
-        out.append(tuple(int(v) for v in r))
+        out.append(tuple(_strict_int(v, f"{name} entry") for v in r))
     return tuple(out)
 
 
@@ -67,7 +75,7 @@ class HamiltonianSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "HamiltonianSpec":
         try:
-            dim = int(data["dim"])
+            dim = _strict_int(data["dim"], "dim")
             s_rows = _rows_from_json(data["S"], dim)
             a_rows = _rows_from_json(data["A"], dim)
         except KeyError as exc:
@@ -76,16 +84,19 @@ class HamiltonianSpec:
 
 
 def _rows_from_json(obj, dim: int) -> list[list[int]]:
-    """Accept either nested rows or a flat row-major list of dim*dim ints."""
+    """Accept either nested rows or a flat row-major list of dim*dim ints;
+    entries are checked by _freeze_int_rows."""
     if not isinstance(obj, list):
         raise ModelValidationError("matrix field must be a list")
-    if obj and all(isinstance(v, int) for v in obj):
+    if obj and not any(isinstance(v, list) for v in obj):
         if len(obj) != dim * dim:
             raise ModelValidationError(
                 f"flat matrix needs {dim * dim} entries, got {len(obj)}"
             )
         return [list(obj[i * dim:(i + 1) * dim]) for i in range(dim)]
-    return [list(r) for r in obj]
+    if not all(isinstance(r, list) for r in obj):
+        raise ModelValidationError("matrix rows must be lists")
+    return obj
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> GaussMatrix:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateStateError
-from .gaussian import GaussInt, GaussMatrix, GaussVector
-from .dynamics import ModelLike, _as_spec_and_matrix, step_forward
+from .gaussian import GaussInt, GaussVector
+from .dynamics import ModelLike, stream_states
 from .conservation import link_counts
 from .models import HamiltonianSpec, basis_state
 
@@ -93,17 +93,14 @@ def find_period(
     minimal by construction."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    _, H = _as_spec_and_matrix(model)
     links = link_counts(psi0, psi1)
-    states = [psi0, psi1]
-    prev, curr = psi0, psi1
+    states: list[GaussVector] = []
     period = None
-    for p in range(1, max_steps + 1):
-        prev, curr = curr, step_forward(prev, curr, H)
-        states.append(curr)
-        # pair starting at step p is (states[p], states[p+1])
-        if states[p] == psi0 and states[p + 1] == psi1:
-            period = p
+    for n, psi in enumerate(stream_states(psi0, psi1, model, max_steps)):
+        states.append(psi)
+        # the pair starting at step n - 1 is (states[n - 1], states[n])
+        if n >= 2 and states[n - 1] == psi0 and psi == psi1:
+            period = n - 1
             break
     visited = states[:period] if period is not None else states
     visits = tuple(_visit(n, s) for n, s in enumerate(visited))
@@ -124,22 +121,21 @@ def default_scan_budget(m: int) -> int:
     return 8 * m + 8
 
 
-def scan_ontological_pairs(spec: HamiltonianSpec, max_steps: int | None = None) -> list[CycleReport]:
-    """Run find_period for every neighbouring basis pair (e_k, e_{k+1}),
-    k = 1..m-1, tagging each report with the expected 4m period of the
-    cyclic family."""
+def neighbour_pair_period(spec: HamiltonianSpec, k: int, max_steps: int) -> CycleReport:
+    """find_period for the basis pair (e_k, e_{k+1}), tagged as pair k with
+    the expected 4m period of the cyclic family."""
     m = spec.dim
-    budget = default_scan_budget(m) if max_steps is None else max_steps
-    reports = []
-    for k in range(1, m):
-        reports.append(
-            find_period(
-                basis_state(m, k),
-                basis_state(m, k + 1),
-                spec,
-                budget,
-                pair_index=k,
-                expected_period=4 * m,
-            )
-        )
-    return reports
+    return find_period(
+        basis_state(m, k),
+        basis_state(m, k + 1),
+        spec,
+        max_steps,
+        pair_index=k,
+        expected_period=4 * m,
+    )
+
+
+def scan_ontological_pairs(spec: HamiltonianSpec, max_steps: int | None = None) -> list[CycleReport]:
+    """neighbour_pair_period for every k = 1..m-1."""
+    budget = default_scan_budget(spec.dim) if max_steps is None else max_steps
+    return [neighbour_pair_period(spec, k, budget) for k in range(1, spec.dim)]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -170,26 +171,43 @@ def write_trajectory(traj: Trajectory, path: str | Path) -> None:
 
 def _parse_header(line: str, path) -> tuple[HamiltonianSpec, float]:
     head = json.loads(line)
-    if head.get("format") != TRAJECTORY_FORMAT:
+    if not isinstance(head, dict) or head.get("format") != TRAJECTORY_FORMAT:
         raise ValueError(f"{path}: not a trajectory file (missing format marker)")
-    model = HamiltonianSpec.from_dict(head["model"])
-    return model, float(head["l"])
+    if head.get("version") != TRAJECTORY_VERSION:
+        raise ValueError(
+            f"{path}: trajectory version {head.get('version')!r} is not {TRAJECTORY_VERSION}"
+        )
+    try:
+        l = float(head.get("l"))
+    except (TypeError, ValueError):
+        l = math.nan
+    if not (math.isfinite(l) and l > 0):
+        raise ValueError(f"{path}: header l = {head.get('l')!r} is not a finite positive number")
+    if not isinstance(head.get("model"), dict):
+        raise ValueError(f"{path}: header has no model object")
+    return HamiltonianSpec.from_dict(head["model"]), l
 
 
 def _parse_state(line: str, model: HamiltonianSpec, path) -> tuple[int, GaussVector]:
     rec = json.loads(line)
-    res = rec["re"]
-    ims = rec["im"]
+    if not isinstance(rec, dict) or type(rec.get("n")) is not int:
+        raise ValueError(f"{path}: state record without an integer n")
+    n, res, ims = rec["n"], rec.get("re"), rec.get("im")
+    if not (isinstance(res, list) and isinstance(ims, list)):
+        raise ValueError(f"{path}: state record {n} needs 're' and 'im' lists")
     if len(res) != model.dim or len(ims) != model.dim:
-        raise ValueError(f"{path}: state record {rec.get('n')} has wrong length")
-    return int(rec["n"]), GaussVector(tuple(GaussInt(int(r), int(i)) for r, i in zip(res, ims)))
+        raise ValueError(f"{path}: state record {n} has wrong length")
+    if not all(isinstance(v, str) for v in res + ims):
+        raise ValueError(f"{path}: state record {n} has parts that are not decimal strings")
+    return n, GaussVector(tuple(GaussInt(int(r), int(i)) for r, i in zip(res, ims)))
 
 
 def read_trajectory_stream(path: str | Path):
     """Open a trajectory file for streaming.
 
     Returns (model, l, iterator of (n, GaussVector)).  The iterator keeps
-    the file handle open until exhausted.
+    the file handle open until exhausted and raises ValueError on a
+    malformed record or one whose n is not the next index.
     """
     fh = open(path)
     first = fh.readline()
@@ -204,21 +222,21 @@ def read_trajectory_stream(path: str | Path):
 
     def gen() -> Iterator[tuple[int, GaussVector]]:
         with fh:
+            expected = 0
             for line in fh:
                 if line.strip():
-                    yield _parse_state(line, model, path)
+                    n, psi = _parse_state(line, model, path)
+                    if n != expected:
+                        raise ValueError(f"{path}: state records out of order at n = {n}")
+                    yield n, psi
+                    expected += 1
 
     return model, l, gen()
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
     model, l, states = read_trajectory_stream(path)
-    ordered = []
-    for n, psi in states:
-        if n != len(ordered):
-            raise ValueError(f"{path}: state records out of order at n = {n}")
-        ordered.append(psi)
-    return Trajectory(model=model, states=tuple(ordered), l=l)
+    return Trajectory(model=model, states=tuple(psi for _, psi in states), l=l)
 
 
 # ---------------------------------------------------------------------------

@@ -222,3 +222,82 @@ class TestContinuum:
     def test_born_ontological_pair_exit_code(self):
         code = run_cli("continuum", "born", "--model", "H2", "--psi", "1,0", "--psi1", "0,1")
         assert code == EXIT_ONTOLOGICAL
+
+
+def _rewrite_line(path, index, edit):
+    """Apply edit to the JSON object on line `index` of a trajectory file."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[index])
+    edit(rec)
+    lines[index] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestCheckMerged:
+    make_traj = TestCheck.make_traj
+
+    def test_negated_state_breaks_only_the_update_rule(self, tmp_path, capsys):
+        # the swap orbit keeps q_G = 0 under negation of one state, so only
+        # the update-rule check can see it
+        path = self.make_traj(tmp_path)
+
+        def negate(rec):
+            rec["re"] = [str(-int(v)) for v in rec["re"]]
+            rec["im"] = [str(-int(v)) for v in rec["im"]]
+
+        _rewrite_line(path, 1 + 4, negate)
+        capsys.readouterr()
+        assert run_cli("check", str(path)) == EXIT_VIOLATION
+        assert capsys.readouterr().out == "FAIL at step 4: update rule violated\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda head: head.update(l="-1"),
+        lambda head: head.update(version=99),
+    ], ids=["negative-l", "unknown-version"])
+    def test_bad_header_is_a_validation_error(self, tmp_path, edit):
+        path = self.make_traj(tmp_path)
+        _rewrite_line(path, 0, edit)
+        assert run_cli("check", str(path)) == EXIT_VALIDATION
+        with pytest.raises(ValueError):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rec: rec.pop("re"),
+        lambda rec: rec.update(re=5),
+    ], ids=["missing-re", "scalar-re"])
+    def test_malformed_record_is_a_validation_error(self, tmp_path, capsys, edit):
+        path = self.make_traj(tmp_path)
+        _rewrite_line(path, 3, edit)
+        assert run_cli("check", str(path)) == EXIT_VALIDATION
+        assert "state record 2" in capsys.readouterr().err
+
+    def test_out_of_order_record(self, tmp_path, capsys):
+        path = self.make_traj(tmp_path)
+        _rewrite_line(path, 3, lambda rec: rec.update(n=7))
+        assert run_cli("check", str(path)) == EXIT_VALIDATION
+        assert "out of order at n = 7" in capsys.readouterr().err
+
+
+class TestStrictModelEntries:
+    def test_fractional_entry_rejected(self, tmp_path):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"dim": 2, "S": [[0, 0.5], [0.5, 0]], "A": [[0, 0], [0, 0]]}))
+        assert run_cli("run", "--model", str(path), "--psi0", "1,0", "--psi1", "0,1",
+                       "--steps", "3", "--probe") == EXIT_VALIDATION
+
+    def test_float_in_flat_matrix_rejected(self, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"dim": 2, "S": [0, 1, 1.0, 0], "A": [0, 0, 0, 0]}))
+        assert run_cli("run", "--model", str(path), "--psi0", "1,0", "--psi1", "0,1",
+                       "--steps", "3", "--probe") == EXIT_VALIDATION
+        assert "must be an integer" in capsys.readouterr().err
+
+
+class TestCycleMerged:
+    def test_single_pair_matches_full_scan(self, tmp_path):
+        full, single = tmp_path / "all.csv", tmp_path / "k3.csv"
+        assert run_cli("cycle", "--model", "Hm:9", "--out", str(full)) == EXIT_OK
+        assert run_cli("cycle", "--model", "Hm:9", "--pair", "k=3", "--out", str(single)) == EXIT_OK
+        header, *rows = full.read_text().splitlines()
+        assert single.read_text().splitlines() == [header] + [r for r in rows if r.startswith("3,")]
+        assert len(rows) == 8 * 36

@@ -10,6 +10,7 @@ from hamca.conservation import (
     link_counts,
     q1,
     q_G,
+    verify_stream,
     verify_trajectory,
 )
 from hamca.dynamics import Trajectory, evolve
@@ -164,3 +165,32 @@ class TestVerifyTrajectory:
         stats = list(iter_pair_stats(traj, EYE2))
         assert [s.n for s in stats] == [0, 1, 2, 3]
         assert all(2 * s.links.total == s.q.re for s in stats)
+
+
+class TestVerifyStream:
+    def negated_swap_orbit(self):
+        traj = evolve(E(1, 0), E(0, 1), H2, 12)
+        states = list(traj.states)
+        states[4] = -states[4]
+        return Trajectory(model=traj.model, states=tuple(states), l=traj.l)
+
+    def test_update_rule_break_with_constant_q(self):
+        report = verify_trajectory(self.negated_swap_orbit(), EYE2)
+        assert not report.ok
+        assert report.first_violation == 4
+        assert report.q_value == GaussInt(0)
+        assert report.message == "update rule violated"
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("G", [EYE2, H2], ids=["identity", "hamiltonian"])
+    def test_generator_matches_stored_trajectory(self, corrupt, G):
+        traj = self.negated_swap_orbit() if corrupt else evolve(E(1, 0), E(1, 1), H2, 12)
+        rows = []
+        streamed = verify_stream((psi for psi in traj), H2, G, rows)
+        assert streamed == verify_trajectory(traj, G)
+        assert streamed.ok is not corrupt
+        assert rows == list(iter_pair_stats(traj, G))
+
+    def test_needs_two_states(self):
+        with pytest.raises(ValueError):
+            verify_stream(iter([E(1, 0)]), H2, EYE2)

@@ -287,3 +287,16 @@ class TestBornConvergence:
         report = ct.born_convergence(H3, psi, [0.2, 0.1, 0.05])
         for r in report.ratios:
             assert 2.5 <= r <= 6.0
+
+
+class TestClosedFormOneFormula:
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_state_at_is_a_row_of_states_upto(self, m):
+        # m = 3 has the band-edge eigenvalue -2 (confluent branch)
+        H = build_hamiltonian(make_cyclic_model(m))
+        rng = np.random.default_rng(5)
+        psi0, psi1 = random_state(rng, m), random_state(rng, m)
+        solver = ct.ClosedFormSolver(H)
+        table = solver.states_upto(psi0, psi1, 150)
+        for n in (0, 1, 2, 37, 99, 100, 150):
+            assert np.max(np.abs(solver.state_at(psi0, psi1, n) - table[n])) <= 1e-12

@@ -113,3 +113,25 @@ def test_dict_round_trip_and_flat_matrix():
         "label": "flat",
     }
     assert HamiltonianSpec.from_dict(flat).S == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", None], ids=repr)
+def test_non_integer_entries_rejected(bad):
+    nested = {"dim": 2, "S": [[0, bad], [bad, 0]], "A": [[0, 0], [0, 0]]}
+    flat = {"dim": 2, "S": [0, bad, bad, 0], "A": [0, 0, 0, 0]}
+    for doc in (nested, flat):
+        with pytest.raises(ModelValidationError):
+            HamiltonianSpec.from_dict(doc)
+    with pytest.raises(ModelValidationError):
+        HamiltonianSpec(dim=2, S=((0, bad), (bad, 0)), A=((0, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("dim", [2.5, "2", True, None], ids=repr)
+def test_non_integer_dim_rejected(dim):
+    with pytest.raises(ModelValidationError):
+        HamiltonianSpec.from_dict({"dim": dim, "S": [0, 1, 1, 0], "A": [0, 0, 0, 0]})
+
+
+def test_mixed_nested_and_flat_rows_rejected():
+    with pytest.raises(ModelValidationError):
+        HamiltonianSpec.from_dict({"dim": 2, "S": [[0, 1], 1], "A": [[0, 0], [0, 0]]})

@@ -7,6 +7,7 @@ from hamca.ontology import (
     classify_state,
     default_scan_budget,
     find_period,
+    neighbour_pair_period,
     scan_ontological_pairs,
 )
 from hamca.conservation import link_counts
@@ -127,3 +128,19 @@ class TestOntologyConservation:
         phases = {v.phase for v in rep.visits}
         assert GaussInt(1, -1) in phases
         assert GaussInt(-1, 1) in phases
+
+
+class TestNeighbourPair:
+    @pytest.mark.parametrize("m", [3, 5, 9])
+    def test_scan_is_one_call_per_pair(self, m):
+        spec = make_cyclic_model(m)
+        budget = default_scan_budget(m)
+        assert scan_ontological_pairs(spec) == [
+            neighbour_pair_period(spec, k, budget) for k in range(1, m)
+        ]
+
+    def test_tagged_with_family_period(self):
+        rep = neighbour_pair_period(make_cyclic_model(6), 2, 100)
+        assert rep.pair_index == 2
+        assert rep.expected_period == 24
+        assert rep.matches_expected
