@@ -10,7 +10,8 @@ Exit codes (also listed in the README):
     0  success
     1  a mode-specific tolerance was not met
     2  command-line usage error (argparse)
-    3  validation or parse failure (models, vectors, files)
+    3  validation or parse failure (models, vectors, files), or a path that
+       cannot be read or written
     4  conservation or recursion violation found by `check`
     5  cycle budget exhausted before recurrence
     6  spectral singularity (strict band mode)
@@ -226,7 +227,7 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
         "q1": _continuum_q1,
         "born": _continuum_born,
     }
-    return modes[args.mode](args, spec, build_hamiltonian(spec))
+    return modes[args.mode](args, spec, ct.as_matrix(build_hamiltonian(spec)))
 
 
 def _write_float_report(path: str | None, header: list[str], rows: list[tuple]) -> None:
@@ -237,6 +238,19 @@ def _write_float_report(path: str | None, header: list[str], rows: list[tuple]) 
 
 def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+
+def _sample_times(args, n_states: int, window: int) -> np.ndarray:
+    """The --points evaluation times for a window of half-width `window`:
+    evenly spaced where an anchored reconstruction, shifted by up to two
+    samples, stays inside the trajectory."""
+    if args.points < 1:
+        raise ValueError(f"points must be >= 1, got {args.points}")
+    lo = (window + 2) * args.l
+    hi = (n_states - 3 - window) * args.l
+    if hi <= lo:
+        raise ValueError(f"steps={args.steps} too short for window {window}")
+    return np.linspace(lo, hi, args.points)
 
 
 def _smooth_trajectory(args, spec, H) -> np.ndarray:
@@ -274,11 +288,7 @@ def _continuum_sinh(args, spec, H) -> int:
     means = []
     for W in windows:
         sig = ct.BandlimitedSignal(states, l=args.l, window=W)
-        lo = (W + 2) * args.l
-        hi = (len(states) - 3 - W) * args.l
-        if hi <= lo:
-            raise ValueError(f"steps={args.steps} too short for window {W}")
-        ts = np.linspace(lo, hi, args.points) + 0.37 * args.l
+        ts = _sample_times(args, len(states), W) + 0.37 * args.l
         res = [ct.sinh_residual(sig, H, float(t)) for t in ts]
         mean = float(np.mean(res))
         rows.append((W, mean, float(np.max(res))))
@@ -293,9 +303,7 @@ def _continuum_sinh(args, spec, H) -> int:
 def _continuum_q1(args, spec, H) -> int:
     states = _smooth_trajectory(args, spec, H)
     sig = ct.BandlimitedSignal(states, l=args.l, window=args.window)
-    lo = (args.window + 2) * args.l
-    hi = (len(states) - 3 - args.window) * args.l
-    ts = [float(t) for t in np.linspace(lo, hi, args.points)]
+    ts = [float(t) for t in _sample_times(args, len(states), args.window)]
     results, spread = ct.q1_constancy(sig, ts, args.convention)
     rows = [(t, r.value, r.expansion, r.remainder) for t, r in zip(ts, results)]
     _write_float_report(args.out, ["t", "value", "expansion", "remainder"], rows)
@@ -393,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSTABILITY
-    except (SpectralFailure, ValueError) as exc:  # ValueError covers the validation errors
+    except (SpectralFailure, ValueError, OSError) as exc:  # validation errors, unusable paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

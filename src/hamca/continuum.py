@@ -38,6 +38,10 @@ _DEGENERATE_CUTOFF = 1e-13
 #: half-width of the excluded band around |lambda| = 2 in strict mode
 STRICT_BAND_EPSILON = 1e-6
 
+#: largest |H v - lambda v| and |V^H V - 1| entries an eigendecomposition may leave
+_RESIDUAL_BOUND = 1e-11
+_UNITARITY_BOUND = 1e-12
+
 
 def as_state(psi: StateLike, dim: int | None = None) -> np.ndarray:
     """Validate and convert to a finite 1-D complex128 array."""
@@ -79,11 +83,7 @@ class SpectralForm:
     residual: float
 
 
-def spectral_decompose(
-    H: MatrixLike,
-    residual_bound: float = 1e-11,
-    unitarity_bound: float = 1e-12,
-) -> SpectralForm:
+def spectral_decompose(H: MatrixLike) -> SpectralForm:
     """Hermitian eigendecomposition with deterministic column phases.
 
     Each eigenvector is rotated so its largest-magnitude component is real
@@ -100,10 +100,10 @@ def spectral_decompose(
         if abs(ref) > 0:
             vecs[:, k] *= ref.conjugate() / abs(ref)
     resid = float(np.max(np.abs(A @ vecs - vecs * evals))) if A.size else 0.0
-    if resid > residual_bound:
-        raise SpectralFailure(f"eigen residual {resid:.3e} exceeds bound {residual_bound:.3e}")
+    if resid > _RESIDUAL_BOUND:
+        raise SpectralFailure(f"eigen residual {resid:.3e} exceeds bound {_RESIDUAL_BOUND:.3e}")
     unit = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(A.shape[0]))))
-    if unit > unitarity_bound:
+    if unit > _UNITARITY_BOUND:
         raise SpectralFailure(f"eigenvectors deviate from unitarity by {unit:.3e}")
     return SpectralForm(eigenvalues=evals, eigenvectors=vecs, residual=resid)
 
@@ -166,11 +166,11 @@ class ClosedFormSolver:
         degenerate: Literal["confluent", "error"] = "confluent",
     ):
         self.spectral = spectral_decompose(H)
-        self.degenerate = degenerate
         if degenerate == "error":
-            for lam in self.spectral.eigenvalues:
-                if abs(lam) > 2.0 - STRICT_BAND_EPSILON:
-                    raise SingularSpectrumError(float(lam))
+            lam = self.spectral.eigenvalues
+            edge = lam[np.abs(lam) > 2.0 - STRICT_BAND_EPSILON]
+            if edge.size:
+                raise SingularSpectrumError(float(edge[0]))
         elif degenerate != "confluent":
             raise ValueError(f"unknown degenerate policy {degenerate!r}")
 
@@ -279,9 +279,10 @@ class BandlimitedSignal:
         return lo, hi, u
 
 
-def _windowed_eval(signal: BandlimitedSignal, lo: int, hi: int, u_eval: float) -> np.ndarray:
-    idx = np.arange(lo, hi + 1)
-    weights = np.sinc(u_eval - idx)
+def _windowed_eval(signal: BandlimitedSignal, lo: int, hi: int, u_eval: np.ndarray) -> np.ndarray:
+    """Sinc sums over the samples lo..hi at each point of u_eval (in units
+    of l), one row per point."""
+    weights = np.sinc(np.subtract.outer(u_eval, np.arange(lo, hi + 1)))
     return weights @ signal.samples[lo : hi + 1]
 
 
@@ -290,7 +291,7 @@ def reconstruct(signal: BandlimitedSignal, t: float) -> np.ndarray:
     samples within `window` of t/l.  Interpolatory: at t = n*l it returns
     sample n (up to float rounding)."""
     lo, hi, u = signal._window_range(t)
-    return _windowed_eval(signal, lo, hi, u)
+    return _windowed_eval(signal, lo, hi, np.array([u]))[0]
 
 
 def tail_bound(signal: BandlimitedSignal, t: float) -> float:
@@ -298,12 +299,8 @@ def tail_bound(signal: BandlimitedSignal, t: float) -> float:
     by the truncation window: an a-priori bound on what truncation drops."""
     lo, hi, u = signal._window_range(t)
     mags = np.max(np.abs(signal.samples), axis=1)
-    total = 0.0
-    for n in range(0, lo):
-        total += mags[n] / (math.pi * abs(u - n))
-    for n in range(hi + 1, signal.n_samples):
-        total += mags[n] / (math.pi * abs(u - n))
-    return float(total)
+    n = np.r_[0:lo, hi + 1 : signal.n_samples]
+    return float(np.sum(mags[n] / (math.pi * np.abs(u - n))))
 
 
 def sinh_residual(signal: BandlimitedSignal, H: MatrixLike, t: float) -> float:
@@ -322,9 +319,7 @@ def sinh_residual(signal: BandlimitedSignal, H: MatrixLike, t: float) -> float:
             f"H has dimension {A.shape[0]}, signal carries {signal.samples.shape[1]}"
         )
     lo, hi, u = signal._window_range(t, margin=1)
-    plus = _windowed_eval(signal, lo, hi, u + 1.0)
-    minus = _windowed_eval(signal, lo, hi, u - 1.0)
-    centre = _windowed_eval(signal, lo, hi, u)
+    minus, centre, plus = _windowed_eval(signal, lo, hi, u + np.array([-1.0, 0.0, 1.0]))
     return float(np.max(np.abs(plus - minus + 1j * (A @ centre))))
 
 
@@ -387,11 +382,7 @@ def q1_continuum(
     if convention not in ("pairwise", "cosh"):
         raise ValueError(f"unknown convention {convention!r}")
     lo, hi, u = signal._window_range(t)
-    centre = _windowed_eval(signal, lo, hi, u)
-    plus = _windowed_eval(signal, lo, hi, u + 1.0)
-    minus = _windowed_eval(signal, lo, hi, u - 1.0)
-    plus2 = _windowed_eval(signal, lo, hi, u + 2.0)
-    minus2 = _windowed_eval(signal, lo, hi, u - 2.0)
+    minus2, minus, centre, plus, plus2 = _windowed_eval(signal, lo, hi, u + np.arange(-2.0, 3.0))
     pair_value = float(np.real(np.vdot(centre, plus + minus)))
     cosh_value = pair_value / 2.0
     norm_term = float(np.real(np.vdot(centre, centre)))
@@ -461,8 +452,8 @@ def born_convergence(
     |psi|^2 evaluated at the pair midpoint, where the two-time product is
     centred; the worst |w_a - p_a| over the run is reported per l.
 
-    Raises OntologicalRegimeError when the conserved link total is
-    numerically zero, where fractions are undefined.
+    Raises OntologicalRegimeError, naming the first step where the conserved
+    link total is numerically zero, since fractions are undefined there.
     """
     A = as_matrix(H)
     m = A.shape[0]
@@ -486,40 +477,29 @@ def born_convergence(
             raise ValueError(
                 f"l = {l} too large: need l * max|eigenvalue| < 1, have {rho * l:.3g}"
             )
+        steps = max(2, int(round(horizon / l)))
         phi = np.arcsin(l * sf.eigenvalues)
-        if psi1 is None:
-            b0 = V @ (np.exp(-1j * phi) * c)
-        else:
-            b0 = as_state(psi1, m)
-        link0 = float(np.sum(np.real(np.conj(b0) * psi0)))
-        if abs(link0) < 1e-9:
+        # the non-alternating branch exp(-i n phi) c: its n = 1 state is the
+        # smooth partner of psi0, its n + 1/2 states the pair midpoints
+        ns = np.r_[1.0, np.arange(steps) + 0.5]
+        branch = (np.exp(-1j * np.outer(ns, phi)) * c) @ V.T
+        states = evolve_float(psi0, branch[0] if psi1 is None else psi1, 2.0 * l * A, steps)
+        a, b = states[:steps], states[1 : steps + 1]
+        links = np.real(np.conj(b) * a)
+        ltot = links.sum(axis=1)
+        vanished = np.flatnonzero(np.abs(ltot) < 1e-9)
+        if vanished.size:
+            n = int(vanished[0])
             raise OntologicalRegimeError(
-                f"total link number {link0:.3e} is numerically zero at l = {l}; "
+                f"total link number {ltot[n]:.3e} is numerically zero at step {n} (l = {l}); "
                 "link fractions have no continuum limit"
             )
-        heff = 2.0 * l * A
-        steps = max(2, int(round(horizon / l)))
-        a_st, b_st = psi0.copy(), b0.copy()
-        worst = 0.0
-        for n in range(steps):
-            la = np.real(np.conj(b_st) * a_st)
-            ltot = float(la.sum())
-            if abs(ltot) < 1e-9:
-                raise OntologicalRegimeError(
-                    f"total link number vanished at step {n} (l = {l})"
-                )
-            w = la / ltot
-            if psi1 is None:
-                mid = V @ (np.exp(-1j * phi * (n + 0.5)) * c)
-            else:
-                # no single smooth branch to interpolate: use the grid average
-                mid_sq = (np.abs(a_st) ** 2 + np.abs(b_st) ** 2) / 2.0
-                mid = np.sqrt(mid_sq)
-            p = np.abs(mid) ** 2
-            p = p / p.sum()
-            worst = max(worst, float(np.max(np.abs(w - p))))
-            a_st, b_st = b_st, a_st - 1j * (heff @ b_st)
-            if not np.isfinite(b_st).all():
-                raise InstabilityError(n + 2)
-        entries.append(BornEntry(l=l, steps=steps, link_total=link0, max_error=worst))
+        if psi1 is None:
+            p = np.abs(branch[1:]) ** 2
+        else:
+            # no single smooth branch to interpolate: use the grid average
+            p = np.abs(a) ** 2 + np.abs(b) ** 2
+        p /= p.sum(axis=1, keepdims=True)
+        worst = float(np.max(np.abs(links / ltot[:, None] - p)))
+        entries.append(BornEntry(l=l, steps=steps, link_total=float(ltot[0]), max_error=worst))
     return BornReport(entries=entries)

@@ -16,6 +16,13 @@ from .errors import DimensionMismatch
 ScalarLike = Union["GaussInt", int]
 
 
+def is_int(value) -> bool:
+    """The one rule for which values count as integers: exactly a Python
+    int, so not a bool (an int subclass).  Floats, strings and bools are
+    rejected, never coerced."""
+    return type(value) is int
+
+
 @dataclass(frozen=True, slots=True)
 class GaussInt:
     """A Gaussian integer re + im*i with unbounded integer parts."""
@@ -24,8 +31,8 @@ class GaussInt:
     im: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.re, int) or not isinstance(self.im, int):
-            raise TypeError("GaussInt parts must be Python ints")
+        if not is_int(self.re) or not is_int(self.im):
+            raise TypeError(f"GaussInt parts must be Python ints, got {self.re!r}, {self.im!r}")
 
     # -- ring operations ------------------------------------------------
 
@@ -77,10 +84,10 @@ class GaussInt:
         return complex(self.re, self.im)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = GaussInt(other)
         if not isinstance(other, GaussInt):
-            return NotImplemented
+            if not is_int(other):
+                return NotImplemented
+            other = GaussInt(other)
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
@@ -111,7 +118,7 @@ I_UNIT = GaussInt(0, 1)
 def _coerce(value: ScalarLike) -> GaussInt:
     if isinstance(value, GaussInt):
         return value
-    if isinstance(value, int):
+    if is_int(value):
         return GaussInt(value)
     return NotImplemented
 
@@ -120,10 +127,10 @@ def as_gauss(value) -> GaussInt:
     """Coerce an int, (re, im) pair or GaussInt into a GaussInt."""
     if isinstance(value, GaussInt):
         return value
-    if isinstance(value, int):
+    if is_int(value):
         return GaussInt(value)
     if isinstance(value, (tuple, list)) and len(value) == 2:
-        return GaussInt(int(value[0]), int(value[1]))
+        return GaussInt(value[0], value[1])
     raise TypeError(f"cannot interpret {value!r} as a Gaussian integer")
 
 

@@ -9,21 +9,20 @@ plain integer arithmetic before any complex value exists.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ModelValidationError
-from .gaussian import GaussInt, GaussMatrix, GaussVector, ONE, ZERO, is_hermitian
+from .gaussian import GaussInt, GaussMatrix, GaussVector, ONE, ZERO, is_hermitian, is_int
 
 IntRows = tuple[tuple[int, ...], ...]
 
 
 def _strict_int(value, name: str) -> int:
     """value as a Python int; bools, floats and strings are rejected, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not is_int(value):
         raise ModelValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def _freeze_int_rows(rows: Sequence[Sequence[int]], name: str, dim: int) -> IntRows:

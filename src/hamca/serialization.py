@@ -25,7 +25,7 @@ from typing import IO, Iterable, Iterator
 
 from .dynamics import Trajectory
 from .errors import ModelValidationError
-from .gaussian import GaussInt, GaussVector
+from .gaussian import GaussInt, GaussVector, as_gauss
 from .models import HamiltonianSpec
 
 TRAJECTORY_FORMAT = "hamca-trajectory"
@@ -90,14 +90,10 @@ def load_gauss_vector(path: str | Path) -> GaussVector:
         raise ValueError(f"{path}: expected a non-empty JSON array of components")
     comps = []
     for item in data:
-        if isinstance(item, str):
-            comps.append(parse_gauss(item))
-        elif isinstance(item, list) and len(item) == 2:
-            comps.append(GaussInt(int(item[0]), int(item[1])))
-        elif isinstance(item, int):
-            comps.append(GaussInt(item))
-        else:
-            raise ValueError(f"{path}: cannot interpret component {item!r}")
+        try:
+            comps.append(parse_gauss(item) if isinstance(item, str) else as_gauss(item))
+        except TypeError as exc:
+            raise ValueError(f"{path}: cannot interpret component {item!r}") from exc
     return GaussVector(tuple(comps))
 
 

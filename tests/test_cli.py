@@ -301,3 +301,64 @@ class TestCycleMerged:
         header, *rows = full.read_text().splitlines()
         assert single.read_text().splitlines() == [header] + [r for r in rows if r.startswith("3,")]
         assert len(rows) == 8 * 36
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "3",
+         "--out", "{missing}/t.jsonl"],
+        ["run", "--model", "{dir}", "--psi0", "1,0", "--psi1", "0,1", "--steps", "3"],
+        ["cycle", "--model", "H3", "--out", "{missing}/c.csv"],
+        ["continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--out", "{missing}/b.csv"],
+    ], ids=["run-out", "run-model-dir", "cycle-out", "born-out"])
+    def test_unusable_path_is_a_validation_error(self, tmp_path, capsys, argv):
+        argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+        assert run_cli(*argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+class TestStrictVectorFiles:
+    @pytest.mark.parametrize("components", [
+        [[1.5, 0], [True, 0]],
+        [[1, 0], [True, 0]],
+        [True, 0],
+        [["3", 0], 0],
+        [1.0, 0],
+        [[1, 2, 3], 0],
+    ], ids=repr)
+    def test_non_integer_component_rejected(self, tmp_path, capsys, components):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(components))
+        assert run_cli("run", "--model", "H2", "--psi0", f"@{path}", "--psi1", "0,1",
+                       "--steps", "3", "--probe") == EXIT_VALIDATION
+        assert "cannot interpret component" in capsys.readouterr().err
+
+    def test_literals_pairs_and_integers_accepted(self, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(["1-i", [2, 3], 0]))
+        out = tmp_path / "t.jsonl"
+        assert run_cli("run", "--model", "H3", "--psi0", f"@{path}", "--psi1", "0,1,0",
+                       "--steps", "2", "--out", str(out)) == EXIT_OK
+        assert load_trajectory(out)[0] == E((1, -1), (2, 3), 0)
+
+
+class TestSampleTimes:
+    @pytest.mark.parametrize("mode, window", [("sinh", "--windows"), ("q1", "--window")])
+    def test_short_trajectory_rejected(self, capsys, mode, window):
+        code = run_cli("continuum", mode, "--model", "H3", "--steps", "50", window, "32")
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: steps=50 too short for window 32\n"
+
+    @pytest.mark.parametrize("mode", ["sinh", "q1"])
+    def test_no_points_rejected(self, capsys, mode):
+        assert run_cli("continuum", mode, "--model", "H3", "--points", "0") == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: points must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("mode, window", [("sinh", "--windows"), ("q1", "--window")])
+    def test_smallest_run_still_valid(self, tmp_path, mode, window):
+        out = tmp_path / f"{mode}.csv"
+        assert run_cli("continuum", mode, "--model", "Hm:8", "--steps", "24", window, "8",
+                       "--points", "1", "--tol", "0.02", "--out", str(out)) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 2

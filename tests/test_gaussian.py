@@ -1,6 +1,9 @@
+import json
+
+import numpy as np
 import pytest
 
-from hamca.errors import DimensionMismatch
+from hamca.errors import DimensionMismatch, ModelValidationError
 from hamca.gaussian import (
     GaussInt,
     GaussMatrix,
@@ -8,10 +11,14 @@ from hamca.gaussian import (
     I_UNIT,
     ONE,
     ZERO,
+    as_gauss,
     inner_product,
     is_hermitian,
+    is_int,
     mat_vec,
 )
+from hamca.models import HamiltonianSpec
+from hamca.serialization import load_gauss_vector
 
 
 def g(re, im=0):
@@ -151,3 +158,40 @@ class TestUnboundedMagnitude:
         m = GaussMatrix.from_rows([[(big, 0), (0, 1)], [(0, -1), (1, big)]])
         eye = GaussMatrix.identity(2)
         assert (m @ eye)[1, 1] == g(1, big)
+
+
+class TestIntegerRule:
+    """One rule, gaussian.is_int, decides what counts as an integer in the
+    scalar type, its coercion, vector files and model entries."""
+
+    @pytest.mark.parametrize("value, accepted", [
+        (0, True), (-5, True), (2**70, True),
+        (True, False), (False, False), (1.0, False), (1.9, False), ("3", False),
+        (None, False), (np.int64(3), False),
+    ], ids=repr)
+    def test_every_entry_point_applies_the_same_rule(self, tmp_path, value, accepted):
+        assert is_int(value) == accepted
+        z = GaussInt(value) if accepted else None
+
+        def check(build, error, expected):
+            if accepted:
+                assert build() == expected
+            else:
+                with pytest.raises(error):
+                    build()
+
+        check(lambda: GaussInt(value, 0), TypeError, z)
+        check(lambda: GaussInt(0, value).im, TypeError, value)
+        check(lambda: as_gauss(value), TypeError, z)
+        check(lambda: as_gauss((value, 0)), TypeError, z)
+        check(lambda: HamiltonianSpec(dim=2, S=((0, value), (value, 0)), A=((0, 0), (0, 0))).S[0][1],
+              ModelValidationError, value)
+        if not isinstance(value, np.integer):  # JSON has no numpy integers
+            path = tmp_path / "v.json"
+            path.write_text(json.dumps([[value, 0], 1]))
+            check(lambda: load_gauss_vector(path)[0], ValueError, z)
+
+    def test_bool_operands_are_not_integers(self):
+        with pytest.raises(TypeError):
+            g(1, 1) + True
+        assert g(1) != True  # noqa: E712 - comparing against a bool is the point
