@@ -22,6 +22,7 @@ Exit codes (also listed in the README):
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -116,8 +117,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     psi1 = _load_vector_arg("psi1", args.psi1, spec.dim)
     if args.steps < 0:
         raise ValueError(f"steps must be >= 0, got {args.steps}")
-    if args.l <= 0:
-        raise ValueError(f"l must be positive, got {args.l}")
+    if not (math.isfinite(args.l) and args.l > 0):
+        raise ValueError(f"l must be a finite positive number, got {args.l}")
 
     # q1 alone: the link total L is the same sum, q1 / 2
     q_start = q1(psi0, psi1)
@@ -264,6 +265,8 @@ def _smooth_trajectory(args, spec, H) -> np.ndarray:
 
 
 def _continuum_closedform(args, spec, H) -> int:
+    if args.pairs < 0:
+        raise ValueError(f"pairs must be >= 0, got {args.pairs}")
     rng = np.random.default_rng(args.seed)
     solver = ct.ClosedFormSolver(H, degenerate="error" if args.strict_band else "confluent")
     rows = []

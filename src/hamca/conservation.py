@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable, Iterator
 
-from .dynamics import Trajectory, step_forward
+from .dynamics import Trajectory, step_with_product
 from .errors import DimensionMismatch, NonCommutingError
 from .gaussian import GaussInt, GaussMatrix, GaussVector, inner_product, mat_vec
 
@@ -34,10 +35,7 @@ def q_G(psi_n: GaussVector, psi_next: GaussVector, G: GaussMatrix) -> GaussInt:
 
 def q1(psi_n: GaussVector, psi_next: GaussVector) -> int:
     """q_G with G = identity: 2 * Re <psi_{n+1}, psi_n>, an ordinary int."""
-    re = 0
-    for a, b in zip(psi_next, psi_n):
-        re += a.re * b.re + a.im * b.im
-    return 2 * re
+    return 2 * (sum(map(mul, psi_next.re, psi_n.re)) + sum(map(mul, psi_next.im, psi_n.im)))
 
 
 def conservation_residual(
@@ -92,7 +90,7 @@ def link_counts(psi_n: GaussVector, psi_next: GaussVector) -> LinkReport:
     """
     if len(psi_n) != len(psi_next):
         raise DimensionMismatch(f"state lengths differ: {len(psi_n)} vs {len(psi_next)}")
-    per = tuple(b.re * a.re + b.im * a.im for a, b in zip(psi_n, psi_next))
+    per = tuple(map(add, map(mul, psi_next.re, psi_n.re), map(mul, psi_next.im, psi_n.im)))
     total = sum(per)
     weights = tuple(Fraction(la, total) for la in per) if total != 0 else None
     return LinkReport(per_alpha=per, total=total, weights=weights)
@@ -153,6 +151,7 @@ def verify_stream(
             f"G does not commute with the Hamiltonian; commutator = {comm}",
             witness=comm,
         )
+    g_is_h = G == H
     value: GaussInt | None = None
     first: int | None = None
     message = ""
@@ -173,8 +172,10 @@ def verify_stream(
             if first is None and 2 * links.total != q1(prev, psi):
                 first, message = n - 1, "2L != q1"
             pairs += 1
-        if first is None and prev2 is not None and step_forward(prev2, prev, H) != psi:
-            first, message = n, "update rule violated"
+        if first is None and prev2 is not None:
+            h_prev = g_prev if g_is_h else mat_vec(H, prev)
+            if step_with_product(prev2, h_prev) != psi:
+                first, message = n, "update rule violated"
         prev2, prev, g_prev = prev, psi, g_psi
     if pairs == 0:
         raise ValueError("a trajectory needs at least two states")

@@ -467,6 +467,8 @@ def born_convergence(
         raise ValueError("l_values must be positive")
     if any(b >= a for a, b in zip(ls, ls[1:])):
         raise ValueError("l_values must be strictly decreasing")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be a finite positive number, got {horizon}")
     sf = spectral_decompose(A)
     rho = float(np.max(np.abs(sf.eigenvalues)))
     V = sf.eigenvectors

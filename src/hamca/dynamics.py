@@ -8,11 +8,12 @@ amplitude magnitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from .errors import DimensionMismatch
-from .gaussian import GaussInt, GaussMatrix, GaussVector, I_UNIT, is_hermitian, mat_vec
+from .gaussian import GaussMatrix, GaussVector, I_UNIT, is_hermitian, mat_vec
 from .models import HamiltonianSpec, build_hamiltonian, spec_from_matrix
 
 ModelLike = Union[HamiltonianSpec, GaussMatrix]
@@ -28,7 +29,13 @@ def _as_spec_and_matrix(model: ModelLike) -> tuple[HamiltonianSpec, GaussMatrix]
 
 def step_forward(prev: GaussVector, curr: GaussVector, H: GaussMatrix) -> GaussVector:
     """psi_{n+1} = psi_{n-1} - i*H*psi_n."""
-    return prev - mat_vec(H, curr) * I_UNIT
+    return step_with_product(prev, mat_vec(H, curr))
+
+
+def step_with_product(prev: GaussVector, h_curr: GaussVector) -> GaussVector:
+    """step_forward given h_curr = H*psi_n already computed; the product
+    -i*h_curr is built from its parts, as -i(a + ib) = b - ia."""
+    return prev + GaussVector(h_curr.im, tuple(-a for a in h_curr.re))
 
 
 def step_backward(curr: GaussVector, nxt: GaussVector, H: GaussMatrix) -> GaussVector:
@@ -49,8 +56,8 @@ class Trajectory:
     l: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.l <= 0:
-            raise ValueError(f"discreteness scale must be positive, got {self.l}")
+        if not (math.isfinite(self.l) and self.l > 0):
+            raise ValueError(f"discreteness scale must be a finite positive number, got {self.l}")
         if len(self.states) < 2:
             raise ValueError("a trajectory needs at least the two initial states")
         for s in self.states:

@@ -1,14 +1,17 @@
 """Exact arithmetic over Gaussian integers and dense linear algebra on them.
 
 Scalars are pairs of arbitrary-precision Python ints, so products of
-thousand-digit entries stay exact; nothing here ever rounds.  All three
-containers (scalar, vector, matrix) are immutable and hashable, hence safe
+thousand-digit entries stay exact; nothing here ever rounds.  A vector
+psi = x + ip stores its int pair (x, p) and a matrix H = S + iA its pair
+(S, A); arithmetic runs on those ints, and indexing or iteration yields
+GaussInt scalars.  All three types are immutable and hashable, hence safe
 to share between threads or reuse as dict keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionMismatch
@@ -37,32 +40,32 @@ class GaussInt:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "GaussInt":
-        other = _coerce(other)
-        if other is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return GaussInt(self.re + other.re, self.im + other.im)
+        return GaussInt(self.re + o[0], self.im + o[1])
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussInt":
-        other = _coerce(other)
-        if other is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return GaussInt(self.re - other.re, self.im - other.im)
+        return GaussInt(self.re - o[0], self.im - o[1])
 
     def __rsub__(self, other: ScalarLike) -> "GaussInt":
-        other = _coerce(other)
-        if other is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return other - self
+        return GaussInt(o[0] - self.re, o[1] - self.im)
 
     def __mul__(self, other: ScalarLike) -> "GaussInt":
-        other = _coerce(other)
-        if other is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
         return GaussInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+            self.re * o[0] - self.im * o[1],
+            self.re * o[1] + self.im * o[0],
         )
 
     __rmul__ = __mul__
@@ -84,11 +87,10 @@ class GaussInt:
         return complex(self.re, self.im)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GaussInt):
-            if not is_int(other):
-                return NotImplemented
-            other = GaussInt(other)
-        return self.re == other.re and self.im == other.im
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o[0] and self.im == o[1]
 
     def __hash__(self) -> int:
         return hash((self.re, self.im))
@@ -115,12 +117,13 @@ ONE = GaussInt(1)
 I_UNIT = GaussInt(0, 1)
 
 
-def _coerce(value: ScalarLike) -> GaussInt:
+def _parts(value: ScalarLike) -> tuple[int, int] | None:
+    """(re, im) of a GaussInt or int scalar operand, None for anything else."""
     if isinstance(value, GaussInt):
-        return value
+        return value.re, value.im
     if is_int(value):
-        return GaussInt(value)
-    return NotImplemented
+        return value, 0
+    return None
 
 
 def as_gauss(value) -> GaussInt:
@@ -136,70 +139,77 @@ def as_gauss(value) -> GaussInt:
 
 @dataclass(frozen=True, slots=True)
 class GaussVector:
-    """Fixed-length vector of Gaussian integers (one slot per degree of
-    freedom; user-facing indices are 1-based, storage is 0-based)."""
+    """Fixed-length vector of Gaussian integers, stored as the int tuples
+    re = x and im = p of psi = x + ip (user-facing indices are 1-based,
+    storage is 0-based)."""
 
-    components: tuple[GaussInt, ...]
+    re: tuple[int, ...]
+    im: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.components) == 0:
-            raise DimensionMismatch("vectors must have at least one component")
+        if not 0 < len(self.re) == len(self.im):
+            raise DimensionMismatch(f"vector parts need one length >= 1, got {len(self.re)}, {len(self.im)}")
 
     @classmethod
     def of(cls, *values) -> "GaussVector":
-        return cls(tuple(as_gauss(v) for v in values))
+        return cls.from_iter(values)
 
     @classmethod
     def from_iter(cls, values: Iterable) -> "GaussVector":
-        return cls(tuple(as_gauss(v) for v in values))
+        zs = [as_gauss(v) for v in values]
+        return cls(tuple(z.re for z in zs), tuple(z.im for z in zs))
 
     @classmethod
     def zero(cls, m: int) -> "GaussVector":
-        return cls((ZERO,) * m)
+        return cls((0,) * m, (0,) * m)
 
     @property
     def dim(self) -> int:
-        return len(self.components)
+        return len(self.re)
 
     def __len__(self) -> int:
-        return len(self.components)
+        return len(self.re)
 
     def __iter__(self) -> Iterator[GaussInt]:
-        return iter(self.components)
+        return map(GaussInt, self.re, self.im)
 
     def __getitem__(self, idx: int) -> GaussInt:
-        return self.components[idx]
+        return GaussInt(self.re[idx], self.im[idx])
 
     def real(self) -> tuple[int, ...]:
-        return tuple(c.re for c in self.components)
+        return self.re
 
     def imag(self) -> tuple[int, ...]:
-        return tuple(c.im for c in self.components)
+        return self.im
 
     def __add__(self, other: "GaussVector") -> "GaussVector":
         _check_len(self, other)
-        return GaussVector(tuple(a + b for a, b in zip(self.components, other.components)))
+        return GaussVector(tuple(map(add, self.re, other.re)), tuple(map(add, self.im, other.im)))
 
     def __sub__(self, other: "GaussVector") -> "GaussVector":
         _check_len(self, other)
-        return GaussVector(tuple(a - b for a, b in zip(self.components, other.components)))
+        return GaussVector(tuple(map(sub, self.re, other.re)), tuple(map(sub, self.im, other.im)))
 
     def __neg__(self) -> "GaussVector":
-        return GaussVector(tuple(-a for a in self.components))
+        return GaussVector(tuple(map(neg, self.re)), tuple(map(neg, self.im)))
 
     def __mul__(self, scalar: ScalarLike) -> "GaussVector":
-        s = _coerce(scalar)
-        if s is NotImplemented:
+        s = _parts(scalar)
+        if s is None:
             return NotImplemented
-        return GaussVector(tuple(a * s for a in self.components))
+        sr, si = s
+        return GaussVector(
+            tuple(a * sr - b * si for a, b in zip(self.re, self.im)),
+            tuple(a * si + b * sr for a, b in zip(self.re, self.im)),
+        )
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not any(self.components)
+        return not (any(self.re) or any(self.im))
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
+        return "(" + ", ".join(map(str, self)) + ")"
 
 
 def _check_len(v: GaussVector, w: GaussVector) -> None:
@@ -207,35 +217,44 @@ def _check_len(v: GaussVector, w: GaussVector) -> None:
         raise DimensionMismatch(f"vector lengths differ: {len(v)} vs {len(w)}")
 
 
+IntRows = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True, slots=True)
 class GaussMatrix:
-    """Dense matrix of Gaussian integers."""
+    """Dense matrix of Gaussian integers, stored as the int rows re = S and
+    im = A of H = S + iA."""
 
-    rows: tuple[tuple[GaussInt, ...], ...]
+    re: IntRows
+    im: IntRows
 
     def __post_init__(self) -> None:
-        if len(self.rows) == 0:
-            raise DimensionMismatch("matrix needs at least one row")
-        width = len(self.rows[0])
-        if width == 0 or any(len(r) != width for r in self.rows):
-            raise DimensionMismatch("matrix rows must be non-empty and equal length")
+        width = len(self.re[0]) if self.re else 0
+        if width == 0 or len(self.im) != len(self.re) or any(len(r) != width for r in self.re + self.im):
+            raise DimensionMismatch("matrix needs rows, all non-empty and of one length in re and im")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "GaussMatrix":
-        return cls(tuple(tuple(as_gauss(v) for v in row) for row in rows))
+        zs = [[as_gauss(v) for v in row] for row in rows]
+        return cls(tuple(tuple(z.re for z in r) for r in zs), tuple(tuple(z.im for z in r) for r in zs))
 
     @classmethod
     def identity(cls, m: int) -> "GaussMatrix":
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(m)) for i in range(m)))
+        return cls(tuple(tuple(int(i == j) for j in range(m)) for i in range(m)), ((0,) * m,) * m)
 
     @classmethod
     def zeros(cls, m: int, n: int | None = None) -> "GaussMatrix":
         n = m if n is None else n
-        return cls(((ZERO,) * n,) * m)
+        return cls(((0,) * n,) * m, ((0,) * n,) * m)
+
+    @property
+    def rows(self) -> tuple[tuple[GaussInt, ...], ...]:
+        """The entries as rows of GaussInt, built on each access."""
+        return tuple(tuple(map(GaussInt, r, i)) for r, i in zip(self.re, self.im))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]))
+        return (len(self.re), len(self.re[0]))
 
     def is_square(self) -> bool:
         r, c = self.shape
@@ -243,31 +262,25 @@ class GaussMatrix:
 
     def __getitem__(self, idx: tuple[int, int]) -> GaussInt:
         i, j = idx
-        return self.rows[i][j]
+        return GaussInt(self.re[i][j], self.im[i][j])
 
     def row(self, i: int) -> tuple[GaussInt, ...]:
-        return self.rows[i]
+        return tuple(map(GaussInt, self.re[i], self.im[i]))
 
     def __add__(self, other: "GaussMatrix") -> "GaussMatrix":
-        _check_shape(self, other)
-        return GaussMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return _entrywise(add, self, other)
 
     def __sub__(self, other: "GaussMatrix") -> "GaussMatrix":
-        _check_shape(self, other)
-        return GaussMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return _entrywise(sub, self, other)
 
     def __neg__(self) -> "GaussMatrix":
-        return GaussMatrix(tuple(tuple(-a for a in r) for r in self.rows))
+        return self * -1
 
     def __mul__(self, scalar: ScalarLike) -> "GaussMatrix":
-        s = _coerce(scalar)
-        if s is NotImplemented:
+        if _parts(scalar) is None:
             return NotImplemented
-        return GaussMatrix(tuple(tuple(a * s for a in r) for r in self.rows))
+        scaled = [GaussVector(r, i) * scalar for r, i in zip(self.re, self.im)]
+        return GaussMatrix(tuple(v.re for v in scaled), tuple(v.im for v in scaled))
 
     __rmul__ = __mul__
 
@@ -275,83 +288,66 @@ class GaussMatrix:
         if isinstance(other, GaussVector):
             return mat_vec(self, other)
         if isinstance(other, GaussMatrix):
-            n, k = self.shape
-            k2, m = other.shape
-            if k != k2:
+            if self.shape[1] != other.shape[0]:
                 raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-            cols = tuple(zip(*other.rows))
-            return GaussMatrix(
-                tuple(
-                    tuple(_dot(row, col) for col in cols)
-                    for row in self.rows
-                )
-            )
+            # row i of self @ other is other^T applied to row i of self
+            t = other.transpose()
+            prods = [mat_vec(t, GaussVector(r, i)) for r, i in zip(self.re, self.im)]
+            return GaussMatrix(tuple(v.re for v in prods), tuple(v.im for v in prods))
         return NotImplemented
 
     def conjugate_transpose(self) -> "GaussMatrix":
-        return GaussMatrix(tuple(tuple(a.conjugate() for a in col) for col in zip(*self.rows)))
+        return GaussMatrix(tuple(zip(*self.re)), tuple(tuple(map(neg, c)) for c in zip(*self.im)))
 
     def transpose(self) -> "GaussMatrix":
-        return GaussMatrix(tuple(zip(*self.rows)))
+        return GaussMatrix(tuple(zip(*self.re)), tuple(zip(*self.im)))
 
     def trace(self) -> GaussInt:
         if not self.is_square():
             raise DimensionMismatch("trace needs a square matrix")
-        t = ZERO
-        for i in range(len(self.rows)):
-            t = t + self.rows[i][i]
-        return t
+        return GaussInt(sum(r[i] for i, r in enumerate(self.re)), sum(r[i] for i, r in enumerate(self.im)))
 
     def is_zero(self) -> bool:
-        return not any(any(r) for r in self.rows)
+        return not any(map(any, self.re + self.im))
 
     def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(a) for a in r) for r in self.rows) + "]"
+        return "[" + "; ".join(", ".join(map(str, r)) for r in self.rows) + "]"
 
 
-def _dot(row: tuple[GaussInt, ...], col: tuple[GaussInt, ...]) -> GaussInt:
-    re = 0
-    im = 0
-    for a, b in zip(row, col):
-        re += a.re * b.re - a.im * b.im
-        im += a.re * b.im + a.im * b.re
-    return GaussInt(re, im)
-
-
-def _check_shape(a: GaussMatrix, b: GaussMatrix) -> None:
+def _entrywise(op, a: GaussMatrix, b: GaussMatrix) -> GaussMatrix:
+    """op applied entry by entry to the parts of two matrices of one shape."""
     if a.shape != b.shape:
         raise DimensionMismatch(f"matrix shapes differ: {a.shape} vs {b.shape}")
+    return GaussMatrix(
+        tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a.re, b.re)),
+        tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a.im, b.im)),
+    )
 
 
 def inner_product(v: GaussVector, w: GaussVector) -> GaussInt:
     """<v|w> = sum_a conj(v_a) * w_a, conjugate-linear in the first slot."""
     _check_len(v, w)
-    re = 0
-    im = 0
-    for a, b in zip(v.components, w.components):
-        # conj(a) * b expanded on integer parts
-        re += a.re * b.re + a.im * b.im
-        im += a.re * b.im - a.im * b.re
-    return GaussInt(re, im)
+    # conj(a) * b expanded on integer parts
+    return GaussInt(
+        sum(map(mul, v.re, w.re)) + sum(map(mul, v.im, w.im)),
+        sum(map(mul, v.re, w.im)) - sum(map(mul, v.im, w.re)),
+    )
 
 
 def mat_vec(M: GaussMatrix, v: GaussVector) -> GaussVector:
-    """Exact matrix-vector product."""
+    """Exact matrix-vector product: (S + iA)(x + ip) = (Sx - Ap) + i(Sp + Ax)."""
     rows, cols = M.shape
     if cols != len(v):
         raise DimensionMismatch(f"matrix {M.shape} cannot act on length-{len(v)} vector")
-    return GaussVector(tuple(_dot(row, v.components) for row in M.rows))
+    x, p = v.re, v.im
+    return GaussVector(
+        tuple(sum(map(mul, s, x)) - sum(map(mul, a, p)) for s, a in zip(M.re, M.im)),
+        tuple(sum(map(mul, s, p)) + sum(map(mul, a, x)) for s, a in zip(M.re, M.im)),
+    )
 
 
 def is_hermitian(M: GaussMatrix) -> bool:
     """Entry-exact test that M equals its conjugate transpose."""
     if not M.is_square():
         raise DimensionMismatch("hermiticity is defined for square matrices only")
-    n = len(M.rows)
-    for i in range(n):
-        for j in range(i, n):
-            a = M.rows[i][j]
-            b = M.rows[j][i]
-            if a.re != b.re or a.im != -b.im:
-                return False
-    return True
+    return M == M.conjugate_transpose()

@@ -9,13 +9,11 @@ plain integer arithmetic before any complex value exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ModelValidationError
-from .gaussian import GaussInt, GaussMatrix, GaussVector, ONE, ZERO, is_hermitian, is_int
-
-IntRows = tuple[tuple[int, ...], ...]
+from .gaussian import GaussMatrix, GaussVector, IntRows, is_hermitian, is_int
 
 
 def _strict_int(value, name: str) -> int:
@@ -100,24 +98,14 @@ def _rows_from_json(obj, dim: int) -> list[list[int]]:
 
 def build_hamiltonian(spec: HamiltonianSpec) -> GaussMatrix:
     """H = S + iA; Hermitian by construction from a valid spec."""
-    H = GaussMatrix(
-        tuple(
-            tuple(GaussInt(s, a) for s, a in zip(srow, arow))
-            for srow, arow in zip(spec.S, spec.A)
-        )
-    )
+    H = GaussMatrix(spec.S, spec.A)
     assert is_hermitian(H)
     return H
 
 
 def spec_from_matrix(H: GaussMatrix, label: str = "adhoc") -> HamiltonianSpec:
-    """Split a Hermitian Gaussian-integer matrix into its (S, A) parts."""
-    if not is_hermitian(H):
-        raise ModelValidationError("matrix is not Hermitian; no (S, A) split exists")
-    n = H.shape[0]
-    S = tuple(tuple(H[i, j].re for j in range(n)) for i in range(n))
-    A = tuple(tuple(H[i, j].im for j in range(n)) for i in range(n))
-    return HamiltonianSpec(dim=n, S=S, A=A, label=label)
+    """Split a Hermitian matrix into its (S, A) parts; the spec's checks reject any other."""
+    return HamiltonianSpec(H.shape[0], H.re, H.im, label)
 
 
 def make_cyclic_model(m: int) -> HamiltonianSpec:
@@ -147,7 +135,7 @@ def basis_state(m: int, k: int) -> GaussVector:
     """Unit basis vector with a 1 in (1-based) slot k."""
     if not 1 <= k <= m:
         raise ValueError(f"basis index k = {k} outside 1..{m}")
-    return GaussVector(tuple(ONE if i == k - 1 else ZERO for i in range(m)))
+    return GaussVector(tuple(int(i == k - 1) for i in range(m)), (0,) * m)
 
 
 def resolve_builtin(label: str) -> HamiltonianSpec | None:

@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import re
-from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -80,7 +79,7 @@ def parse_gauss_vector(text: str) -> GaussVector:
     parts = [p for p in text.split(",")]
     if not parts or all(not p.strip() for p in parts):
         raise ValueError(f"cannot parse state vector from {text!r}")
-    return GaussVector(tuple(parse_gauss(p) for p in parts))
+    return GaussVector.from_iter(parse_gauss(p) for p in parts)
 
 
 def load_gauss_vector(path: str | Path) -> GaussVector:
@@ -94,7 +93,7 @@ def load_gauss_vector(path: str | Path) -> GaussVector:
             comps.append(parse_gauss(item) if isinstance(item, str) else as_gauss(item))
         except TypeError as exc:
             raise ValueError(f"{path}: cannot interpret component {item!r}") from exc
-    return GaussVector(tuple(comps))
+    return GaussVector.from_iter(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +124,8 @@ def load_model(path: str | Path) -> HamiltonianSpec:
 def _state_record(n: int, psi: GaussVector) -> str:
     rec = {
         "n": n,
-        "re": [str(c.re) for c in psi],
-        "im": [str(c.im) for c in psi],
+        "re": list(map(str, psi.re)),
+        "im": list(map(str, psi.im)),
     }
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
@@ -195,7 +194,7 @@ def _parse_state(line: str, model: HamiltonianSpec, path) -> tuple[int, GaussVec
         raise ValueError(f"{path}: state record {n} has wrong length")
     if not all(isinstance(v, str) for v in res + ims):
         raise ValueError(f"{path}: state record {n} has parts that are not decimal strings")
-    return n, GaussVector(tuple(GaussInt(int(r), int(i)) for r, i in zip(res, ims)))
+    return n, GaussVector(tuple(map(int, res)), tuple(map(int, ims)))
 
 
 def read_trajectory_stream(path: str | Path):

@@ -362,3 +362,30 @@ class TestSampleTimes:
         assert run_cli("continuum", mode, "--model", "Hm:8", "--steps", "24", window, "8",
                        "--points", "1", "--tol", "0.02", "--out", str(out)) == EXIT_OK
         assert len(out.read_text().splitlines()) == 2
+
+
+class TestNumericOptionRange:
+    """Numeric options outside their range exit 3 instead of running on."""
+
+    @pytest.mark.parametrize("horizon", ["-5", "inf"])
+    def test_born_horizon_must_be_finite_and_positive(self, horizon, capsys):
+        code = run_cli("continuum", "born", "--model", "H2", "--psi", "0.8,0.6",
+                       f"--horizon={horizon}")
+        assert code == EXIT_VALIDATION
+        assert "horizon must be a finite positive number" in capsys.readouterr().err
+
+    def test_closedform_negative_pairs_rejected(self, capsys):
+        code = run_cli("continuum", "closedform", "--model", "H2", "--pairs", "-2", "--nmax", "5")
+        assert code == EXIT_VALIDATION
+        assert "pairs must be >= 0" in capsys.readouterr().err
+
+    def test_closedform_zero_pairs_still_runs(self):
+        assert run_cli("continuum", "closedform", "--model", "H2", "--pairs", "0", "--nmax", "5") == EXIT_OK
+
+    @pytest.mark.parametrize("l", ["nan", "inf"])
+    def test_run_l_must_be_finite(self, tmp_path, l):
+        out = tmp_path / "t.jsonl"
+        code = run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1",
+                       "--steps", "3", f"--l={l}", "--out", str(out))
+        assert code == EXIT_VALIDATION
+        assert not out.exists()

@@ -205,3 +205,10 @@ class TestTransferOperator:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             transfer_operator(H2, -1)
+
+
+@pytest.mark.parametrize("l", [float("nan"), float("inf"), 0.0])
+def test_trajectory_scale_must_be_finite_and_positive(l):
+    states = (basis_state(2, 1), basis_state(2, 2))
+    with pytest.raises(ValueError, match="finite positive"):
+        Trajectory(model=make_cyclic_model(2), states=states, l=l)
