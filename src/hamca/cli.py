@@ -264,9 +264,18 @@ def _smooth_trajectory(args, spec, H) -> np.ndarray:
     return ct.evolve_float(psi0, psi1, H, args.steps)
 
 
+def _tolerance(args) -> float:
+    """--tol, which must be a finite number >= 0: exit 1 means a real
+    tolerance was not met, so an unusable one must not produce it."""
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {args.tol}")
+    return args.tol
+
+
 def _continuum_closedform(args, spec, H) -> int:
     if args.pairs < 0:
         raise ValueError(f"pairs must be >= 0, got {args.pairs}")
+    tol = _tolerance(args)
     rng = np.random.default_rng(args.seed)
     solver = ct.ClosedFormSolver(H, degenerate="error" if args.strict_band else "confluent")
     rows = []
@@ -281,7 +290,7 @@ def _continuum_closedform(args, spec, H) -> int:
         worst = max(worst, dev)
     _write_float_report(args.out, ["pair", "max_rel_dev"], rows)
     print(f"closedform: worst relative deviation {format_float(worst)} over {args.pairs} pairs")
-    return EXIT_OK if worst <= args.tol else EXIT_TOLERANCE
+    return EXIT_OK if worst <= tol else EXIT_TOLERANCE
 
 
 def _continuum_sinh(args, spec, H) -> int:
@@ -304,6 +313,7 @@ def _continuum_sinh(args, spec, H) -> int:
 
 
 def _continuum_q1(args, spec, H) -> int:
+    tol = _tolerance(args)
     states = _smooth_trajectory(args, spec, H)
     sig = ct.BandlimitedSignal(states, l=args.l, window=args.window)
     ts = [float(t) for t in _sample_times(args, len(states), args.window)]
@@ -312,7 +322,7 @@ def _continuum_q1(args, spec, H) -> int:
     _write_float_report(args.out, ["t", "value", "expansion", "remainder"], rows)
     scale = max(abs(r.value) for r in results) + 1e-30
     print(f"q1: value {format_float(results[0].value)} spread {format_float(spread)}")
-    return EXIT_OK if spread <= args.tol * scale else EXIT_TOLERANCE
+    return EXIT_OK if spread <= tol * scale else EXIT_TOLERANCE
 
 
 def _continuum_born(args, spec, H) -> int:

@@ -65,21 +65,25 @@ def commutes(G: GaussMatrix, H: GaussMatrix) -> bool:
 
 @dataclass(frozen=True)
 class LinkReport:
-    """Per-degree-of-freedom link counts for one consecutive pair.
-
-    weights is None exactly when total = 0 (the regime with no meaningful
-    continuum limit); otherwise the exact rationals L_a / L, which may lie
-    outside [0, 1] and always sum to 1.
-    """
+    """Per-degree-of-freedom link counts for one consecutive pair."""
 
     per_alpha: tuple[int, ...]
     total: int
-    weights: tuple[Fraction, ...] | None
 
     def __post_init__(self) -> None:
         assert self.total == sum(self.per_alpha)
-        if self.weights is not None:
-            assert sum(self.weights) == 1
+
+    @property
+    def weights(self) -> tuple[Fraction, ...] | None:
+        """None exactly when total = 0 (the regime with no meaningful
+        continuum limit); otherwise the exact rationals L_a / L, which may
+        lie outside [0, 1] and always sum to 1.  Built on each access, so a
+        pass that reads only the counts builds no Fraction."""
+        if self.total == 0:
+            return None
+        weights = tuple(Fraction(la, self.total) for la in self.per_alpha)
+        assert sum(weights) == 1
+        return weights
 
 
 def link_counts(psi_n: GaussVector, psi_next: GaussVector) -> LinkReport:
@@ -91,9 +95,7 @@ def link_counts(psi_n: GaussVector, psi_next: GaussVector) -> LinkReport:
     if len(psi_n) != len(psi_next):
         raise DimensionMismatch(f"state lengths differ: {len(psi_n)} vs {len(psi_next)}")
     per = tuple(map(add, map(mul, psi_next.re, psi_n.re), map(mul, psi_next.im, psi_n.im)))
-    total = sum(per)
-    weights = tuple(Fraction(la, total) for la in per) if total != 0 else None
-    return LinkReport(per_alpha=per, total=total, weights=weights)
+    return LinkReport(per_alpha=per, total=sum(per))
 
 
 @dataclass(frozen=True)

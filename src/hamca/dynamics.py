@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Callable, Iterator, Union
 
 from .errors import DimensionMismatch
@@ -34,8 +35,10 @@ def step_forward(prev: GaussVector, curr: GaussVector, H: GaussMatrix) -> GaussV
 
 def step_with_product(prev: GaussVector, h_curr: GaussVector) -> GaussVector:
     """step_forward given h_curr = H*psi_n already computed; the product
-    -i*h_curr is built from its parts, as -i(a + ib) = b - ia."""
-    return prev + GaussVector(h_curr.im, tuple(-a for a in h_curr.re))
+    -i*h_curr is added from its parts, as -i(a + ib) = b - ia."""
+    if len(prev) != len(h_curr):
+        raise DimensionMismatch(f"vector lengths differ: {len(prev)} vs {len(h_curr)}")
+    return GaussVector(tuple(map(add, prev.re, h_curr.im)), tuple(map(sub, prev.im, h_curr.re)))
 
 
 def step_backward(curr: GaussVector, nxt: GaussVector, H: GaussMatrix) -> GaussVector:

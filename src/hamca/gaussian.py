@@ -1,16 +1,18 @@
-"""Exact arithmetic over Gaussian integers and dense linear algebra on them.
+"""Exact arithmetic over Gaussian integers and linear algebra on them.
 
 Scalars are pairs of arbitrary-precision Python ints, so products of
 thousand-digit entries stay exact; nothing here ever rounds.  A vector
 psi = x + ip stores its int pair (x, p) and a matrix H = S + iA its pair
 (S, A); arithmetic runs on those ints, and indexing or iteration yields
-GaussInt scalars.  All three types are immutable and hashable, hence safe
-to share between threads or reuse as dict keys.
+GaussInt scalars.  A matrix also lists the nonzero entries of each row, so
+a matrix-vector product costs one term per nonzero, not one per entry.
+All three types are immutable and hashable, hence safe to share between
+threads or reuse as dict keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -218,20 +220,29 @@ def _check_len(v: GaussVector, w: GaussVector) -> None:
 
 
 IntRows = tuple[tuple[int, ...], ...]
+#: per row, one (column j, S_ij, A_ij) triple for each j where S or A is nonzero
+NonzeroRows = tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 @dataclass(frozen=True, slots=True)
 class GaussMatrix:
-    """Dense matrix of Gaussian integers, stored as the int rows re = S and
-    im = A of H = S + iA."""
+    """Matrix of Gaussian integers, stored as the int rows re = S and
+    im = A of H = S + iA.  `nonzeros` is derived from them once, when the
+    matrix is built, and takes no part in ==, hash or repr."""
 
     re: IntRows
     im: IntRows
+    nonzeros: NonzeroRows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         width = len(self.re[0]) if self.re else 0
         if width == 0 or len(self.im) != len(self.re) or any(len(r) != width for r in self.re + self.im):
             raise DimensionMismatch("matrix needs rows, all non-empty and of one length in re and im")
+        nonzeros = tuple(
+            tuple((j, s, a) for j, (s, a) in enumerate(zip(rs, ra)) if s or a)
+            for rs, ra in zip(self.re, self.im)
+        )
+        object.__setattr__(self, "nonzeros", nonzeros)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "GaussMatrix":
@@ -335,15 +346,23 @@ def inner_product(v: GaussVector, w: GaussVector) -> GaussInt:
 
 
 def mat_vec(M: GaussMatrix, v: GaussVector) -> GaussVector:
-    """Exact matrix-vector product: (S + iA)(x + ip) = (Sx - Ap) + i(Sp + Ax)."""
-    rows, cols = M.shape
-    if cols != len(v):
+    """Exact matrix-vector product: (S + iA)(x + ip) = (Sx - Ap) + i(Sp + Ax),
+    summed over the nonzero entries of each row of M only."""
+    if M.shape[1] != len(v):
         raise DimensionMismatch(f"matrix {M.shape} cannot act on length-{len(v)} vector")
     x, p = v.re, v.im
-    return GaussVector(
-        tuple(sum(map(mul, s, x)) - sum(map(mul, a, p)) for s, a in zip(M.re, M.im)),
-        tuple(sum(map(mul, s, p)) + sum(map(mul, a, x)) for s, a in zip(M.re, M.im)),
-    )
+    re = []
+    im = []
+    for row in M.nonzeros:
+        r = i = 0
+        for j, s, a in row:
+            xj = x[j]
+            pj = p[j]
+            r += s * xj - a * pj
+            i += s * pj + a * xj
+        re.append(r)
+        im.append(i)
+    return GaussVector(tuple(re), tuple(im))
 
 
 def is_hermitian(M: GaussMatrix) -> bool:

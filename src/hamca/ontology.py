@@ -22,13 +22,13 @@ def classify_state(psi: GaussVector) -> tuple[int, GaussInt] | None:
     """(1-based slot index, scalar factor) for a single-component state,
     None for a superposed one.  The zero vector is rejected: a permutation
     ontology has no 'nothing' state."""
-    hits = [(i, c) for i, c in enumerate(psi) if c]
+    hits = [i for i, (x, p) in enumerate(zip(psi.re, psi.im)) if x or p]
     if not hits:
         raise DegenerateStateError("zero vector has no component to classify")
     if len(hits) != 1:
         return None
-    idx, value = hits[0]
-    return idx + 1, value
+    idx = hits[0]
+    return idx + 1, GaussInt(psi.re[idx], psi.im[idx])
 
 
 @dataclass(frozen=True)

@@ -194,7 +194,14 @@ def _parse_state(line: str, model: HamiltonianSpec, path) -> tuple[int, GaussVec
         raise ValueError(f"{path}: state record {n} has wrong length")
     if not all(isinstance(v, str) for v in res + ims):
         raise ValueError(f"{path}: state record {n} has parts that are not decimal strings")
-    return n, GaussVector(tuple(map(int, res)), tuple(map(int, ims)))
+    try:
+        x, p = tuple(map(int, res)), tuple(map(int, ims))
+    except ValueError:
+        x = p = ()
+    # only the form the writer emits: int() alone also takes "+1", " 0 ", "1_0" and non-ASCII digits
+    if list(map(str, x)) != res or list(map(str, p)) != ims:
+        raise ValueError(f"{path}: state record {n} has parts that are not canonical decimal integers")
+    return n, GaussVector(x, p)
 
 
 def read_trajectory_stream(path: str | Path):
@@ -252,15 +259,11 @@ def write_conservation_csv(fh: IO[str], dim: int, stats: Iterable) -> None:
         + [f"w_{a}" for a in range(1, dim + 1)]
     )
     for st in stats:
-        weights = (
-            [str(frac) for frac in st.links.weights]
-            if st.links.weights is not None
-            else [""] * dim
-        )
+        weights = st.links.weights
         w.writerow(
             [st.n, st.q.re, st.q.im, st.links.total]
             + [str(v) for v in st.links.per_alpha]
-            + weights
+            + ([str(frac) for frac in weights] if weights is not None else [""] * dim)
         )
 
 

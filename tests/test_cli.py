@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -277,6 +278,29 @@ class TestCheckMerged:
         assert run_cli("check", str(path)) == EXIT_VALIDATION
         assert "out of order at n = 7" in capsys.readouterr().err
 
+    # state 2 of the swap orbit is (1 - i, 0); each spelling below but "x"
+    # denotes its real part 1, which int() accepts but the writer never emits
+    @pytest.mark.parametrize("part", ["+1", " 1 ", "0_1", "01", "\u0661", "x"])
+    def test_non_canonical_part_is_a_validation_error(self, tmp_path, capsys, part):
+        path = self.make_traj(tmp_path)
+        _rewrite_line(path, 3, lambda rec: rec["re"].__setitem__(0, part))
+        assert run_cli("check", str(path)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{path}: state record 2 has parts that are not canonical decimal integers" in err
+
+    def test_report_rows_carry_exact_link_weights(self, tmp_path):
+        traj = evolve(E(1, (0, 2), 0), E((1, 1), 0, -1), make_cyclic_model(3), 6)
+        path, report = tmp_path / "t.jsonl", tmp_path / "r.csv"
+        write_trajectory(traj, path)
+        assert run_cli("check", str(path), "--report", str(report)) == EXIT_OK
+        expected = ["n,q_re,q_im,L,L_1,L_2,L_3,w_1,w_2,w_3"]
+        for n, a, b in traj.pairs():
+            per = [x1 * x0 + p1 * p0 for x0, p0, x1, p1 in zip(a.re, a.im, b.re, b.im)]
+            total = sum(per)
+            weights = [str(Fraction(la, total)) for la in per] if total else [""] * 3
+            expected.append(",".join(map(str, [n, 2 * total, 0, total, *per, *weights])))
+        assert report.read_text() == "\n".join(expected) + "\n"
+
 
 class TestStrictModelEntries:
     def test_fractional_entry_rejected(self, tmp_path):
@@ -381,6 +405,13 @@ class TestNumericOptionRange:
 
     def test_closedform_zero_pairs_still_runs(self):
         assert run_cli("continuum", "closedform", "--model", "H2", "--pairs", "0", "--nmax", "5") == EXIT_OK
+
+    @pytest.mark.parametrize("mode", ["closedform", "q1"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, mode, tol):
+        code = run_cli("continuum", mode, "--model", "H2", f"--tol={tol}")
+        assert code == EXIT_VALIDATION
+        assert f"tol must be a finite number >= 0, got {float(tol)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("l", ["nan", "inf"])
     def test_run_l_must_be_finite(self, tmp_path, l):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import hamca.conservation as conservation
 from hamca.conservation import (
     commutator,
     commutes,
@@ -194,3 +195,23 @@ class TestVerifyStream:
     def test_needs_two_states(self):
         with pytest.raises(ValueError):
             verify_stream(iter([E(1, 0)]), H2, EYE2)
+
+    def test_fractions_only_for_reported_pairs(self, monkeypatch):
+        H = build_hamiltonian(make_cyclic_model(6))
+        traj = evolve(E(1, 0, 2, 0, 0, -1), E(1, 1, 0, 0, 3, 0), H, 40)
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(conservation, "Fraction", counting)
+        assert verify_stream(traj, H, H).ok
+        assert made == []
+        rows = []
+        assert verify_stream(traj, H, H, rows).ok
+        assert all(r.links.total == 1 for r in rows)
+        assert [r.links.weights for r in rows] == [
+            tuple(Fraction(la, 1) for la in r.links.per_alpha) for r in rows
+        ]
+        assert len(made) == 6 * len(rows)

@@ -1,10 +1,12 @@
 """The int-pair storage of GaussVector / GaussMatrix against a per-entry oracle.
 
-The containers hold (x, p) and (S, A) as plain int tuples.  The oracle
-below works on one GaussInt per entry, the way the kernel did before the
-storage change (its `_dot`-based matrix-vector product and its inner
-product are kept here verbatim), so any disagreement is a bug in the int
-kernel.  Entries reach 2^200, far past any fixed-width integer type.
+The containers hold (x, p) and (S, A) as plain int tuples, and a matrix
+also lists the nonzero entries of each row, which is all `mat_vec` reads.
+The oracle below works on one GaussInt per entry of the dense rows, the
+way the kernel did before the storage change (its `_dot`-based
+matrix-vector product and its inner product are kept here verbatim), so
+any disagreement is a bug in the int kernel.  Entries reach 2^200, far
+past any fixed-width integer type.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,17 @@ from hypothesis import given, settings, strategies as st
 import hamca.conservation as conservation
 from hamca.conservation import verify_stream
 from hamca.dynamics import evolve, step_forward, step_xp
-from hamca.gaussian import GaussInt, GaussMatrix, GaussVector, inner_product, is_hermitian, mat_vec
-from hamca.models import HamiltonianSpec, build_hamiltonian, make_cyclic_model
+from hamca.gaussian import (
+    I_UNIT,
+    GaussInt,
+    GaussMatrix,
+    GaussVector,
+    inner_product,
+    is_hermitian,
+    mat_vec,
+)
+from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
+from hamca.ontology import classify_state
 
 BIG = 2**200
 big_ints = st.integers(min_value=-BIG, max_value=BIG)
@@ -97,6 +108,47 @@ def matrix_pairs(draw):
     return GaussMatrix.from_rows(a), GaussMatrix.from_rows(b)
 
 
+nonzero_ints = big_ints.filter(bool)
+# half of the entries zero, the rest with a real or an imaginary part but
+# never both, so that S and A have disjoint support
+sparse_scalars = st.builds(
+    lambda kind, v: (GaussInt(0), GaussInt(0), GaussInt(v), GaussInt(0, v))[kind],
+    st.integers(min_value=0, max_value=3),
+    nonzero_ints,
+)
+
+
+@st.composite
+def sparse_matrices(draw, n, k):
+    """n x k and mostly zero: about a third of the rows are all zero."""
+    rows = []
+    for _ in range(n):
+        if draw(st.integers(min_value=0, max_value=2)) == 0:
+            rows.append([GaussInt(0)] * k)
+        else:
+            rows.append(draw(st.lists(sparse_scalars, min_size=k, max_size=k)))
+    return GaussMatrix.from_rows(rows)
+
+
+@st.composite
+def sparse_matrix_and_vector(draw):
+    n, k = draw(dims), draw(dims)
+    return draw(sparse_matrices(n, k)), GaussVector.from_iter(draw(entries(k)))
+
+
+@st.composite
+def sparse_matrix_pairs(draw):
+    n, k, m = draw(dims), draw(dims), draw(dims)
+    return draw(sparse_matrices(n, k)), draw(sparse_matrices(k, m))
+
+
+@st.composite
+def sparse_step_inputs(draw):
+    n = draw(dims)
+    prev, curr = (GaussVector.from_iter(draw(entries(n))) for _ in range(2))
+    return prev, curr, draw(sparse_matrices(n, n))
+
+
 @st.composite
 def square_matrices(draw):
     """Square matrices, about half of them made Hermitian by mirroring the
@@ -158,6 +210,51 @@ def test_matrix_arithmetic_and_hermiticity_match_oracle(M, s):
     assert (M * s).rows == tuple(tuple(a * s for a in r) for r in M.rows)
 
 
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrix_and_vector())
+def test_sparse_mat_vec_matches_oracle(mv):
+    M, v = mv
+    assert tuple(mat_vec(M, v)) == oracle_mat_vec(M.rows, tuple(v))
+    assert M @ v == mat_vec(M, v)
+    listed = {(i, j): GaussInt(s, a) for i, row in enumerate(M.nonzeros) for j, s, a in row}
+    assert listed == {(i, j): z for i, r in enumerate(M.rows) for j, z in enumerate(r) if z}
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrix_pairs())
+def test_sparse_matmul_matches_oracle(ab):
+    A, B = ab
+    assert (A @ B).rows == oracle_matmul(A.rows, B.rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_step_inputs())
+def test_sparse_step_forward_matches_oracle(inputs):
+    prev, curr, H = inputs
+    expected = tuple(a - I_UNIT * b for a, b in zip(prev, oracle_mat_vec(H.rows, tuple(curr))))
+    assert tuple(step_forward(prev, curr, H)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims.flatmap(lambda n: sparse_matrices(n, n)))
+def test_nonzeros_stay_out_of_equality_hash_and_repr(M):
+    twin = GaussMatrix(M.re, M.im)
+    assert twin == M
+    assert hash(twin) == hash(M)
+    assert repr(twin) == repr(M) == f"GaussMatrix(re={M.re!r}, im={M.im!r})"
+
+
+def test_step_forward_matches_step_xp_over_a_full_period():
+    spec = make_cyclic_model(30)
+    psi0 = GaussVector(tuple((3 * k) % 7 - 3 for k in range(30)), tuple((5 * k) % 7 - 3 for k in range(30)))
+    psi1 = GaussVector(tuple((2 * k) % 5 - 2 for k in range(30)), tuple(k % 3 - 1 for k in range(30)))
+    period = 4 * 30
+    traj = evolve(psi0, psi1, spec, period)
+    for prev, curr, nxt in zip(traj, traj.states[1:], traj.states[2:]):
+        assert (nxt.re, nxt.im) == step_xp(prev.re, prev.im, curr.re, curr.im, spec)
+    assert (traj[period], traj[period + 1]) == (psi0, psi1)
+
+
 def _tridiag_121(m):
     S = tuple(tuple(2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(m)) for i in range(m))
     return HamiltonianSpec(dim=m, S=S, A=((0,) * m,) * m, label="tridiag121")
@@ -200,6 +297,24 @@ def test_step_forward_constructs_no_gauss_int(monkeypatch):
     monkeypatch.setattr(GaussInt, "__post_init__", counting)
     step_forward(prev, curr, H)
     assert built == []
+
+
+def test_classify_state_constructs_at_most_one_gauss_int(monkeypatch):
+    single = GaussVector(basis_state(30, 7).re, (0,) * 6 + (-BIG,) + (0,) * 23)
+    superposed = basis_state(30, 7) + basis_state(30, 30)
+    built = []
+    original = GaussInt.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(GaussInt, "__post_init__", counting)
+    found = classify_state(single)
+    assert classify_state(superposed) is None
+    monkeypatch.undo()
+    assert built == [GaussInt(1, -BIG)]
+    assert found == (7, GaussInt(1, -BIG))
 
 
 def test_check_with_g_equal_h_applies_h_once_per_state(monkeypatch):
