@@ -29,7 +29,6 @@ from .models import (
 from .dynamics import (
     Trajectory,
     evolve,
-    evolve_matched,
     step_backward,
     step_forward,
     step_xp,
@@ -42,7 +41,6 @@ from .conservation import (
     LinkReport,
     commutator,
     commutes,
-    conservation_residual,
     link_counts,
     q1,
     q_G,
@@ -63,7 +61,6 @@ from .continuum import (
     Q1Result,
     SpectralForm,
     born_convergence,
-    closed_form,
     evolve_float,
     q1_constancy,
     q1_continuum,

@@ -17,6 +17,7 @@ Exit codes (also listed in the README):
     6  spectral singularity (strict band mode)
     7  ontological regime: link total is zero, no continuum comparison
     8  floating-point instability (overflow to non-finite values)
+    9  internal error: any other exception, reported on one line
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ EXIT_BUDGET = 5
 EXIT_SINGULAR = 6
 EXIT_ONTOLOGICAL = 7
 EXIT_INSTABILITY = 8
+EXIT_INTERNAL = 9
 
 
 def _load_model_arg(label_or_path: str) -> HamiltonianSpec:
@@ -89,11 +91,12 @@ def _load_vector_arg(name: str, text: str, dim: int) -> GaussVector:
     return vec
 
 
-def _g_matrix_arg(spec: HamiltonianSpec, text: str) -> GaussMatrix:
+def _g_matrix_arg(H: GaussMatrix, text: str) -> GaussMatrix:
+    dim = H.shape[0]
     if text == "identity":
-        return GaussMatrix.identity(spec.dim)
+        return GaussMatrix.identity(dim)
     if text == "hamiltonian":
-        return build_hamiltonian(spec)
+        return H
     path = Path(text)
     if not path.exists():
         raise ValueError(f"G: expected 'identity', 'hamiltonian' or a model file, got {text!r}")
@@ -101,8 +104,8 @@ def _g_matrix_arg(spec: HamiltonianSpec, text: str) -> GaussMatrix:
         gspec = load_model(path)
     except ValueError as exc:
         raise ValueError(f"G: {exc}")
-    if gspec.dim != spec.dim:
-        raise ValueError(f"G: dimension {gspec.dim} does not match model dimension {spec.dim}")
+    if gspec.dim != dim:
+        raise ValueError(f"G: dimension {gspec.dim} does not match model dimension {dim}")
     return build_hamiltonian(gspec)
 
 
@@ -129,7 +132,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if first_drift is None and q1(a, b) != q_start:
             first_drift = n
 
-    states = stream_states(psi0, psi1, spec, args.steps, probe if args.probe else None)
+    states = stream_states(psi0, psi1, build_hamiltonian(spec), args.steps, probe if args.probe else None)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = TrajectoryWriter(fh, spec, args.l)
@@ -158,9 +161,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         model, l, stream = read_trajectory_stream(args.trajectory)
     except (ValueError, OSError) as exc:
         raise ValueError(f"trajectory: {exc}")
-    G = _g_matrix_arg(model, args.g)
+    H = build_hamiltonian(model)
+    G = _g_matrix_arg(H, args.g)
     rows: list[PairStats] | None = [] if args.report else None
-    report = verify_stream((psi for _, psi in stream), build_hamiltonian(model), G, rows)
+    report = verify_stream((psi for _, psi in stream), H, G, rows)
     if args.report:
         with open(args.report, "w", newline="") as fh:
             write_conservation_csv(fh, model.dim, rows)
@@ -417,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SpectralFailure, ValueError, OSError) as exc:  # validation errors, unusable paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:  # a bug, not a verdict: never exit 1, "tolerance not met"
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .dynamics import Trajectory, step_with_product
 from .errors import DimensionMismatch, NonCommutingError
@@ -36,20 +36,6 @@ def q_G(psi_n: GaussVector, psi_next: GaussVector, G: GaussMatrix) -> GaussInt:
 def q1(psi_n: GaussVector, psi_next: GaussVector) -> int:
     """q_G with G = identity: 2 * Re <psi_{n+1}, psi_n>, an ordinary int."""
     return 2 * (sum(map(mul, psi_next.re, psi_n.re)) + sum(map(mul, psi_next.im, psi_n.im)))
-
-
-def conservation_residual(
-    psi_prev: GaussVector,
-    psi_n: GaussVector,
-    psi_next: GaussVector,
-    G: GaussMatrix,
-) -> GaussInt:
-    """<psi_n, G dpsi> + <dpsi, G psi_n> with dpsi = psi_{n+1} - psi_{n-1}.
-
-    Vanishes on every trajectory triple when [G, H] = 0.
-    """
-    dpsi = psi_next - psi_prev
-    return inner_product(psi_n, mat_vec(G, dpsi)) + inner_product(dpsi, mat_vec(G, psi_n))
 
 
 def commutator(G: GaussMatrix, H: GaussMatrix) -> GaussMatrix:
@@ -120,12 +106,6 @@ class ConservationReport:
     pairs_checked: int
     first_violation: int | None
     message: str = ""
-
-
-def iter_pair_stats(traj: Trajectory, G: GaussMatrix) -> Iterator[PairStats]:
-    """q_G and link counts for every consecutive pair of a trajectory."""
-    for n, a, b in traj.pairs():
-        yield PairStats(n=n, q=q_G(a, b, G), links=link_counts(a, b))
 
 
 def verify_stream(

@@ -200,17 +200,6 @@ class ClosedFormSolver:
         return self._states(psi0, psi1, np.arange(n_max + 1))
 
 
-def closed_form(
-    H: MatrixLike,
-    psi0: StateLike,
-    psi1: StateLike,
-    n: int,
-    degenerate: Literal["confluent", "error"] = "confluent",
-) -> np.ndarray:
-    """State after n steps straight from the eigenbasis, no iteration."""
-    return ClosedFormSolver(H, degenerate=degenerate).state_at(psi0, psi1, n)
-
-
 def smooth_partner(M: MatrixLike, psi0: StateLike) -> np.ndarray:
     """The one-step state selecting the non-alternating solution branch of
     psi_{n+1} = psi_{n-1} - i*M*psi_n, namely psi_1 = exp(-i*phi) psi_0 in

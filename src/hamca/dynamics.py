@@ -20,11 +20,13 @@ from .models import HamiltonianSpec, build_hamiltonian, spec_from_matrix
 ModelLike = Union[HamiltonianSpec, GaussMatrix]
 
 
-def _as_spec_and_matrix(model: ModelLike) -> tuple[HamiltonianSpec, GaussMatrix]:
+def model_matrix(model: ModelLike) -> GaussMatrix:
+    """H of a model: built from a spec, or a GaussMatrix taken as given.
+    Each entry point calls this once and hands the matrix on."""
     if isinstance(model, HamiltonianSpec):
-        return model, build_hamiltonian(model)
+        return build_hamiltonian(model)
     if isinstance(model, GaussMatrix):
-        return spec_from_matrix(model), model
+        return model
     raise TypeError(f"expected HamiltonianSpec or GaussMatrix, got {type(model).__name__}")
 
 
@@ -90,17 +92,6 @@ class Trajectory:
         for n in range(len(self.states) - 1):
             yield n, self.states[n], self.states[n + 1]
 
-    def verify_recursion(self) -> int | None:
-        """Index of the first state violating the update rule, or None.
-
-        The returned index is the n of the offending psi_{n+1}.
-        """
-        H = self.hamiltonian()
-        for n in range(1, len(self.states) - 1):
-            if step_forward(self.states[n - 1], self.states[n], H) != self.states[n + 1]:
-                return n + 1
-        return None
-
 
 def evolve(
     psi0: GaussVector,
@@ -112,19 +103,15 @@ def evolve(
     """Run n_steps updates from the initial pair; result holds n_steps + 2 states."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    spec, _ = _as_spec_and_matrix(model)
-    return Trajectory(model=spec, states=tuple(stream_states(psi0, psi1, model, n_steps)), l=l)
-
-
-def evolve_matched(psi0: GaussVector, model: ModelLike, n_steps: int, l: float = 1.0) -> Trajectory:
-    """Evolve with the repeated-initial-state convention psi_1 = psi_0."""
-    return evolve(psi0, psi0, model, n_steps, l=l)
+    H = model_matrix(model)
+    spec = model if isinstance(model, HamiltonianSpec) else spec_from_matrix(H)
+    return Trajectory(model=spec, states=tuple(stream_states(psi0, psi1, H, n_steps)), l=l)
 
 
 def stream_states(
     psi0: GaussVector,
     psi1: GaussVector,
-    model: ModelLike,
+    H: GaussMatrix,
     n_steps: int | None = None,
     probe: Callable[[int, GaussVector, GaussVector], None] | None = None,
 ) -> Iterator[GaussVector]:
@@ -134,11 +121,9 @@ def stream_states(
     option.  `probe(n, psi_n, psi_{n+1})` is invoked once per consecutive
     pair as it becomes available.  n_steps = None streams forever.
     """
-    spec, H = _as_spec_and_matrix(model)
-    if len(psi0) != spec.dim or len(psi1) != spec.dim:
-        raise DimensionMismatch(
-            f"initial states of length {len(psi0)}/{len(psi1)} for a dim-{spec.dim} model"
-        )
+    m = H.shape[0]
+    if len(psi0) != m or len(psi1) != m:
+        raise DimensionMismatch(f"initial states of length {len(psi0)}/{len(psi1)} for a dim-{m} model")
     yield psi0
     yield psi1
     if probe is not None:

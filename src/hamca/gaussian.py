@@ -178,12 +178,6 @@ class GaussVector:
     def __getitem__(self, idx: int) -> GaussInt:
         return GaussInt(self.re[idx], self.im[idx])
 
-    def real(self) -> tuple[int, ...]:
-        return self.re
-
-    def imag(self) -> tuple[int, ...]:
-        return self.im
-
     def __add__(self, other: "GaussVector") -> "GaussVector":
         _check_len(self, other)
         return GaussVector(tuple(map(add, self.re, other.re)), tuple(map(add, self.im, other.im)))

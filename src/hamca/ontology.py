@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .errors import DegenerateStateError
 from .gaussian import GaussInt, GaussVector
-from .dynamics import ModelLike, stream_states
+from .dynamics import ModelLike, model_matrix, stream_states
 from .conservation import link_counts
-from .models import HamiltonianSpec, basis_state
+from .models import basis_state
 
 
 def classify_state(psi: GaussVector) -> tuple[int, GaussInt] | None:
@@ -96,7 +96,7 @@ def find_period(
     links = link_counts(psi0, psi1)
     states: list[GaussVector] = []
     period = None
-    for n, psi in enumerate(stream_states(psi0, psi1, model, max_steps)):
+    for n, psi in enumerate(stream_states(psi0, psi1, model_matrix(model), max_steps)):
         states.append(psi)
         # the pair starting at step n - 1 is (states[n - 1], states[n])
         if n >= 2 and states[n - 1] == psi0 and psi == psi1:
@@ -121,21 +121,24 @@ def default_scan_budget(m: int) -> int:
     return 8 * m + 8
 
 
-def neighbour_pair_period(spec: HamiltonianSpec, k: int, max_steps: int) -> CycleReport:
+def neighbour_pair_period(model: ModelLike, k: int, max_steps: int) -> CycleReport:
     """find_period for the basis pair (e_k, e_{k+1}), tagged as pair k with
     the expected 4m period of the cyclic family."""
-    m = spec.dim
+    H = model_matrix(model)
+    m = H.shape[0]
     return find_period(
         basis_state(m, k),
         basis_state(m, k + 1),
-        spec,
+        H,
         max_steps,
         pair_index=k,
         expected_period=4 * m,
     )
 
 
-def scan_ontological_pairs(spec: HamiltonianSpec, max_steps: int | None = None) -> list[CycleReport]:
-    """neighbour_pair_period for every k = 1..m-1."""
-    budget = default_scan_budget(spec.dim) if max_steps is None else max_steps
-    return [neighbour_pair_period(spec, k, budget) for k in range(1, spec.dim)]
+def scan_ontological_pairs(model: ModelLike, max_steps: int | None = None) -> list[CycleReport]:
+    """neighbour_pair_period for every k = 1..m-1, with H built once."""
+    H = model_matrix(model)
+    m = H.shape[0]
+    budget = default_scan_budget(m) if max_steps is None else max_steps
+    return [neighbour_pair_period(H, k, budget) for k in range(1, m)]

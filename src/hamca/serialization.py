@@ -37,41 +37,35 @@ def format_float(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-integer literals: "0", "-3", "i", "-2i", "1+i", "4-7i"
+# Gaussian-integer literals: "0", "-3", "i", "-2i", "1+i", "4 - 7i"
 # ---------------------------------------------------------------------------
 
+# A sign joins the real and the imaginary part and may have spaces around
+# it; nothing else may: "1 2i" is two numbers, not 1+2i.
 _GAUSS_RE = re.compile(
-    r"""^\s*
-    (?:(?P<re>[+-]?\d+)(?!\d*i))?              # optional real part
-    \s*
-    (?:(?P<im>[+-](?:\d+)?|(?:\d+)?)i)?        # optional imaginary part
-    \s*$""",
+    r"""(?P<re>[+-]?\d+)(?:\s*(?P<sign>[+-])\s*(?P<mag>\d*)i)?   # a, a + bi
+      | (?P<im>[+-]?\d*)i                                          # bi alone
+    """,
     re.VERBOSE,
 )
 
 
-def format_gauss(z: GaussInt) -> str:
-    return str(z)
+def _imag_coefficient(text: str) -> int:
+    """The b of "bi": an empty or bare-sign coefficient is 1 or -1."""
+    return int(text + "1") if text in ("", "+", "-") else int(text)
 
 
 def parse_gauss(text: str) -> GaussInt:
     s = text.strip()
     if not s:
         raise ValueError("empty Gaussian-integer literal")
-    m = _GAUSS_RE.match(s)
-    if not m or (m.group("re") is None and m.group("im") is None):
+    m = _GAUSS_RE.fullmatch(s)
+    if not m:
         raise ValueError(f"cannot parse Gaussian integer from {text!r}")
-    re_part = int(m.group("re")) if m.group("re") is not None else 0
-    im_raw = m.group("im")
-    if im_raw is None:
-        im_part = 0
-    elif im_raw in ("", "+"):
-        im_part = 1
-    elif im_raw == "-":
-        im_part = -1
-    else:
-        im_part = int(im_raw)
-    return GaussInt(re_part, im_part)
+    if m["im"] is not None:
+        return GaussInt(0, _imag_coefficient(m["im"]))
+    im = 0 if m["sign"] is None else _imag_coefficient(m["sign"] + m["mag"])
+    return GaussInt(int(m["re"]), im)
 
 
 def parse_gauss_vector(text: str) -> GaussVector:

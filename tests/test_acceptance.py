@@ -265,7 +265,7 @@ def test_xp_complex_equivalence():
         H = build_hamiltonian(spec)
         prev = random_gauss_vector(rng, dim)
         curr = random_gauss_vector(rng, dim)
-        x2, p2 = step_xp(prev.real(), prev.imag(), curr.real(), curr.imag(), spec)
+        x2, p2 = step_xp(prev.re, prev.im, curr.re, curr.im, spec)
         if GaussVector.of(*zip(x2, p2)) != step_forward(prev, curr, H):
             ok = False
     report("xp-complex-equivalence", ok)

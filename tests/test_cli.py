@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import hamca.cli as cli
 from hamca.cli import (
     EXIT_BUDGET,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_ONTOLOGICAL,
     EXIT_SINGULAR,
@@ -420,3 +422,31 @@ class TestNumericOptionRange:
                        "--steps", "3", f"--l={l}", "--out", str(out))
         assert code == EXIT_VALIDATION
         assert not out.exists()
+
+
+class TestLiteralSignsOnTheCommandLine:
+    def test_two_numbers_are_not_one_component(self, capsys):
+        code = run_cli("run", "--model", "H2", "--psi0", "1 2i, 0", "--psi1", "0,1", "--steps", "1")
+        assert code == EXIT_VALIDATION
+        assert "psi0" in capsys.readouterr().err
+
+    def test_spaced_sign_joins_the_parts(self, tmp_path):
+        spaced, packed = tmp_path / "spaced.jsonl", tmp_path / "packed.jsonl"
+        for out, psi0 in ((spaced, "1 + i, 0"), (packed, "1+i,0")):
+            assert run_cli("run", "--model", "H2", "--psi0", psi0, "--psi1", "0,1",
+                           "--steps", "4", "--out", str(out)) == EXIT_OK
+        assert spaced.read_bytes() == packed.read_bytes()
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("broken invariant")],
+                             ids=["RuntimeError", "AssertionError"])
+    def test_uncaught_exception_exits_9_not_1(self, monkeypatch, capsys, exc):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_cycle", broken)
+        code = run_cli("cycle", "--model", "H3")
+        assert code == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"

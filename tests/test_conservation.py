@@ -5,9 +5,8 @@ import pytest
 import hamca.conservation as conservation
 from hamca.conservation import (
     commutator,
+    PairStats,
     commutes,
-    conservation_residual,
-    iter_pair_stats,
     link_counts,
     q1,
     q_G,
@@ -52,12 +51,12 @@ class TestResidual:
     def test_identity_on_two_state_orbit(self):
         traj = evolve(E(1, 0), E(0, 1), H2, 6)
         for n in range(1, 6):
-            assert conservation_residual(traj[n - 1], traj[n], traj[n + 1], EYE2) == GaussInt(0)
+            assert q_G(traj[n], traj[n + 1], EYE2) - q_G(traj[n - 1], traj[n], EYE2) == GaussInt(0)
 
     def test_hamiltonian_commutes_with_itself(self):
         traj = evolve(E((1, 1), 2, (0, -1)), E(0, 1, (3, 1)), H3, 5)
         for n in range(1, 5):
-            assert conservation_residual(traj[n - 1], traj[n], traj[n + 1], H3) == GaussInt(0)
+            assert q_G(traj[n], traj[n + 1], H3) - q_G(traj[n - 1], traj[n], H3) == GaussInt(0)
 
     def test_noncommuting_g_violates_on_mixed_state(self):
         # trajectory triple from psi0=(1,0), psi1=(1,i); the centre state
@@ -66,7 +65,7 @@ class TestResidual:
         psi2 = E(2, (0, -1))
         traj = evolve(psi0, psi1, H2, 1)
         assert traj[2] == psi2
-        assert conservation_residual(psi0, psi1, psi2, SIGMA3) == GaussInt(4)
+        assert q_G(psi1, psi2, SIGMA3) - q_G(psi0, psi1, SIGMA3) == GaussInt(4)
 
     def test_diagonal_g_accidentally_conserved_on_alternating_orbit(self):
         # the (1,0)/(0,1) orbit hops between the two slots, so a diagonal G
@@ -74,7 +73,7 @@ class TestResidual:
         # even though [G, H] != 0
         traj = evolve(E(1, 0), E(0, 1), H2, 6)
         for n in range(1, 6):
-            assert conservation_residual(traj[n - 1], traj[n], traj[n + 1], SIGMA3) == GaussInt(0)
+            assert q_G(traj[n], traj[n + 1], SIGMA3) - q_G(traj[n - 1], traj[n], SIGMA3) == GaussInt(0)
 
 
 class TestCommutes:
@@ -163,7 +162,8 @@ class TestVerifyTrajectory:
 
     def test_pair_stats_stream(self):
         traj = evolve(E(1, 0), E(0, 1), H2, 3)
-        stats = list(iter_pair_stats(traj, EYE2))
+        stats = []
+        verify_stream(traj, H2, EYE2, stats)
         assert [s.n for s in stats] == [0, 1, 2, 3]
         assert all(2 * s.links.total == s.q.re for s in stats)
 
@@ -190,7 +190,7 @@ class TestVerifyStream:
         streamed = verify_stream((psi for psi in traj), H2, G, rows)
         assert streamed == verify_trajectory(traj, G)
         assert streamed.ok is not corrupt
-        assert rows == list(iter_pair_stats(traj, G))
+        assert rows == [PairStats(n, q_G(a, b, G), link_counts(a, b)) for n, a, b in traj.pairs()]
 
     def test_needs_two_states(self):
         with pytest.raises(ValueError):

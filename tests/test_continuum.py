@@ -87,11 +87,11 @@ class TestClosedForm:
     def test_n0_and_n1_are_identities(self):
         rng = np.random.default_rng(3)
         psi0, psi1 = random_state(rng, 3), random_state(rng, 3)
-        assert np.allclose(ct.closed_form(H3, psi0, psi1, 0), psi0, atol=1e-12)
-        assert np.allclose(ct.closed_form(H3, psi0, psi1, 1), psi1, atol=1e-12)
+        assert np.allclose(ct.ClosedFormSolver(H3).state_at(psi0, psi1, 0), psi0, atol=1e-12)
+        assert np.allclose(ct.ClosedFormSolver(H3).state_at(psi0, psi1, 1), psi1, atol=1e-12)
 
     def test_two_state_sixth_step(self):
-        out = ct.closed_form(H2, [1, 0], [0, 1], 6)
+        out = ct.ClosedFormSolver(H2).state_at([1, 0], [0, 1], 6)
         assert np.allclose(out, [-1.0, 0.0], atol=1e-10)
 
     def test_matches_iteration_on_band_edge_model(self):
@@ -114,7 +114,7 @@ class TestClosedForm:
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            ct.closed_form(H2, [1, 0], [0, 1], -1)
+            ct.ClosedFormSolver(H2).state_at([1, 0], [0, 1], -1)
 
 
 class TestSmoothPartner:

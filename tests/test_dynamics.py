@@ -1,12 +1,12 @@
 import pytest
 
+from hamca.conservation import verify_trajectory
 from hamca.errors import DimensionMismatch
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import basis_state, build_hamiltonian, make_cyclic_model
 from hamca.dynamics import (
     Trajectory,
     evolve,
-    evolve_matched,
     step_backward,
     step_forward,
     step_xp,
@@ -99,10 +99,10 @@ class TestEvolve:
     def test_length_and_recursion_invariant(self):
         traj = evolve(E(1, 2), E((0, 1), 1), H2, 9)
         assert len(traj) == 11
-        assert traj.verify_recursion() is None
+        assert verify_trajectory(traj, GaussMatrix.identity(2)).first_violation is None
 
     def test_matched_start(self):
-        traj = evolve_matched(E(1, 0), H2, 3)
+        traj = evolve(E(1, 0), E(1, 0), H2, 3)
         assert traj[0] == traj[1] == E(1, 0)
 
     def test_rejects_negative_steps(self):
@@ -121,7 +121,7 @@ class TestEvolve:
         states = list(traj.states)
         states[4] = -states[4]
         bad = Trajectory(model=traj.model, states=tuple(states), l=traj.l)
-        assert bad.verify_recursion() == 4
+        assert verify_trajectory(bad, GaussMatrix.identity(2)).first_violation == 4
 
 
 class TestStream:

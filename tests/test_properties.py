@@ -91,7 +91,7 @@ def test_inner_product_conjugate_symmetry(data):
 def test_xp_and_complex_steps_agree(bundle):
     spec, prev, curr, _, _ = bundle
     H = build_hamiltonian(spec)
-    x2, p2 = step_xp(prev.real(), prev.imag(), curr.real(), curr.imag(), spec)
+    x2, p2 = step_xp(prev.re, prev.im, curr.re, curr.im, spec)
     assert GaussVector.of(*zip(x2, p2)) == step_forward(prev, curr, H)
 
 

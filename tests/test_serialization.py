@@ -2,15 +2,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hamca.conservation import iter_pair_stats
+from hamca.conservation import verify_stream
 from hamca.dynamics import evolve
 from hamca.errors import ModelValidationError
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import build_hamiltonian, make_cyclic_model
 from hamca.serialization import (
     format_float,
-    format_gauss,
     load_gauss_vector,
     load_model,
     load_trajectory,
@@ -24,6 +24,35 @@ from hamca.serialization import (
 )
 
 E = GaussVector.of
+
+
+class TestLiteralSigns:
+    """A sign joins the real and the imaginary part, with optional spaces
+    around it; two numbers side by side are not one literal."""
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("1 + i", GaussInt(1, 1)),
+            ("1 - 2i", GaussInt(1, -2)),
+            (" 1+i ", GaussInt(1, 1)),
+            ("1 2i", None),
+            ("1 + + i", None),
+            ("1 +- i", None),
+        ],
+    )
+    def test_accept_reject_table(self, text, value):
+        if value is None:
+            with pytest.raises(ValueError):
+                parse_gauss(text)
+        else:
+            assert parse_gauss(text) == value
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(2**200), 2**200), st.integers(-(2**200), 2**200))
+    def test_round_trip_through_str(self, re_part, im_part):
+        z = GaussInt(re_part, im_part)
+        assert parse_gauss(str(z)) == z
 
 
 class TestGaussLiterals:
@@ -54,7 +83,7 @@ class TestGaussLiterals:
 
     def test_round_trip_through_str(self):
         for z in (GaussInt(0), GaussInt(5, -3), GaussInt(0, 7), GaussInt(-1, -1)):
-            assert parse_gauss(format_gauss(z)) == z
+            assert parse_gauss(str(z)) == z
 
     def test_vector_literal(self):
         assert parse_gauss_vector("1-i, 0, 2i") == E((1, -1), 0, (0, 2))
@@ -156,7 +185,8 @@ class TestCsv:
 
     def test_conservation_csv_columns(self, tmp_path):
         traj = evolve(E(1, 0), E(1, 1), make_cyclic_model(2), 4)
-        stats = list(iter_pair_stats(traj, GaussMatrix.identity(2)))
+        stats = []
+        verify_stream(traj, traj.hamiltonian(), GaussMatrix.identity(2), stats)
         path = tmp_path / "report.csv"
         with open(path, "w", newline="") as fh:
             write_conservation_csv(fh, 2, stats)
