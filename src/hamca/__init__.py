@@ -3,8 +3,8 @@ cellular automata.
 
 The exact layer (gaussian, models, dynamics, conservation, ontology) never
 rounds; the continuum layer (continuum) is the floating-point bridge to
-ordinary wave mechanics.  See the README for the file formats and the
-command-line interface.
+ordinary wave mechanics, and it imports numpy only when first used.  See
+the README for the file formats and the command-line interface.
 """
 
 from .gaussian import (

@@ -27,8 +27,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import continuum as ct
 from .conservation import PairStats, q1, verify_stream
 from .dynamics import stream_states
@@ -223,6 +221,9 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 # continuum
 # ---------------------------------------------------------------------------
 
+# The float handlers read numpy as `ct.np`, which the continuum layer binds on
+# first use: run, check and cycle never import it.
+
 
 def _cmd_continuum(args: argparse.Namespace) -> int:
     spec = _load_model_arg(args.model)
@@ -241,11 +242,11 @@ def _write_float_report(path: str | None, header: list[str], rows: list[tuple]) 
             write_float_csv(fh, header, rows)
 
 
-def _random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+def _random_state(rng: ct.np.random.Generator, dim: int) -> ct.np.ndarray:
     return rng.normal(size=dim) + 1j * rng.normal(size=dim)
 
 
-def _sample_times(args, n_states: int, window: int) -> np.ndarray:
+def _sample_times(args, n_states: int, window: int) -> ct.np.ndarray:
     """The --points evaluation times for a window of half-width `window`:
     evenly spaced where an anchored reconstruction, shifted by up to two
     samples, stays inside the trajectory."""
@@ -255,12 +256,12 @@ def _sample_times(args, n_states: int, window: int) -> np.ndarray:
     hi = (n_states - 3 - window) * args.l
     if hi <= lo:
         raise ValueError(f"steps={args.steps} too short for window {window}")
-    return np.linspace(lo, hi, args.points)
+    return ct.np.linspace(lo, hi, args.points)
 
 
-def _smooth_trajectory(args, spec, H) -> np.ndarray:
+def _smooth_trajectory(args, spec, H) -> ct.np.ndarray:
     """Float trajectory from a seeded random state and its smooth-branch partner."""
-    psi0 = _random_state(np.random.default_rng(args.seed), spec.dim)
+    psi0 = _random_state(ct.np.random.default_rng(args.seed), spec.dim)
     try:
         psi1 = ct.smooth_partner(H, psi0)
     except SingularSpectrumError:
@@ -280,7 +281,7 @@ def _continuum_closedform(args, spec, H) -> int:
     if args.pairs < 0:
         raise ValueError(f"pairs must be >= 0, got {args.pairs}")
     tol = _tolerance(args)
-    rng = np.random.default_rng(args.seed)
+    rng = ct.np.random.default_rng(args.seed)
     solver = ct.ClosedFormSolver(H, degenerate="error" if args.strict_band else "confluent")
     rows = []
     worst = 0.0
@@ -288,8 +289,8 @@ def _continuum_closedform(args, spec, H) -> int:
         psi0 = _random_state(rng, spec.dim)
         psi1 = _random_state(rng, spec.dim)
         states = ct.evolve_float(psi0, psi1, H, args.nmax)
-        scale = max(float(np.abs(states).max()), 1.0)
-        dev = float(np.max(np.abs(solver.states_upto(psi0, psi1, args.nmax + 1) - states))) / scale
+        scale = max(float(ct.np.abs(states).max()), 1.0)
+        dev = float(ct.np.max(ct.np.abs(solver.states_upto(psi0, psi1, args.nmax + 1) - states))) / scale
         rows.append((pair, dev))
         worst = max(worst, dev)
     _write_float_report(args.out, ["pair", "max_rel_dev"], rows)
@@ -306,8 +307,8 @@ def _continuum_sinh(args, spec, H) -> int:
         sig = ct.BandlimitedSignal(states, l=args.l, window=W)
         ts = _sample_times(args, len(states), W) + 0.37 * args.l
         res = [ct.sinh_residual(sig, H, float(t)) for t in ts]
-        mean = float(np.mean(res))
-        rows.append((W, mean, float(np.max(res))))
+        mean = float(ct.np.mean(res))
+        rows.append((W, mean, float(ct.np.max(res))))
         means.append(mean)
     _write_float_report(args.out, ["window", "mean_residual", "max_residual"], rows)
     decreasing = all(a > b for a, b in zip(means, means[1:]))
@@ -332,12 +333,12 @@ def _continuum_q1(args, spec, H) -> int:
 def _continuum_born(args, spec, H) -> int:
     ls = [float(v) for v in args.l_values.split(",")]
     if args.psi:
-        psi0 = np.array([complex(p) for p in args.psi.split(",")])
+        psi0 = ct.np.array([complex(p) for p in args.psi.split(",")])
     else:
-        psi0 = _random_state(np.random.default_rng(args.seed), spec.dim)
+        psi0 = _random_state(ct.np.random.default_rng(args.seed), spec.dim)
     psi1 = None
     if args.psi1:
-        psi1 = np.array([complex(p) for p in args.psi1.split(",")])
+        psi1 = ct.np.array([complex(p) for p in args.psi1.split(",")])
     report = ct.born_convergence(H, psi0, ls, horizon=args.horizon, psi1=psi1)
     rows = [(e.l, e.steps, e.link_total, e.max_error) for e in report.entries]
     _write_float_report(args.out, ["l", "steps", "link_total", "max_error"], rows)

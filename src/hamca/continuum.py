@@ -7,7 +7,8 @@ two-time-correlation expansion, and the convergence of link fractions to
 squared-amplitude probabilities as the discreteness scale shrinks.
 
 Only this module touches floats; everything it cross-checks against comes
-from the exact integer layer.
+from the exact integer layer.  It binds numpy on first use, not at import,
+so the package and the exact commands load without it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence, Union
-
-import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -28,8 +27,22 @@ from .errors import (
 )
 from .gaussian import GaussMatrix, GaussVector
 
-MatrixLike = Union[GaussMatrix, np.ndarray, Sequence[Sequence[complex]]]
-StateLike = Union[GaussVector, np.ndarray, Sequence[complex]]
+
+class _NumpyOnFirstUse:
+    """This module's `np` until an attribute is first read: that read
+    imports numpy and rebinds `np` to it, so later reads cost nothing."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        globals()["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _NumpyOnFirstUse()
+
+MatrixLike = Union[GaussMatrix, "np.ndarray", Sequence[Sequence[complex]]]
+StateLike = Union[GaussVector, "np.ndarray", Sequence[complex]]
 
 #: eigenvalues with |4 - lambda^2| at or below this are treated as a
 #: confluent double root of the stepping polynomial

@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import re
+import sys
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -115,12 +116,35 @@ def load_model(path: str | Path) -> HamiltonianSpec:
 # ---------------------------------------------------------------------------
 
 
+#: the interpreter's limit on int <-> decimal str conversion, 0 for none
+#: (4300 digits by default since CPython 3.10.7; earlier ones have none)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+class _AnyDigits:
+    """Lifts the int <-> decimal str digit limit inside the block and
+    restores the caller's setting after it: exact parts are decimal at any
+    size."""
+
+    __slots__ = ("limit",)
+
+    def __enter__(self) -> None:
+        self.limit = _digit_limit()
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc) -> None:
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
+
+
 def _state_record(n: int, psi: GaussVector) -> str:
-    rec = {
-        "n": n,
-        "re": list(map(str, psi.re)),
-        "im": list(map(str, psi.im)),
-    }
+    with _AnyDigits():
+        rec = {
+            "n": n,
+            "re": list(map(str, psi.re)),
+            "im": list(map(str, psi.im)),
+        }
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
@@ -188,12 +212,14 @@ def _parse_state(line: str, model: HamiltonianSpec, path) -> tuple[int, GaussVec
         raise ValueError(f"{path}: state record {n} has wrong length")
     if not all(isinstance(v, str) for v in res + ims):
         raise ValueError(f"{path}: state record {n} has parts that are not decimal strings")
-    try:
-        x, p = tuple(map(int, res)), tuple(map(int, ims))
-    except ValueError:
-        x = p = ()
-    # only the form the writer emits: int() alone also takes "+1", " 0 ", "1_0" and non-ASCII digits
-    if list(map(str, x)) != res or list(map(str, p)) != ims:
+    with _AnyDigits():
+        try:
+            x, p = tuple(map(int, res)), tuple(map(int, ims))
+        except ValueError:
+            x = p = ()
+        # only the form the writer emits: int() alone also takes "+1", " 0 ", "1_0" and non-ASCII digits
+        canonical = list(map(str, x)) == res and list(map(str, p)) == ims
+    if not canonical:
         raise ValueError(f"{path}: state record {n} has parts that are not canonical decimal integers")
     return n, GaussVector(x, p)
 
@@ -252,13 +278,14 @@ def write_conservation_csv(fh: IO[str], dim: int, stats: Iterable) -> None:
         + [f"L_{a}" for a in range(1, dim + 1)]
         + [f"w_{a}" for a in range(1, dim + 1)]
     )
-    for st in stats:
-        weights = st.links.weights
-        w.writerow(
-            [st.n, st.q.re, st.q.im, st.links.total]
-            + [str(v) for v in st.links.per_alpha]
-            + ([str(frac) for frac in weights] if weights is not None else [""] * dim)
-        )
+    with _AnyDigits():
+        for st in stats:
+            weights = st.links.weights
+            w.writerow(
+                [st.n, st.q.re, st.q.im, st.links.total]
+                + [str(v) for v in st.links.per_alpha]
+                + ([str(frac) for frac in weights] if weights is not None else [""] * dim)
+            )
 
 
 def write_cycle_csv(fh: IO[str], reports: Iterable) -> None:

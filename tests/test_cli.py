@@ -155,6 +155,22 @@ class TestCheck:
         assert run_cli("check", str(path), "--g", "hamiltonian") == EXIT_OK
 
 
+class TestGrowingOrbit:
+    def test_run_and_check_past_the_digit_limit(self, tmp_path, capsys):
+        """An orbit that grows past 4300 decimal digits (about 14 300 bits),
+        Python's default int/str limit, is written, verified and reported."""
+        model = tmp_path / "grow.json"
+        model.write_text(json.dumps({"dim": 2, "label": "grow", "S": [[2**1000, 1], [1, 0]], "A": [[0, 0], [0, 0]]}))
+        out, report = tmp_path / "t.jsonl", tmp_path / "r.csv"
+        assert run_cli("run", "--model", str(model), "--psi0", "1,0", "--psi1", "1,0",
+                       "--steps", "24", "--out", str(out)) == EXIT_OK
+        last = json.loads(out.read_text().splitlines()[-1])
+        assert max(len(v) for v in last["re"] + last["im"]) > 4300
+        assert run_cli("check", str(out), "--g", "hamiltonian", "--report", str(report)) == EXIT_OK
+        assert "constant over 25 pairs" in capsys.readouterr().out
+        assert max(len(cell) for cell in report.read_text().split(",")) > 4300
+
+
 class TestCycle:
     def test_three_state_all_pairs(self, tmp_path, capsys):
         out = tmp_path / "cycles.csv"

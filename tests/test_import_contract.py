@@ -1,0 +1,61 @@
+"""The exact layer never loads numpy; the float layer loads it on first use.
+
+Each check runs in a fresh interpreter, since the test process itself has
+numpy loaded.  `hamca.cli` must still import `hamca.continuum` (without
+numpy), so that tools which patch the loaded modules, such as the
+benchmark's tracer, find the float layer's functions there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = r"""
+import json, sys
+
+seen = {}
+import hamca
+seen["import hamca"] = "numpy" in sys.modules
+seen["ClosedFormSolver from the package"] = hamca.ClosedFormSolver is hamca.continuum.ClosedFormSolver
+
+import hamca.cli
+seen["continuum loaded by import hamca.cli"] = "hamca.continuum" in sys.modules
+seen["import hamca.cli"] = "numpy" in sys.modules
+
+commands = {
+    "run": ["run", "--model", "Hm:4", "--psi0", "1,0,0,0", "--psi1", "1,1,0,0", "--steps", "20", "--out", "t.jsonl"],
+    "check": ["check", "t.jsonl", "--g", "hamiltonian", "--report", "r.csv"],
+    "cycle": ["cycle", "--model", "Hm:5"],
+}
+for name, argv in commands.items():
+    seen[name + " exit"] = hamca.cli.main(argv)
+    seen[name] = "numpy" in sys.modules
+
+seen["closedform exit"] = hamca.cli.main(["continuum", "closedform", "--model", "H3", "--pairs", "2"])
+seen["closedform"] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def observe(tmp_path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_exact_commands_never_load_numpy_and_the_float_layer_does(tmp_path):
+    seen = observe(tmp_path)
+    assert seen["continuum loaded by import hamca.cli"] is True
+    assert seen["ClosedFormSolver from the package"] is True
+    for step in ["import hamca", "import hamca.cli", "run", "check", "cycle"]:
+        assert seen[step] is False, f"numpy loaded by {step}"
+    assert [seen[f"{c} exit"] for c in ["run", "check", "cycle", "closedform"]] == [0, 0, 0, 0]
+    assert seen["closedform"] is True

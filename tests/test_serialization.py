@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,35 @@ class TestTrajectoryFile:
         write_trajectory(traj, path)
         again = load_trajectory(path)
         assert list(again) == list(traj)
+
+    @pytest.mark.parametrize("limit", [4300, 640])
+    def test_parts_past_the_digit_limit_round_trip(self, tmp_path, limit):
+        """Decimal parts of any size are written and read back, under the
+        default int/str digit limit (4300) and a caller's own, which is
+        restored after every call, including one that rejects a record."""
+        big = 2**20_000 + 7  # 6021 digits
+        spec = make_cyclic_model(2)
+        traj = evolve(E((big, -(3**40_000)), 1), E(0, (3, big)), spec, 3)
+        path = tmp_path / "big.jsonl"
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            write_trajectory(traj, path)
+            assert sys.get_int_max_str_digits() == limit
+            again = load_trajectory(path)
+            assert sys.get_int_max_str_digits() == limit
+            assert list(again) == list(traj)
+            assert max(abs(v).bit_length() for psi in again for v in psi.re) >= 63_000
+
+            lines = path.read_text().splitlines()
+            rec = json.loads(lines[1])
+            rec["re"][0] = "+" + rec["re"][0]  # int() takes it; the canonical check must not
+            path.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n")
+            with pytest.raises(ValueError, match="canonical"):
+                load_trajectory(path)
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(previous)
 
     def test_integers_are_decimal_strings(self, tmp_path):
         traj = evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 2)
