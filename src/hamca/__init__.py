@@ -33,14 +33,12 @@ from .dynamics import (
     step_forward,
     step_xp,
     stream_states,
-    transfer_operator,
     transfer_operators,
 )
 from .conservation import (
     ConservationReport,
     LinkReport,
     commutator,
-    commutes,
     link_counts,
     q1,
     q_G,

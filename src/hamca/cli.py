@@ -36,13 +36,12 @@ from .errors import (
     SingularSpectrumError,
     SpectralFailure,
 )
-from .gaussian import GaussMatrix, GaussVector
+from .gaussian import GaussMatrix, GaussVector, _AnyDigits
 from .models import HamiltonianSpec, build_hamiltonian, resolve_builtin
 from .ontology import default_scan_budget, find_period, neighbour_pair_period, scan_ontological_pairs
 from .serialization import (
     ConservationCsvWriter,
     TrajectoryWriter,
-    _AnyDigits,
     format_float,
     load_gauss_vector,
     load_model,

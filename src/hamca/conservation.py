@@ -44,11 +44,6 @@ def commutator(G: GaussMatrix, H: GaussMatrix) -> GaussMatrix:
     return G @ H - H @ G
 
 
-def commutes(G: GaussMatrix, H: GaussMatrix) -> bool:
-    """True iff GH - HG = 0 entry-exact."""
-    return commutator(G, H).is_zero()
-
-
 @dataclass(frozen=True)
 class LinkReport:
     """Per-degree-of-freedom link counts for one consecutive pair."""

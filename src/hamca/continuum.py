@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence, Union
+from typing import Literal, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -254,13 +254,6 @@ class BandlimitedSignal:
             raise ValueError(f"sample spacing must be positive, got {self.l}")
         if self.window < 8:
             raise ValueError(f"window must be >= 8, got {self.window}")
-
-    @classmethod
-    def from_states(
-        cls, states: Iterable[StateLike], l: float, window: int = 32
-    ) -> "BandlimitedSignal":
-        rows = [as_state(s) for s in states]
-        return cls(samples=np.array(rows, dtype=np.complex128), l=l, window=window)
 
     @property
     def n_samples(self) -> int:

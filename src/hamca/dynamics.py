@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import add, sub
 from typing import Callable, Iterator, Union
 
 from .errors import DimensionMismatch
 from .gaussian import GaussMatrix, GaussVector, I_UNIT, is_hermitian, mat_vec
-from .models import HamiltonianSpec, build_hamiltonian, spec_from_matrix
+from .models import HamiltonianSpec, basis_state, build_hamiltonian, spec_from_matrix
 
 ModelLike = Union[HamiltonianSpec, GaussMatrix]
 
@@ -70,10 +71,6 @@ class Trajectory:
                 raise DimensionMismatch(
                     f"state of length {len(s)} in a dim-{self.model.dim} trajectory"
                 )
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
 
     def hamiltonian(self) -> GaussMatrix:
         return build_hamiltonian(self.model)
@@ -174,7 +171,9 @@ def step_xp(
 def transfer_operators(H: GaussMatrix, n_max: int) -> list[GaussMatrix]:
     """T(0)..T(n_max) of the propagation polynomials.
 
-    T(0) = 1, T(1) = 0, T(k+1) = T(k-1) - i*H*T(k).  Any state obeys
+    T(0) = 1, T(1) = 0, T(k+1) = T(k-1) - i*H*T(k): the update rule applied
+    column by column, so column j of T(k) is state k of the run from
+    (e_j, 0), read off stream_states.  Any state obeys
     psi_n = T(n-m+1) psi_{m+1} + T(n-m) psi_m for every earlier index m.
     """
     if n_max < 0:
@@ -182,17 +181,12 @@ def transfer_operators(H: GaussMatrix, n_max: int) -> list[GaussMatrix]:
     if not is_hermitian(H):
         raise ValueError("transfer operators are defined for Hermitian H")
     m = H.shape[0]
-    ops = [GaussMatrix.identity(m)]
-    if n_max >= 1:
-        ops.append(GaussMatrix.zeros(m))
-    minus_iH = -(H * I_UNIT)
-    for _ in range(2, n_max + 1):
-        ops.append(ops[-2] + minus_iH @ ops[-1])
-    return ops[: n_max + 1]
-
-
-def transfer_operator(H: GaussMatrix, n: int) -> GaussMatrix:
-    """T(n) alone; see transfer_operators for the recursion."""
-    if n < 0:
-        raise ValueError(f"transfer operator index must be >= 0, got {n}")
-    return transfer_operators(H, n)[n]
+    runs = [
+        islice(stream_states(basis_state(m, j), GaussVector.zero(m), H), n_max + 1)
+        for j in range(1, m + 1)
+    ]
+    # states k of all runs are the columns of T(k): as rows, then transposed
+    return [
+        GaussMatrix(tuple(c.re for c in cols), tuple(c.im for c in cols)).transpose()
+        for cols in zip(*runs)
+    ]

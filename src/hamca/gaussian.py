@@ -12,6 +12,7 @@ threads or reuse as dict keys.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Sequence, Union
@@ -19,6 +20,27 @@ from typing import Iterable, Iterator, Sequence, Union
 from .errors import DimensionMismatch
 
 ScalarLike = Union["GaussInt", int]
+
+#: the interpreter's limit on int <-> decimal str conversion, 0 for none
+#: (4300 digits by default since CPython 3.10.7; earlier ones have none)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+class _AnyDigits:
+    """Lifts the int <-> decimal str digit limit inside the block and
+    restores the caller's setting after it: exact parts are decimal at any
+    size."""
+
+    __slots__ = ("limit",)
+
+    def __enter__(self) -> None:
+        self.limit = _digit_limit()
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc) -> None:
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
 
 
 def is_int(value) -> bool:
@@ -98,20 +120,22 @@ class GaussInt:
         return hash((self.re, self.im))
 
     def __repr__(self) -> str:
-        return f"GaussInt({self.re}, {self.im})"
+        with _AnyDigits():
+            return f"GaussInt({self.re}, {self.im})"
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.im > 0:
-            imag = "i" if self.im == 1 else f"{self.im}i"
-            sign = "+"
-        else:
-            imag = "i" if self.im == -1 else f"{-self.im}i"
-            sign = "-"
-        if self.re == 0:
-            return f"{sign}{imag}" if sign == "-" else imag
-        return f"{self.re}{sign}{imag}"
+        with _AnyDigits():
+            if self.im == 0:
+                return str(self.re)
+            if self.im > 0:
+                imag = "i" if self.im == 1 else f"{self.im}i"
+                sign = "+"
+            else:
+                imag = "i" if self.im == -1 else f"{-self.im}i"
+                sign = "-"
+            if self.re == 0:
+                return f"{sign}{imag}" if sign == "-" else imag
+            return f"{self.re}{sign}{imag}"
 
 
 ZERO = GaussInt(0)
@@ -164,10 +188,6 @@ class GaussVector:
     @classmethod
     def zero(cls, m: int) -> "GaussVector":
         return cls((0,) * m, (0,) * m)
-
-    @property
-    def dim(self) -> int:
-        return len(self.re)
 
     def __len__(self) -> int:
         return len(self.re)
@@ -248,9 +268,8 @@ class GaussMatrix:
         return cls(tuple(tuple(int(i == j) for j in range(m)) for i in range(m)), ((0,) * m,) * m)
 
     @classmethod
-    def zeros(cls, m: int, n: int | None = None) -> "GaussMatrix":
-        n = m if n is None else n
-        return cls(((0,) * n,) * m, ((0,) * n,) * m)
+    def zeros(cls, m: int) -> "GaussMatrix":
+        return cls(((0,) * m,) * m, ((0,) * m,) * m)
 
     @property
     def rows(self) -> tuple[tuple[GaussInt, ...], ...]:
@@ -268,9 +287,6 @@ class GaussMatrix:
     def __getitem__(self, idx: tuple[int, int]) -> GaussInt:
         i, j = idx
         return GaussInt(self.re[i][j], self.im[i][j])
-
-    def row(self, i: int) -> tuple[GaussInt, ...]:
-        return tuple(map(GaussInt, self.re[i], self.im[i]))
 
     def __add__(self, other: "GaussMatrix") -> "GaussMatrix":
         return _entrywise(add, self, other)

@@ -23,13 +23,12 @@ import math
 import os
 import re
 import stat
-import sys
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from .dynamics import Trajectory
 from .errors import ModelValidationError
-from .gaussian import GaussInt, GaussVector, as_gauss
+from .gaussian import GaussInt, GaussVector, _AnyDigits, as_gauss
 from .models import HamiltonianSpec
 
 TRAJECTORY_FORMAT = "hamca-trajectory"
@@ -39,28 +38,6 @@ TRAJECTORY_VERSION = 1
 def format_float(x: float) -> str:
     """Fixed 17-significant-digit decimal form used in all reports."""
     return format(float(x), ".17g")
-
-
-#: the interpreter's limit on int <-> decimal str conversion, 0 for none
-#: (4300 digits by default since CPython 3.10.7; earlier ones have none)
-_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
-class _AnyDigits:
-    """Lifts the int <-> decimal str digit limit inside the block and
-    restores the caller's setting after it: exact parts are decimal at any
-    size."""
-
-    __slots__ = ("limit",)
-
-    def __enter__(self) -> None:
-        self.limit = _digit_limit()
-        if self.limit:
-            sys.set_int_max_str_digits(0)
-
-    def __exit__(self, *exc) -> None:
-        if self.limit:
-            sys.set_int_max_str_digits(self.limit)
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +342,23 @@ def write_cycle_csv(fh: IO[str], reports: Iterable) -> None:
     each row: pair, period, ontological, link_number, n, k, phase_re, phase_im."""
     w = csv_writer(fh)
     w.writerow(["pair", "period", "ontological", "link_number", "n", "k", "phase_re", "phase_im"])
-    for rep in reports:
-        period = rep.period if rep.period is not None else ""
-        pair = rep.pair_index if rep.pair_index is not None else ""
-        for v in rep.visits:
-            w.writerow(
-                [
-                    pair,
-                    period,
-                    int(rep.ontological),
-                    rep.link_number,
-                    v.n,
-                    v.k if v.k is not None else "",
-                    v.phase.re if v.phase is not None else "",
-                    v.phase.im if v.phase is not None else "",
-                ]
-            )
+    with _AnyDigits():
+        for rep in reports:
+            period = rep.period if rep.period is not None else ""
+            pair = rep.pair_index if rep.pair_index is not None else ""
+            for v in rep.visits:
+                w.writerow(
+                    [
+                        pair,
+                        period,
+                        int(rep.ontological),
+                        rep.link_number,
+                        v.n,
+                        v.k if v.k is not None else "",
+                        v.phase.re if v.phase is not None else "",
+                        v.phase.im if v.phase is not None else "",
+                    ]
+                )
 
 
 def write_float_csv(fh: IO[str], header: list[str], rows: Iterable[Iterable]) -> None:

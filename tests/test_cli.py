@@ -507,3 +507,59 @@ class TestValuesPastTheDigitLimit:
         assert sys.get_int_max_str_digits() == digit_limit
         sys.set_int_max_str_digits(0)
         assert f"q1 = {2 * ((10**5000 - 1) // 9) ** 2}," in capsys.readouterr().out
+
+
+class TestProbeDrift:
+    def test_corrupted_state_is_named_and_exits_4(self, monkeypatch, capsys):
+        import hamca.dynamics as dynamics
+
+        real = dynamics.step_forward
+        made = []
+
+        def corrupting(prev, curr, H):
+            made.append(real(prev, curr, H))
+            # psi_4 doubled: q1 of the pair (psi_3, psi_4) goes from 2 to 4
+            return made[-1] * 2 if len(made) == 3 else made[-1]
+
+        monkeypatch.setattr(dynamics, "step_forward", corrupting)
+        code = run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "1,0", "--steps", "6", "--probe")
+        assert code == EXIT_VIOLATION
+        assert capsys.readouterr().out.splitlines()[-1] == "probe: conservation drift first seen at pair 3"
+
+    def test_every_pair_is_checked(self, monkeypatch, capsys):
+        real = cli.q1
+        calls = []
+        monkeypatch.setattr(cli, "q1", lambda a, b: calls.append((a, b)) or real(a, b))
+        assert run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "1,1", "--steps", "5", "--probe") == EXIT_OK
+        # the starting value, then each of the steps + 1 pairs
+        assert len(calls) == 1 + (5 + 1)
+        assert "pairs checked = 6" in capsys.readouterr().out
+
+
+class TestInputChecksExit3:
+    """Each check exits 3 with a message naming the input at fault."""
+
+    @pytest.mark.parametrize("g", ["missing", "malformed", "wrong_dim"])
+    def test_check_g_file(self, tmp_path, capsys, g):
+        path = tmp_path / "t.jsonl"
+        write_trajectory(evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 3), path)
+        gfile = tmp_path / "g.json"
+        if g == "malformed":
+            gfile.write_text("{not json")
+        elif g == "wrong_dim":
+            save_model(make_cyclic_model(3), gfile)
+        assert run_cli("check", str(path), "--g", str(gfile)) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: G: ")
+
+    @pytest.mark.parametrize("pair", ["k=x", "k=0", "k=3"])
+    def test_cycle_neighbour_pair_index(self, capsys, pair):
+        assert run_cli("cycle", "--model", "H3", "--pair", pair) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: pair: ")
+
+    def test_cycle_explicit_pair_needs_psi1(self, capsys):
+        assert run_cli("cycle", "--model", "H2", "--pair", "1,0") == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: pair: ")
+
+    def test_run_negative_steps(self, capsys):
+        assert run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "-1") == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: steps must be >= 0")

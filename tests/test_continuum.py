@@ -220,7 +220,7 @@ class TestQ1Continuum:
 
     def test_sample_point_matches_exact_layer(self):
         traj = evolve(E((1, 1), 2, (0, -1)), E(0, (2, 1), 1), H3, 120)
-        sig = ct.BandlimitedSignal.from_states(list(traj), l=1.0, window=24)
+        sig = ct.BandlimitedSignal([ct.as_state(s) for s in traj], l=1.0, window=24)
         for n in (40, 60, 83):
             res = ct.q1_continuum(sig, float(n))
             exact = q1(traj[n], traj[n + 1]) / 2 + q1(traj[n - 1], traj[n]) / 2

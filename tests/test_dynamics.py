@@ -3,7 +3,7 @@ import pytest
 from hamca.conservation import verify_trajectory
 from hamca.errors import DimensionMismatch
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
-from hamca.models import basis_state, build_hamiltonian, make_cyclic_model
+from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.dynamics import (
     Trajectory,
     evolve,
@@ -11,7 +11,6 @@ from hamca.dynamics import (
     step_forward,
     step_xp,
     stream_states,
-    transfer_operator,
     transfer_operators,
 )
 
@@ -204,7 +203,36 @@ class TestTransferOperator:
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            transfer_operator(H2, -1)
+            transfer_operators(H2, -1)
+
+
+def transfer_by_matrix_recurrence(H, n_max):
+    """Reference: T(0) = 1, T(1) = 0, T(k+1) = T(k-1) - iH T(k) as matrix
+    products, independent of the stepper transfer_operators reads."""
+    m = H.shape[0]
+    ops = [GaussMatrix.identity(m), GaussMatrix.zeros(m)]
+    minus_iH = -(H * GaussInt(0, 1))
+    while len(ops) <= n_max:
+        ops.append(ops[-2] + minus_iH @ ops[-1])
+    return ops[: n_max + 1]
+
+
+# demo 04's strongly coupled model, whose T(40) has entries of many digits
+STIFF = HamiltonianSpec(
+    dim=3,
+    S=((2, -3, 1), (-3, 0, 3), (1, 3, -2)),
+    A=((0, 2, -3), (-2, 0, 1), (3, -1, 0)),
+)
+
+
+@pytest.mark.parametrize(
+    "H",
+    [H2, H3, build_hamiltonian(make_cyclic_model(8)), GaussMatrix.zeros(3), build_hamiltonian(STIFF)],
+    ids=["H2", "H3", "Hm:8", "zeros3", "stiff"],
+)
+@pytest.mark.parametrize("n_max", [0, 1, 2, 40])
+def test_transfer_operators_match_the_matrix_recurrence(H, n_max):
+    assert transfer_operators(H, n_max) == transfer_by_matrix_recurrence(H, n_max)
 
 
 @pytest.mark.parametrize("l", [float("nan"), float("inf"), 0.0])

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +159,13 @@ class TestUnboundedMagnitude:
         m = GaussMatrix.from_rows([[(big, 0), (0, 1)], [(0, -1), (1, big)]])
         eye = GaussMatrix.identity(2)
         assert (m @ eye)[1, 1] == g(1, big)
+
+    def test_str_and_repr_past_the_digit_limit(self, digit_limit):
+        digits = "1" + "0" * 5000
+        assert str(g(10**5000)) == digits
+        assert str(g(-3, 10**5000)) == f"-3+{digits}i"
+        assert repr(g(10**5000)) == f"GaussInt({digits}, 0)"
+        assert sys.get_int_max_str_digits() == digit_limit
 
 
 class TestIntegerRule:

@@ -41,7 +41,7 @@ def test_two_state_special_case_is_plain_swap():
 
 def test_four_state_first_row():
     H = build_hamiltonian(make_cyclic_model(4))
-    assert H.row(0) == (GaussInt(0), GaussInt(0, -1), GaussInt(0), GaussInt(1))
+    assert H.rows[0] == (GaussInt(0), GaussInt(0, -1), GaussInt(0), GaussInt(1))
 
 
 def test_symmetry_violation_names_entries():

@@ -243,6 +243,20 @@ class TestCsv:
         assert lines[0].startswith("pair,period,ontological")
         assert any(",,," in line or line.endswith(",,") for line in lines[1:])
 
+    def test_cycle_csv_past_the_digit_limit(self, tmp_path, digit_limit):
+        from hamca.ontology import find_period
+
+        big = E(10**5000, 0)
+        rep = find_period(big, big, make_cyclic_model(2), 20)
+        path = tmp_path / "cycle.csv"
+        with open(path, "w", newline="") as fh:
+            write_cycle_csv(fh, [rep])
+        assert sys.get_int_max_str_digits() == digit_limit
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == rep.period == 12
+        # L = |10^5000|^2, written in full on every row
+        assert {row.split(",")[3] for row in rows} == {"1" + "0" * 10_000}
+
 
 class TestInputsPastTheDigitLimit:
     """Model files, trajectory headers, vector files and literals hold
