@@ -302,8 +302,16 @@ def _continuum_closedform(args, spec, H) -> int:
     return EXIT_OK if worst <= tol else EXIT_TOLERANCE
 
 
+def _number_list(option: str, text: str, kind: type) -> list:
+    """A comma-separated option value as a list of `kind` (int or float)."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{option}: expected comma-separated {kind.__name__} values, got {text!r}")
+
+
 def _continuum_sinh(args, spec, H) -> int:
-    windows = [int(w) for w in args.windows.split(",")]
+    windows = _number_list("windows", args.windows, int)
     states = _smooth_trajectory(args, spec, H)
     rows = []
     means = []
@@ -335,7 +343,7 @@ def _continuum_q1(args, spec, H) -> int:
 
 
 def _continuum_born(args, spec, H) -> int:
-    ls = [float(v) for v in args.l_values.split(",")]
+    ls = _number_list("l-values", args.l_values, float)
     if args.psi:
         psi0 = ct.np.array([complex(p) for p in args.psi.split(",")])
     else:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import add, mul
 from typing import Iterable, Protocol
 
 from .dynamics import Trajectory, step_with_product
 from .errors import DimensionMismatch, NonCommutingError
-from .gaussian import GaussInt, GaussMatrix, GaussVector, inner_product, mat_vec
+from .gaussian import GaussInt, GaussMatrix, GaussVector, full_digit_repr, inner_product, mat_vec
 
 
 def q_G(psi_n: GaussVector, psi_next: GaussVector, G: GaussMatrix) -> GaussInt:
@@ -44,6 +45,7 @@ def commutator(G: GaussMatrix, H: GaussMatrix) -> GaussMatrix:
     return G @ H - H @ G
 
 
+@full_digit_repr
 @dataclass(frozen=True)
 class LinkReport:
     """Per-degree-of-freedom link counts for one consecutive pair."""
@@ -52,17 +54,36 @@ class LinkReport:
     total: int
 
     def __post_init__(self) -> None:
+        # the weights L_a / L sum to 1 exactly when this holds
         assert self.total == sum(self.per_alpha)
+
+    def reduced_weights(self) -> tuple[tuple[int, int], ...] | None:
+        """None exactly when total = 0; otherwise each weight L_a / L as
+        the int pair (num, den) in lowest terms with den > 0, the pair
+        Fraction(L_a, L) holds, reduced with math.gcd and no Fraction."""
+        den = self.total
+        if den == 0:
+            return None
+        per = self.per_alpha
+        if den < 0:
+            den, per = -den, [-la for la in per]
+        reduced = []
+        for la in per:
+            g = gcd(la, den)
+            reduced.append((la // g, den // g))
+        return tuple(reduced)
 
     @property
     def weights(self) -> tuple[Fraction, ...] | None:
         """None exactly when total = 0 (the regime with no meaningful
         continuum limit); otherwise the exact rationals L_a / L, which may
-        lie outside [0, 1] and always sum to 1.  Built on each access, so a
-        pass that reads only the counts builds no Fraction."""
-        if self.total == 0:
+        lie outside [0, 1] and always sum to 1.  Built on each access from
+        reduced_weights, so a pass that reads only the counts, or writes
+        the report, builds no Fraction."""
+        reduced = self.reduced_weights()
+        if reduced is None:
             return None
-        weights = tuple(Fraction(la, self.total) for la in self.per_alpha)
+        weights = tuple(Fraction(num, den) for num, den in reduced)
         assert sum(weights) == 1
         return weights
 

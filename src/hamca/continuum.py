@@ -250,8 +250,8 @@ class BandlimitedSignal:
             )
         if not np.isfinite(self.samples).all():
             raise ValueError("samples contain non-finite entries")
-        if self.l <= 0:
-            raise ValueError(f"sample spacing must be positive, got {self.l}")
+        if not (math.isfinite(self.l) and self.l > 0):
+            raise ValueError(f"l must be a finite positive number, got {self.l}")
         if self.window < 8:
             raise ValueError(f"window must be >= 8, got {self.window}")
 
@@ -458,8 +458,8 @@ def born_convergence(
         raise ValueError("psi_init must be nonzero")
     psi0 = psi0 / nrm
     ls = [float(l) for l in l_values]
-    if not ls or any(l <= 0 for l in ls):
-        raise ValueError("l_values must be positive")
+    if not ls or not all(math.isfinite(l) and l > 0 for l in ls):
+        raise ValueError(f"l_values must be finite positive numbers, got {ls}")
     if any(b >= a for a, b in zip(ls, ls[1:])):
         raise ValueError("l_values must be strictly decreasing")
     if not (math.isfinite(horizon) and horizon > 0):

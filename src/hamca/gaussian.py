@@ -43,6 +43,20 @@ class _AnyDigits:
             sys.set_int_max_str_digits(self.limit)
 
 
+def full_digit_repr(cls: type) -> type:
+    """Class decorator for a dataclass with int fields of any size: its
+    generated repr runs under _AnyDigits.  A class that holds such values
+    only inside decorated types or GaussInt needs nothing more."""
+    generated = cls.__repr__
+
+    def __repr__(self) -> str:
+        with _AnyDigits():
+            return generated(self)
+
+    cls.__repr__ = __repr__
+    return cls
+
+
 def is_int(value) -> bool:
     """The one rule for which values count as integers: exactly a Python
     int, so not a bool (an int subclass).  Floats, strings and bools are
@@ -163,6 +177,7 @@ def as_gauss(value) -> GaussInt:
     raise TypeError(f"cannot interpret {value!r} as a Gaussian integer")
 
 
+@full_digit_repr
 @dataclass(frozen=True, slots=True)
 class GaussVector:
     """Fixed-length vector of Gaussian integers, stored as the int tuples
@@ -238,6 +253,7 @@ IntRows = tuple[tuple[int, ...], ...]
 NonzeroRows = tuple[tuple[tuple[int, int, int], ...], ...]
 
 
+@full_digit_repr
 @dataclass(frozen=True, slots=True)
 class GaussMatrix:
     """Matrix of Gaussian integers, stored as the int rows re = S and

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ModelValidationError
-from .gaussian import GaussMatrix, GaussVector, IntRows, is_hermitian, is_int
+from .gaussian import GaussMatrix, GaussVector, IntRows, full_digit_repr, is_hermitian, is_int
 
 
 def _strict_int(value, name: str) -> int:
@@ -34,6 +34,7 @@ def _freeze_int_rows(rows: Sequence[Sequence[int]], name: str, dim: int) -> IntR
     return tuple(out)
 
 
+@full_digit_repr
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Integer model definition (dimension, S, A, free-text label)."""

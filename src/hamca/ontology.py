@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateStateError
-from .gaussian import GaussInt, GaussVector
+from .gaussian import GaussInt, GaussVector, full_digit_repr
 from .dynamics import ModelLike, model_matrix, stream_states
 from .conservation import link_counts
 from .models import basis_state
@@ -40,6 +40,7 @@ class Visit:
     phase: GaussInt | None
 
 
+@full_digit_repr
 @dataclass(frozen=True)
 class CycleReport:
     """Outcome of a period search.

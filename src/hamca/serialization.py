@@ -172,13 +172,13 @@ def load_model(path: str | Path) -> HamiltonianSpec:
 
 
 def _state_record(n: int, psi: GaussVector) -> str:
+    """The canonical line json.dumps(sort_keys=True, separators=(",", ":"))
+    gives {"n": n, "re": [...], "im": [...]} with decimal-string parts,
+    joined directly: decimal digits need no JSON escaping."""
     with _AnyDigits():
-        rec = {
-            "n": n,
-            "re": list(map(str, psi.re)),
-            "im": list(map(str, psi.im)),
-        }
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        im = '","'.join(map(str, psi.im))
+        re_ = '","'.join(map(str, psi.re))
+    return f'{{"im":["{im}"],"n":{n},"re":["{re_}"]}}'
 
 
 def _header_record(model: HamiltonianSpec, l: float) -> str:
@@ -321,12 +321,17 @@ class ConservationCsvWriter:
         )
 
     def append(self, st) -> None:
-        weights = st.links.weights
+        weights = st.links.reduced_weights()
         with _AnyDigits():
             self._w.writerow(
                 [st.n, st.q.re, st.q.im, st.links.total]
-                + [str(v) for v in st.links.per_alpha]
-                + ([str(frac) for frac in weights] if weights is not None else self._no_weights)
+                + list(st.links.per_alpha)
+                # str(Fraction(num, den)) for the reduced pair
+                + (
+                    [str(num) if den == 1 else f"{num}/{den}" for num, den in weights]
+                    if weights is not None
+                    else self._no_weights
+                )
             )
 
 

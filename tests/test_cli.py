@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import hamca.cli as cli
+import hamca.conservation as conservation
 from hamca.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -18,7 +19,7 @@ from hamca.cli import (
 )
 from hamca.conservation import q_G
 from hamca.dynamics import evolve
-from hamca.gaussian import GaussVector
+from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import make_cyclic_model
 from hamca.serialization import load_trajectory, save_model, write_trajectory
 
@@ -27,6 +28,19 @@ E = GaussVector.of
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def report_oracle(traj):
+    """`check --report` of a trajectory with G = identity, weights from Fraction."""
+    m = traj.model.dim
+    lines = [",".join(["n", "q_re", "q_im", "L"] + [f"L_{a}" for a in range(1, m + 1)]
+                      + [f"w_{a}" for a in range(1, m + 1)])]
+    for n, a, b in traj.pairs():
+        per = [x1 * x0 + p1 * p0 for x0, p0, x1, p1 in zip(a.re, a.im, b.re, b.im)]
+        total = sum(per)
+        weights = [str(Fraction(la, total)) for la in per] if total else [""] * m
+        lines.append(",".join(map(str, [n, 2 * total, 0, total, *per, *weights])))
+    return "\n".join(lines) + "\n"
 
 
 class TestRun:
@@ -322,6 +336,25 @@ class TestCheckMerged:
         assert report.read_text() == "\n".join(expected) + "\n"
 
 
+    def test_report_builds_no_fraction(self, tmp_path, monkeypatch):
+        """The weight cells come from reduced int pairs, not Fraction."""
+        traj = evolve(E((1, 2), 0, 3, 0, (0, -1), 1), E(2, (1, 1), 1, 0, 1, -2), make_cyclic_model(6), 30)
+        assert q_G(traj[0], traj[1], GaussMatrix.identity(6)) == GaussInt(6)  # L = 3
+        path, report = tmp_path / "t.jsonl", tmp_path / "r.csv"
+        write_trajectory(traj, path)
+        made = []
+        real = conservation.Fraction
+
+        def counting(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(conservation, "Fraction", counting)
+        assert run_cli("check", str(path), "--report", str(report)) == EXIT_OK
+        assert made == []
+        assert report.read_text() == report_oracle(traj)
+
+
 class TestStrictModelEntries:
     def test_fractional_entry_rejected(self, tmp_path):
         path = tmp_path / "half.json"
@@ -559,6 +592,19 @@ class TestInputChecksExit3:
     def test_cycle_explicit_pair_needs_psi1(self, capsys):
         assert run_cli("cycle", "--model", "H2", "--pair", "1,0") == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: pair: ")
+
+    @pytest.mark.parametrize("mode, option, value, message", [
+        ("born", "--l-values", "nan", "l_values must be finite positive numbers, got [nan]"),
+        ("born", "--l-values", "0.2,inf", "l_values must be finite positive numbers, got [0.2, inf]"),
+        ("born", "--l-values", ",", "l-values: expected comma-separated float values, got ','"),
+        ("sinh", "--l", "nan", "l must be a finite positive number, got nan"),
+        ("sinh", "--l", "inf", "l must be a finite positive number, got inf"),
+        ("q1", "--l", "inf", "l must be a finite positive number, got inf"),
+        ("sinh", "--windows", ",,", "windows: expected comma-separated int values, got ',,'"),
+    ], ids=["born-nan", "born-inf", "born-empty", "sinh-nan", "sinh-inf", "q1-inf", "sinh-empty-windows"])
+    def test_float_layer_scales_and_lists(self, capsys, mode, option, value, message):
+        assert run_cli("continuum", mode, "--model", "H2", option, value) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_run_negative_steps(self, capsys):
         assert run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "-1") == EXIT_VALIDATION

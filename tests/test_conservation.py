@@ -1,11 +1,14 @@
+import io
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hamca.conservation as conservation
 from hamca.conservation import (
     commutator,
+    LinkReport,
     PairStats,
     link_counts,
     q1,
@@ -17,6 +20,7 @@ from hamca.dynamics import Trajectory, evolve
 from hamca.errors import NonCommutingError
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import basis_state, build_hamiltonian, make_cyclic_model
+from hamca.serialization import ConservationCsvWriter
 
 E = GaussVector.of
 H2 = build_hamiltonian(make_cyclic_model(2))
@@ -226,3 +230,30 @@ class TestVerifyStream:
             tuple(Fraction(la, 1) for la in r.links.per_alpha) for r in rows
         ]
         assert len(made) == 6 * len(rows)
+
+
+# link counts: zero slots, small ints (so totals of 0, +-1 and small
+# divisors are common) and parts up to 2^200
+LINK = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**200), 2**200))
+
+
+class TestReducedWeights:
+    """reduced_weights and the report's weight cells against Fraction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(per=st.lists(LINK, min_size=1, max_size=6), zero_total=st.booleans())
+    def test_matches_fraction(self, per, zero_total):
+        if zero_total:
+            per.append(-sum(per))
+        links = LinkReport(tuple(per), sum(per))
+        out = io.StringIO()
+        ConservationCsvWriter(out, len(per)).append(PairStats(n=0, q=GaussInt(2 * links.total), links=links))
+        cells = out.getvalue().splitlines()[1].split(",")[-len(per):]
+        if links.total == 0:
+            assert links.reduced_weights() is None and links.weights is None
+            assert cells == [""] * len(per)
+            return
+        fractions = [Fraction(la, links.total) for la in per]
+        assert links.reduced_weights() == tuple((f.numerator, f.denominator) for f in fractions)
+        assert cells == [str(f) for f in fractions]
+        assert links.weights == tuple(fractions)

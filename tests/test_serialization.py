@@ -11,6 +11,7 @@ from hamca.errors import ModelValidationError
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import HamiltonianSpec, build_hamiltonian, make_cyclic_model
 from hamca.serialization import (
+    _state_record,
     format_float,
     load_gauss_vector,
     load_model,
@@ -296,3 +297,33 @@ class TestInputsPastTheDigitLimit:
         vec = load_gauss_vector(path)
         assert sys.get_int_max_str_digits() == digit_limit
         assert vec == E(7 * (10**5000 - 1) // 9, (0, 1))
+
+
+def _record_oracle(n, psi):
+    """The state record as the json module writes it."""
+    rec = {"n": n, "re": [str(v) for v in psi.re], "im": [str(v) for v in psi.im]}
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+PART = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**200), 2**200))
+
+
+class TestStateRecord:
+    """The state record is built by joining strings; json.dumps is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 10**9), parts=st.lists(st.tuples(PART, PART), min_size=1, max_size=6))
+    def test_matches_json_dumps(self, n, parts):
+        psi = GaussVector(tuple(x for x, _ in parts), tuple(p for _, p in parts))
+        assert _state_record(n, psi) == _record_oracle(n, psi)
+
+    @pytest.mark.parametrize("parts", [
+        [(10**5000, 0)],
+        [(0, -(3**12_000)), (7, 2**20_000 + 7), (0, 0)],
+    ], ids=["5001-digit-re", "im-past-the-limit"])
+    def test_parts_past_the_digit_limit(self, digit_limit, parts):
+        psi = GaussVector(tuple(x for x, _ in parts), tuple(p for _, p in parts))
+        line = _state_record(3, psi)
+        assert sys.get_int_max_str_digits() == digit_limit
+        sys.set_int_max_str_digits(0)  # the oracle's own str() calls; the fixture restores the limit
+        assert line == _record_oracle(3, psi)
