@@ -335,7 +335,6 @@ class TestCheckMerged:
             expected.append(",".join(map(str, [n, 2 * total, 0, total, *per, *weights])))
         assert report.read_text() == "\n".join(expected) + "\n"
 
-
     def test_report_builds_no_fraction(self, tmp_path, monkeypatch):
         """The weight cells come from reduced int pairs, not Fraction."""
         traj = evolve(E((1, 2), 0, 3, 0, (0, -1), 1), E(2, (1, 1), 1, 0, 1, -2), make_cyclic_model(6), 30)

@@ -18,11 +18,14 @@ from hamca.gaussian import (
     is_int,
     mat_vec,
 )
-from hamca.conservation import link_counts
+from hamca.conservation import PairStats, link_counts
 from hamca.dynamics import evolve
 from hamca.models import HamiltonianSpec, build_hamiltonian, make_cyclic_model
 from hamca.ontology import find_period
 from hamca.serialization import load_gauss_vector
+
+
+H2 = build_hamiltonian(make_cyclic_model(2))
 
 
 def g(re, im=0):
@@ -171,22 +174,24 @@ class TestUnboundedMagnitude:
         assert sys.get_int_max_str_digits() == digit_limit
 
 
+BIG_LINKS = (GaussVector.of(10**2600), GaussVector.of(10**2600))  # L = 10^5200
+
+
 class TestFullDigitRepr:
     """Every dataclass repr that holds exact ints prints them in full past
     the digit limit, and leaves the limit as it found it."""
 
-    H2 = build_hamiltonian(make_cyclic_model(2))
-
     @pytest.mark.parametrize("build, digits", [
-        (lambda H2: GaussVector.of(10**5000), 5000),
-        (lambda H2: GaussMatrix.from_rows([[10**5000]]), 5000),
-        (lambda H2: link_counts(GaussVector.of(10**2600), GaussVector.of(10**2600)), 5200),
-        (lambda H2: HamiltonianSpec(1, [[10**5000]], [[0]]), 5000),
-        (lambda H2: find_period(GaussVector.of(10**2200, 0), GaussVector.of(10**2200, 0), H2, 20), 4400),
-        (lambda H2: evolve(GaussVector.of(10**5000, 0), GaussVector.of(0, 1), H2, 2), 5000),
-    ], ids=["GaussVector", "GaussMatrix", "LinkReport", "HamiltonianSpec", "CycleReport", "Trajectory"])
+        (lambda: GaussVector.of(10**5000), 5000),
+        (lambda: GaussMatrix.from_rows([[10**5000]]), 5000),
+        (lambda: link_counts(*BIG_LINKS), 5200),
+        (lambda: PairStats(0, GaussInt(2 * 10**5200), link_counts(*BIG_LINKS)), 5200),
+        (lambda: HamiltonianSpec(1, [[10**5000]], [[0]]), 5000),
+        (lambda: find_period(GaussVector.of(10**2200, 0), GaussVector.of(10**2200, 0), H2, 20), 4400),
+        (lambda: evolve(GaussVector.of(10**5000, 0), GaussVector.of(0, 1), H2, 2), 5000),
+    ], ids=["GaussVector", "GaussMatrix", "LinkReport", "PairStats", "HamiltonianSpec", "CycleReport", "Trajectory"])
     def test_repr_past_the_digit_limit(self, digit_limit, build, digits):
-        text = repr(build(self.H2))
+        text = repr(build())
         assert sys.get_int_max_str_digits() == digit_limit
         assert "1" + "0" * digits in text
 
