@@ -37,7 +37,8 @@ print(f"q_1 over 2001 pairs: constant = {report1.q_value}")
 print("\nlink counts for the first few pairs (L_a can be negative):")
 for n, a, b in list(traj.pairs())[:4]:
     rep = link_counts(a, b)
-    ws = [str(w) for w in rep.weights] if rep.weights else ["-"]
+    weights = rep.reduced_weights()
+    ws = [str(num) if den == 1 else f"{num}/{den}" for num, den in weights] if weights else ["-"]
     print(f"  n={n}: L_a = {rep.per_alpha}, L = {rep.total}, weights = {ws}")
     assert 2 * rep.total == q1(a, b)
 

@@ -12,8 +12,6 @@ from .gaussian import (
     GaussMatrix,
     GaussVector,
     I_UNIT,
-    ONE,
-    ZERO,
     inner_product,
     is_hermitian,
     mat_vec,
@@ -31,7 +29,6 @@ from .dynamics import (
     evolve,
     step_backward,
     step_forward,
-    step_xp,
     stream_states,
     transfer_operators,
 )

@@ -54,7 +54,6 @@ from .serialization import (
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
-EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_VIOLATION = 4
 EXIT_BUDGET = 5
@@ -303,15 +302,26 @@ def _continuum_closedform(args, spec, H) -> int:
 
 
 def _number_list(option: str, text: str, kind: type) -> list:
-    """A comma-separated option value as a list of `kind` (int or float)."""
+    """A comma-separated option value as a list of `kind` (int, float or complex)."""
     try:
-        return [kind(v) for v in text.split(",")]
+        if "_" not in text:  # int, float and complex all read "1_6" as 16
+            return [kind(v) for v in text.split(",")]
     except ValueError:
-        raise ValueError(f"{option}: expected comma-separated {kind.__name__} values, got {text!r}")
+        pass
+    raise ValueError(f"{option}: expected comma-separated {kind.__name__} values, got {text!r}")
+
+
+def _complex_state(option: str, text: str, dim: int) -> list[complex]:
+    values = _number_list(option, text, complex)
+    if len(values) != dim:
+        raise ValueError(f"{option}: has {len(values)} components, model needs {dim}")
+    return values
 
 
 def _continuum_sinh(args, spec, H) -> int:
     windows = _number_list("windows", args.windows, int)
+    if any(b <= a for a, b in zip(windows, windows[1:])):
+        raise ValueError(f"windows: must be strictly increasing, got {args.windows!r}")
     states = _smooth_trajectory(args, spec, H)
     rows = []
     means = []
@@ -345,12 +355,10 @@ def _continuum_q1(args, spec, H) -> int:
 def _continuum_born(args, spec, H) -> int:
     ls = _number_list("l-values", args.l_values, float)
     if args.psi:
-        psi0 = ct.np.array([complex(p) for p in args.psi.split(",")])
+        psi0 = _complex_state("psi", args.psi, spec.dim)
     else:
         psi0 = _random_state(ct.np.random.default_rng(args.seed), spec.dim)
-    psi1 = None
-    if args.psi1:
-        psi1 = ct.np.array([complex(p) for p in args.psi1.split(",")])
+    psi1 = _complex_state("psi1", args.psi1, spec.dim) if args.psi1 else None
     report = ct.born_convergence(H, psi0, ls, horizon=args.horizon, psi1=psi1)
     rows = [(e.l, e.steps, e.link_total, e.max_error) for e in report.entries]
     _write_float_report(args.out, ["l", "steps", "link_total", "max_error"], rows)
@@ -405,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--strict-band", action="store_true", help="reject eigenvalues near the +/-2 band edge")
     con.add_argument("--steps", type=int, default=400, help="sinh/q1: trajectory length")
     con.add_argument("--l", type=float, default=1.0, help="sinh/q1: sample spacing")
-    con.add_argument("--windows", default="16,32,64", help="sinh: comma-separated window sizes")
+    con.add_argument("--windows", default="16,32,64", help="sinh: increasing comma-separated window sizes")
     con.add_argument("--window", type=int, default=32, help="q1: window size")
     con.add_argument("--points", type=int, default=20, help="sinh/q1: evaluation points")
     con.add_argument("--convention", choices=["pairwise", "cosh"], default="pairwise")

@@ -13,7 +13,6 @@ never roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import add, mul
 from typing import Iterable, Protocol
@@ -21,6 +20,7 @@ from typing import Iterable, Protocol
 from .dynamics import Trajectory, step_with_product
 from .errors import DimensionMismatch, NonCommutingError
 from .gaussian import GaussInt, GaussMatrix, GaussVector, full_digit_repr, inner_product, mat_vec
+from .models import build_hamiltonian
 
 
 def q_G(psi_n: GaussVector, psi_next: GaussVector, G: GaussMatrix) -> GaussInt:
@@ -58,9 +58,9 @@ class LinkReport:
         assert self.total == sum(self.per_alpha)
 
     def reduced_weights(self) -> tuple[tuple[int, int], ...] | None:
-        """None exactly when total = 0; otherwise each weight L_a / L as
-        the int pair (num, den) in lowest terms with den > 0, the pair
-        Fraction(L_a, L) holds, reduced with math.gcd and no Fraction."""
+        """None exactly when total = 0, a regime with no continuum limit;
+        otherwise each weight L_a / L, possibly outside [0, 1], as the int
+        pair (num, den) in lowest terms with den > 0 that Fraction(L_a, L) holds."""
         den = self.total
         if den == 0:
             return None
@@ -72,20 +72,6 @@ class LinkReport:
             g = gcd(la, den)
             reduced.append((la // g, den // g))
         return tuple(reduced)
-
-    @property
-    def weights(self) -> tuple[Fraction, ...] | None:
-        """None exactly when total = 0 (the regime with no meaningful
-        continuum limit); otherwise the exact rationals L_a / L, which may
-        lie outside [0, 1] and always sum to 1.  Built on each access from
-        reduced_weights, so a pass that reads only the counts, or writes
-        the report, builds no Fraction."""
-        reduced = self.reduced_weights()
-        if reduced is None:
-            return None
-        weights = tuple(Fraction(num, den) for num, den in reduced)
-        assert sum(weights) == 1
-        return weights
 
 
 def link_counts(psi_n: GaussVector, psi_next: GaussVector) -> LinkReport:
@@ -191,4 +177,4 @@ def verify_stream(
 
 def verify_trajectory(traj: Trajectory, G: GaussMatrix) -> ConservationReport:
     """verify_stream over a stored trajectory and its model Hamiltonian."""
-    return verify_stream(traj, traj.hamiltonian(), G)
+    return verify_stream(traj, build_hamiltonian(traj.model), G)

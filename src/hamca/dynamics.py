@@ -72,9 +72,6 @@ class Trajectory:
                     f"state of length {len(s)} in a dim-{self.model.dim} trajectory"
                 )
 
-    def hamiltonian(self) -> GaussMatrix:
-        return build_hamiltonian(self.model)
-
     def __len__(self) -> int:
         return len(self.states)
 
@@ -133,39 +130,6 @@ def stream_states(
         if probe is not None:
             probe(n, prev, curr)
         n += 1
-
-
-def step_xp(
-    x_prev: tuple[int, ...],
-    p_prev: tuple[int, ...],
-    x_curr: tuple[int, ...],
-    p_curr: tuple[int, ...],
-    spec: HamiltonianSpec,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One update in coordinate/momentum form:
-
-        x_next = x_prev + S p_curr + A x_curr
-        p_next = p_prev - S x_curr + A p_curr
-
-    Combining as psi = x + i p reproduces step_forward exactly.
-    """
-    m = spec.dim
-    for name, v in (("x_prev", x_prev), ("p_prev", p_prev), ("x_curr", x_curr), ("p_curr", p_curr)):
-        if len(v) != m:
-            raise DimensionMismatch(f"{name} has length {len(v)}, expected {m}")
-    x_next = tuple(
-        x_prev[i]
-        + sum(spec.S[i][j] * p_curr[j] for j in range(m))
-        + sum(spec.A[i][j] * x_curr[j] for j in range(m))
-        for i in range(m)
-    )
-    p_next = tuple(
-        p_prev[i]
-        - sum(spec.S[i][j] * x_curr[j] for j in range(m))
-        + sum(spec.A[i][j] * p_curr[j] for j in range(m))
-        for i in range(m)
-    )
-    return x_next, p_next
 
 
 def transfer_operators(H: GaussMatrix, n_max: int) -> list[GaussMatrix]:

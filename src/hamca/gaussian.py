@@ -114,10 +114,6 @@ class GaussInt:
     def conjugate(self) -> "GaussInt":
         return GaussInt(self.re, -self.im)
 
-    def norm_sq(self) -> int:
-        """|z|^2 = re^2 + im^2, an ordinary integer."""
-        return self.re * self.re + self.im * self.im
-
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
 
@@ -152,8 +148,6 @@ class GaussInt:
             return f"{self.re}{sign}{imag}"
 
 
-ZERO = GaussInt(0)
-ONE = GaussInt(1)
 I_UNIT = GaussInt(0, 1)
 
 
@@ -283,10 +277,6 @@ class GaussMatrix:
     def identity(cls, m: int) -> "GaussMatrix":
         return cls(tuple(tuple(int(i == j) for j in range(m)) for i in range(m)), ((0,) * m,) * m)
 
-    @classmethod
-    def zeros(cls, m: int) -> "GaussMatrix":
-        return cls(((0,) * m,) * m, ((0,) * m,) * m)
-
     @property
     def rows(self) -> tuple[tuple[GaussInt, ...], ...]:
         """The entries as rows of GaussInt, built on each access."""
@@ -338,11 +328,6 @@ class GaussMatrix:
 
     def transpose(self) -> "GaussMatrix":
         return GaussMatrix(tuple(zip(*self.re)), tuple(zip(*self.im)))
-
-    def trace(self) -> GaussInt:
-        if not self.is_square():
-            raise DimensionMismatch("trace needs a square matrix")
-        return GaussInt(sum(r[i] for i, r in enumerate(self.re)), sum(r[i] for i, r in enumerate(self.im)))
 
     def is_zero(self) -> bool:
         return not any(map(any, self.re + self.im))

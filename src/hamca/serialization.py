@@ -291,11 +291,6 @@ def read_trajectory_stream(path: str | Path):
     return model, l, gen()
 
 
-def load_trajectory(path: str | Path) -> Trajectory:
-    model, l, states = read_trajectory_stream(path)
-    return Trajectory(model=model, states=tuple(psi for _, psi in states), l=l)
-
-
 # ---------------------------------------------------------------------------
 # CSV reports
 # ---------------------------------------------------------------------------

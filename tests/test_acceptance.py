@@ -16,12 +16,12 @@ from hamca.dynamics import (
     evolve,
     step_backward,
     step_forward,
-    step_xp,
     transfer_operators,
 )
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.ontology import find_period, scan_ontological_pairs
+from oracles import step_xp
 
 E = GaussVector.of
 H2 = build_hamiltonian(make_cyclic_model(2))

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 import hamca.cli as cli
-import hamca.conservation as conservation
 from hamca.cli import (
     EXIT_BUDGET,
     EXIT_INTERNAL,
@@ -20,8 +19,9 @@ from hamca.cli import (
 from hamca.conservation import q_G
 from hamca.dynamics import evolve
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
-from hamca.models import make_cyclic_model
-from hamca.serialization import load_trajectory, save_model, write_trajectory
+from hamca.models import build_hamiltonian, make_cyclic_model
+from hamca.serialization import save_model, write_trajectory
+from oracles import load_trajectory
 
 E = GaussVector.of
 
@@ -335,22 +335,14 @@ class TestCheckMerged:
             expected.append(",".join(map(str, [n, 2 * total, 0, total, *per, *weights])))
         assert report.read_text() == "\n".join(expected) + "\n"
 
-    def test_report_builds_no_fraction(self, tmp_path, monkeypatch):
-        """The weight cells come from reduced int pairs, not Fraction."""
+    def test_report_matches_the_fraction_oracle(self, tmp_path):
+        """The weight cells, written from reduced int pairs, read as
+        str(Fraction(L_a, L)); test_import_contract shows no Fraction is built."""
         traj = evolve(E((1, 2), 0, 3, 0, (0, -1), 1), E(2, (1, 1), 1, 0, 1, -2), make_cyclic_model(6), 30)
         assert q_G(traj[0], traj[1], GaussMatrix.identity(6)) == GaussInt(6)  # L = 3
         path, report = tmp_path / "t.jsonl", tmp_path / "r.csv"
         write_trajectory(traj, path)
-        made = []
-        real = conservation.Fraction
-
-        def counting(*args):
-            made.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(conservation, "Fraction", counting)
         assert run_cli("check", str(path), "--report", str(report)) == EXIT_OK
-        assert made == []
         assert report.read_text() == report_oracle(traj)
 
 
@@ -515,7 +507,7 @@ class TestValuesPastTheDigitLimit:
 
     def test_check_prints_the_full_q_G(self, tmp_path, capsys, digit_limit):
         traj, path = self.grown_trajectory(tmp_path)
-        q = q_G(traj[0], traj[1], traj.hamiltonian())
+        q = q_G(traj[0], traj[1], build_hamiltonian(traj.model))
         assert run_cli("check", str(path), "--g", "hamiltonian", "--report", str(tmp_path / "r.csv")) == EXIT_OK
         assert sys.get_int_max_str_digits() == digit_limit
         out = capsys.readouterr().out
@@ -600,7 +592,19 @@ class TestInputChecksExit3:
         ("sinh", "--l", "inf", "l must be a finite positive number, got inf"),
         ("q1", "--l", "inf", "l must be a finite positive number, got inf"),
         ("sinh", "--windows", ",,", "windows: expected comma-separated int values, got ',,'"),
-    ], ids=["born-nan", "born-inf", "born-empty", "sinh-nan", "sinh-inf", "q1-inf", "sinh-empty-windows"])
+        ("sinh", "--windows", "16,1_6,32", "windows: expected comma-separated int values, got '16,1_6,32'"),
+        ("sinh", "--windows", "64,32,16", "windows: must be strictly increasing, got '64,32,16'"),
+        ("sinh", "--windows", "16,16,32", "windows: must be strictly increasing, got '16,16,32'"),
+        ("born", "--l-values", "0.2,0_1", "l-values: expected comma-separated float values, got '0.2,0_1'"),
+        ("born", "--psi", "x,1", "psi: expected comma-separated complex values, got 'x,1'"),
+        ("born", "--psi", "1_0,0", "psi: expected comma-separated complex values, got '1_0,0'"),
+        ("born", "--psi", "1,0,0", "psi: has 3 components, model needs 2"),
+        ("born", "--psi1", "y,1", "psi1: expected comma-separated complex values, got 'y,1'"),
+        ("born", "--psi1", "1", "psi1: has 1 components, model needs 2"),
+    ], ids=["born-nan", "born-inf", "born-empty", "sinh-nan", "sinh-inf", "q1-inf", "sinh-empty-windows",
+            "sinh-underscored-window", "sinh-decreasing-windows", "sinh-repeated-window", "born-underscored-l",
+            "born-psi-malformed", "born-psi-underscored", "born-psi-length", "born-psi1-malformed",
+            "born-psi1-length"])
     def test_float_layer_scales_and_lists(self, capsys, mode, option, value, message):
         assert run_cli("continuum", mode, "--model", "H2", option, value) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hamca.conservation as conservation
 from hamca.conservation import (
     commutator,
     LinkReport,
@@ -99,13 +98,13 @@ class TestLinkCounts:
         rep = link_counts(basis_state(m, m - 1), basis_state(m, m))
         assert rep.per_alpha == (0,) * m
         assert rep.total == 0
-        assert rep.weights is None
+        assert rep.reduced_weights() is None
 
     def test_repeated_basis_state(self):
         rep = link_counts(E(1, 0), E(1, 0))
         assert rep.per_alpha == (1, 0)
         assert rep.total == 1
-        assert rep.weights == (Fraction(1), Fraction(0))
+        assert rep.reduced_weights() == ((1, 1), (0, 1))
 
     def test_hand_expanded_components(self):
         rep = link_counts(E((1, 1), 0), E((2, -1), 0))
@@ -116,8 +115,8 @@ class TestLinkCounts:
         rep = link_counts(E(1, 2), E(3, -1))
         assert rep.per_alpha == (3, -2)
         assert rep.total == 1
-        assert rep.weights == (Fraction(3), Fraction(-2))
-        assert sum(rep.weights) == 1
+        assert rep.reduced_weights() == ((3, 1), (-2, 1))
+        assert sum(Fraction(*w) for w in rep.reduced_weights()) == 1
 
     def test_total_is_half_q1(self):
         v, w = E((4, -7), (2, 3)), E((-1, 5), (6, -2))
@@ -134,7 +133,7 @@ class TestVerifyTrajectory:
 
     def test_constant_trajectory_gives_twice_norm(self):
         v = E((1, 2), (3, 0))
-        traj = evolve(v, v, GaussMatrix.zeros(2), 4)
+        traj = evolve(v, v, GaussMatrix.identity(2) * 0, 4)
         report = verify_trajectory(traj, EYE2)
         assert report.ok
         assert report.q_value == GaussInt(2 * (1 + 4 + 9))
@@ -211,25 +210,17 @@ class TestVerifyStream:
         assert report.message.startswith("q_G changed from ")
         assert len(report.message) > 2 * 4300
 
-    def test_fractions_only_for_reported_pairs(self, monkeypatch):
+    def test_reported_rows_carry_reduced_weights(self):
         H = build_hamiltonian(make_cyclic_model(6))
         traj = evolve(E(1, 0, 2, 0, 0, -1), E(1, 1, 0, 0, 3, 0), H, 40)
-        made = []
-
-        def counting(*args):
-            made.append(args)
-            return Fraction(*args)
-
-        monkeypatch.setattr(conservation, "Fraction", counting)
         assert verify_stream(traj, H, H).ok
-        assert made == []
         rows = []
         assert verify_stream(traj, H, H, rows).ok
+        assert len(rows) == len(traj) - 1
         assert all(r.links.total == 1 for r in rows)
-        assert [r.links.weights for r in rows] == [
-            tuple(Fraction(la, 1) for la in r.links.per_alpha) for r in rows
+        assert [r.links.reduced_weights() for r in rows] == [
+            tuple((la, 1) for la in r.links.per_alpha) for r in rows
         ]
-        assert len(made) == 6 * len(rows)
 
 
 # link counts: zero slots, small ints (so totals of 0, +-1 and small
@@ -250,10 +241,10 @@ class TestReducedWeights:
         ConservationCsvWriter(out, len(per)).append(PairStats(n=0, q=GaussInt(2 * links.total), links=links))
         cells = out.getvalue().splitlines()[1].split(",")[-len(per):]
         if links.total == 0:
-            assert links.reduced_weights() is None and links.weights is None
+            assert links.reduced_weights() is None
             assert cells == [""] * len(per)
             return
         fractions = [Fraction(la, links.total) for la in per]
         assert links.reduced_weights() == tuple((f.numerator, f.denominator) for f in fractions)
         assert cells == [str(f) for f in fractions]
-        assert links.weights == tuple(fractions)
+        assert sum(Fraction(*w) for w in links.reduced_weights()) == 1

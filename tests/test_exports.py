@@ -1,12 +1,15 @@
 """Every export of the package has a caller outside the tests.
 
-The check needs only the standard library: each name that
-`hamca/__init__.py` imports must be read (an `ast.Name` load) in the module
-that defines it, or appear as a whole word in another `src/hamca` module,
-in a demo, in the README or in the benchmark's tracer
-(`perfbench/tracing.py`).  A public name that only
-tests call is a duplicate of something else or dead code; the few that
-earn their place anyway are kept below, each with its reason.
+The census needs only the standard library.  An export is each public
+(non-underscore) name defined at the top level of a `src/hamca` module,
+each public method of a class defined there, and each name that
+`hamca/__init__.py` imports, modules included.  A name counts as called
+when code reads it, as an `ast.Name` or an `ast.Attribute` load outside a
+def of that name, in a `src/hamca` module, a demo or the benchmark's
+tracer (`perfbench/tracing.py`); or when it appears as a whole word in the
+README or in the tracer, which names its spans in strings.  A public name
+that only tests call is a duplicate of something else or dead code; the
+few that earn their place anyway are kept below, each with its reason.
 """
 
 import ast
@@ -15,68 +18,100 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hamca"
+TRACER = ROOT / "perfbench" / "tracing.py"
 
 KEEP = {
-    "step_xp": "the update in x/p form, the reference tests hold step_forward to",
     "tail_bound": "the truncation bound tests hold the sinc reconstruction to",
     "sinh_residual_bound": "the a-priori bound tests hold sinh_residual to",
     "reconstruct": "the paper's sinc reconstruction of a signal from its samples",
-    "ZERO": "ring constant of GaussInt, vocabulary of the type",
-    "ONE": "ring constant of GaussInt, vocabulary of the type",
+    "from_rows": "GaussMatrix from Gaussian entries, the constructor tests build matrices with",
 }
 
 
-def exports(init_source: str) -> dict[str, str]:
-    """Each exported name and the package module it comes from."""
-    found = {}
-    for node in ast.parse(init_source).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for alias in node.names:
-                name = alias.asname or alias.name
-                found[name] = node.module or alias.name  # `from . import errors`: the module itself
-    return found
+def definitions(source: str) -> set[str]:
+    """Public top-level names a module defines, the package modules it
+    imports (`from . import errors` exports the module), and the public
+    methods of its classes."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            found.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            found.add(node.name)
+            found.update(f.name for f in node.body if isinstance(f, ast.FunctionDef))
+        elif isinstance(node, ast.Assign):
+            found.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.add(node.target.id)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            found.update(a.asname or a.name for a in node.names)
+    return {name for name in found if not name.startswith("_")}
 
 
 def reads(source: str) -> set[str]:
-    """Names the module reads: its definitions alone are not uses."""
-    tree = ast.parse(source)
-    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    """Names the code reads, as a variable or an attribute, outside any def
+    of the same name: a definition, or a call from inside itself, is not a
+    use.  Imports are not reads either."""
+    found = set()
+
+    def visit(node: ast.AST, inside: frozenset) -> None:
+        if isinstance(node, ast.FunctionDef):
+            inside |= {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in inside:
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return found
 
 
-def uncalled(names: dict[str, str], texts: dict[str, str]) -> list[str]:
-    """Exports used nowhere: not read in their own module, and not a whole
-    word in any other text.  `texts` maps a package module's name, or any
-    other label, to its text."""
-    homes = {home: reads(texts[home]) for home in set(names.values()) if home in texts}
+def uncalled(package: dict[str, str], code: dict[str, str], words: dict[str, str]) -> list[str]:
+    """Public names of the `package` sources that no `code` source reads
+    and no `words` text names as a whole word.  Each argument maps a label
+    to a text."""
+    names = set().union(*map(definitions, package.values()))
+    called = set().union(*map(reads, code.values()))
     return sorted(
         name
-        for name, home in names.items()
-        if name not in homes.get(home, ())
-        and not any(
-            label != home and re.search(rf"\b{re.escape(name)}\b", text) for label, text in texts.items()
-        )
+        for name in names - called
+        if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in words.values())
     )
 
 
-def callers() -> dict[str, str]:
-    texts = {p.stem: p.read_text() for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
-    texts.update({str(p): p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))})
-    for path in (ROOT / "README.md", ROOT / "perfbench" / "tracing.py"):
-        texts[str(path)] = path.read_text()
-    return texts
+def sources() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    code = dict(package)
+    code.update({str(p): p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))})
+    code[str(TRACER)] = TRACER.read_text()
+    words = {str(p): p.read_text() for p in (ROOT / "README.md", TRACER)}
+    return package, code, words
 
 
 def test_every_export_has_a_caller():
-    names = exports((PACKAGE / "__init__.py").read_text())
-    assert sorted(set(uncalled(names, callers())) - set(KEEP)) == []
-    assert set(KEEP) <= set(names)
+    assert uncalled(*sources()) == sorted(KEEP)
+    assert len(KEEP) <= 5
+
+
+PLANTED = '''
+from . import b
+LIMIT = 3
+UNREAD = 4
+class Box:
+    def used(self): return self.size()
+    def size(self): return LIMIT
+    def tested_only(self): return self.tested_only()
+def helper(): return Box().used()
+def entry(): return helper()
+'''
 
 
 def test_census_catches_an_export_without_a_caller():
-    names = exports("from .a import read, used, unused\nfrom . import b\n")
-    texts = {
-        "a": "def read(): ...\ndef used(): ...\ndef unused(): ...\nx = [read]\n",
-        "b": "from .a import used\n",
-        "README.md": "unused_is_another_word",
-    }
-    assert uncalled(names, texts) == ["b", "unused"]
+    package = {"a.py": PLANTED}
+    code = dict(package, demo="entry()\n")
+    readme = {"README.md": "tested_only_is_another_word"}
+    assert uncalled(package, code, readme) == ["UNREAD", "b", "tested_only"]
+    # a whole word in the README counts as a caller
+    assert uncalled(package, code, {"README.md": "UNREAD and tested_only"}) == ["b"]

@@ -10,8 +10,6 @@ from hamca.gaussian import (
     GaussMatrix,
     GaussVector,
     I_UNIT,
-    ONE,
-    ZERO,
     as_gauss,
     inner_product,
     is_hermitian,
@@ -55,10 +53,9 @@ class TestGaussInt:
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
     def test_norm_and_units(self):
-        assert g(1, 1).norm_sq() == 2
         assert I_UNIT * I_UNIT == g(-1)
-        assert ONE * g(7, -3) == g(7, -3)
-        assert not ZERO
+        assert g(1) * g(7, -3) == g(7, -3)
+        assert not g(0)
         assert g(0, 1)
 
     def test_str_forms(self):
@@ -81,7 +78,7 @@ class TestGaussInt:
 
 class TestInnerProduct:
     def test_orthogonal_basis_states(self):
-        assert inner_product(vec(1, 0), vec(0, 1)) == ZERO
+        assert inner_product(vec(1, 0), vec(0, 1)) == g(0)
 
     def test_norm_of_one_plus_i(self):
         v = vec((1, 1), 0)
@@ -142,10 +139,6 @@ class TestMatrixOps:
         assert is_hermitian(h2)
         assert is_hermitian(h3)
         assert not is_hermitian(not_herm)
-
-    def test_trace(self):
-        m = GaussMatrix.from_rows([[(1, 1), 0], [0, (2, -3)]])
-        assert m.trace() == g(3, -2)
 
 
 class TestUnboundedMagnitude:

@@ -1,4 +1,6 @@
 """The exact layer never loads numpy; the float layer loads it on first use.
+No command loads `fractions` (nor `decimal`, which it imports): the
+report writes each link weight from its reduced int pair.
 
 Each check runs in a fresh interpreter, since the test process itself has
 numpy loaded.  `hamca.cli` must still import `hamca.continuum` (without
@@ -18,6 +20,7 @@ SCRIPT = r"""
 import json, sys
 
 seen = {}
+RATIONALS = ("fractions", "decimal")
 import hamca
 seen["import hamca"] = "numpy" in sys.modules
 seen["ClosedFormSolver from the package"] = hamca.ClosedFormSolver is hamca.continuum.ClosedFormSolver
@@ -25,15 +28,18 @@ seen["ClosedFormSolver from the package"] = hamca.ClosedFormSolver is hamca.cont
 import hamca.cli
 seen["continuum loaded by import hamca.cli"] = "hamca.continuum" in sys.modules
 seen["import hamca.cli"] = "numpy" in sys.modules
+seen["import hamca.cli rationals"] = [m for m in RATIONALS if m in sys.modules]
 
 commands = {
-    "run": ["run", "--model", "Hm:4", "--psi0", "1,0,0,0", "--psi1", "1,1,0,0", "--steps", "20", "--out", "t.jsonl"],
+    # the pair has link total L = 2, so check's report rows carry weights such as 1/2
+    "run": ["run", "--model", "Hm:4", "--psi0", "1,1,0,0", "--psi1", "1,1,1,0", "--steps", "20", "--out", "t.jsonl"],
     "check": ["check", "t.jsonl", "--g", "hamiltonian", "--report", "r.csv"],
     "cycle": ["cycle", "--model", "Hm:5"],
 }
 for name, argv in commands.items():
     seen[name + " exit"] = hamca.cli.main(argv)
     seen[name] = "numpy" in sys.modules
+    seen[name + " rationals"] = [m for m in RATIONALS if m in sys.modules]
 
 seen["closedform exit"] = hamca.cli.main(["continuum", "closedform", "--model", "H3", "--pairs", "2"])
 seen["closedform"] = "numpy" in sys.modules
@@ -59,3 +65,10 @@ def test_exact_commands_never_load_numpy_and_the_float_layer_does(tmp_path):
         assert seen[step] is False, f"numpy loaded by {step}"
     assert [seen[f"{c} exit"] for c in ["run", "check", "cycle", "closedform"]] == [0, 0, 0, 0]
     assert seen["closedform"] is True
+
+
+def test_exact_commands_build_no_fraction(tmp_path):
+    seen = observe(tmp_path)
+    for step in ["import hamca.cli", "run", "check", "cycle"]:
+        assert seen[f"{step} rationals"] == [], f"{seen[step + ' rationals']} loaded by {step}"
+    assert [seen[f"{c} exit"] for c in ["run", "check", "cycle"]] == [0, 0, 0]

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import hamca.conservation as conservation
 from hamca.conservation import verify_stream
-from hamca.dynamics import evolve, step_forward, step_xp
+from hamca.dynamics import evolve, step_forward
 from hamca.gaussian import (
     I_UNIT,
     GaussInt,
@@ -25,6 +25,7 @@ from hamca.gaussian import (
 )
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.ontology import classify_state
+from oracles import step_xp
 
 BIG = 2**200
 big_ints = st.integers(min_value=-BIG, max_value=BIG)

@@ -43,7 +43,7 @@ class TestFindPeriod:
 
     def test_constant_orbit_has_period_one(self):
         v = E((2, 1), 3)
-        rep = find_period(v, v, GaussMatrix.zeros(2), 10)
+        rep = find_period(v, v, GaussMatrix.identity(2) * 0, 10)
         assert rep.period == 1
 
     def test_two_state_measured_period(self):

@@ -15,7 +15,6 @@ from hamca.serialization import (
     format_float,
     load_gauss_vector,
     load_model,
-    load_trajectory,
     parse_gauss,
     parse_gauss_vector,
     read_trajectory_stream,
@@ -24,6 +23,7 @@ from hamca.serialization import (
     write_cycle_csv,
     write_trajectory,
 )
+from oracles import load_trajectory
 
 E = GaussVector.of
 
@@ -217,7 +217,7 @@ class TestCsv:
     def test_conservation_csv_columns(self, tmp_path):
         traj = evolve(E(1, 0), E(1, 1), make_cyclic_model(2), 4)
         stats = []
-        verify_stream(traj, traj.hamiltonian(), GaussMatrix.identity(2), stats)
+        verify_stream(traj, build_hamiltonian(traj.model), GaussMatrix.identity(2), stats)
         path = tmp_path / "report.csv"
         with open(path, "w", newline="") as fh:
             write_conservation_csv(fh, 2, stats)
