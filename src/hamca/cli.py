@@ -315,6 +315,8 @@ def _complex_state(option: str, text: str, dim: int) -> list[complex]:
     values = _number_list(option, text, complex)
     if len(values) != dim:
         raise ValueError(f"{option}: has {len(values)} components, model needs {dim}")
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
+        raise ValueError(f"{option}: components must be finite, got {text!r}")
     return values
 
 
@@ -356,6 +358,8 @@ def _continuum_born(args, spec, H) -> int:
     ls = _number_list("l-values", args.l_values, float)
     if args.psi:
         psi0 = _complex_state("psi", args.psi, spec.dim)
+        if not any(psi0):
+            raise ValueError(f"psi: must be a nonzero state, got {args.psi!r}")
     else:
         psi0 = _random_state(ct.np.random.default_rng(args.seed), spec.dim)
     psi1 = _complex_state("psi1", args.psi1, spec.dim) if args.psi1 else None

@@ -453,10 +453,13 @@ def born_convergence(
     A = as_matrix(H)
     m = A.shape[0]
     psi0 = as_state(psi_init, m)
-    nrm = float(np.linalg.norm(psi0))
-    if nrm == 0.0:
+    top = max(float(np.max(np.abs(psi0.real))), float(np.max(np.abs(psi0.imag))))
+    if top == 0.0:
         raise ValueError("psi_init must be nonzero")
-    psi0 = psi0 / nrm
+    # dividing by a power of two near the largest part is exact, and keeps
+    # the norm of entries near the float maximum from overflowing
+    psi0 = psi0 / math.ldexp(1.0, math.frexp(top)[1] - 1)
+    psi0 = psi0 / float(np.linalg.norm(psi0))
     ls = [float(l) for l in l_values]
     if not ls or not all(math.isfinite(l) and l > 0 for l in ls):
         raise ValueError(f"l_values must be finite positive numbers, got {ls}")

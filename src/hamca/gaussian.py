@@ -4,10 +4,13 @@ Scalars are pairs of arbitrary-precision Python ints, so products of
 thousand-digit entries stay exact; nothing here ever rounds.  A vector
 psi = x + ip stores its int pair (x, p) and a matrix H = S + iA its pair
 (S, A); arithmetic runs on those ints, and indexing or iteration yields
-GaussInt scalars.  A matrix also lists the nonzero entries of each row, so
-a matrix-vector product costs one term per nonzero, not one per entry.
-All three types are immutable and hashable, hence safe to share between
-threads or reuse as dict keys.
+GaussInt scalars.  The first time a matrix is applied it compiles its own
+matrix-vector product: one straight-line sum per output part, with a term
+for each nonzero entry only, so a product costs one term per nonzero, not
+one per entry.  The compile is lazy and cached on the matrix; two threads
+that race on it only compile the same function twice.  All three types are
+immutable and hashable, hence safe to share between threads or reuse as
+dict keys.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from operator import add, mul, neg, sub
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionMismatch
 
@@ -243,30 +246,27 @@ def _check_len(v: GaussVector, w: GaussVector) -> None:
 
 
 IntRows = tuple[tuple[int, ...], ...]
-#: per row, one (column j, S_ij, A_ij) triple for each j where S or A is nonzero
-NonzeroRows = tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 @full_digit_repr
 @dataclass(frozen=True, slots=True)
 class GaussMatrix:
     """Matrix of Gaussian integers, stored as the int rows re = S and
-    im = A of H = S + iA.  `nonzeros` is derived from them once, when the
-    matrix is built, and takes no part in ==, hash or repr."""
+    im = A of H = S + iA.  `_kernel`, its compiled matrix-vector product,
+    is built on first use and takes no part in ==, hash, repr or pickling."""
 
     re: IntRows
     im: IntRows
-    nonzeros: NonzeroRows = field(init=False, repr=False, compare=False)
+    _kernel: Callable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         width = len(self.re[0]) if self.re else 0
         if width == 0 or len(self.im) != len(self.re) or any(len(r) != width for r in self.re + self.im):
             raise DimensionMismatch("matrix needs rows, all non-empty and of one length in re and im")
-        nonzeros = tuple(
-            tuple((j, s, a) for j, (s, a) in enumerate(zip(rs, ra)) if s or a)
-            for rs, ra in zip(self.re, self.im)
-        )
-        object.__setattr__(self, "nonzeros", nonzeros)
+        object.__setattr__(self, "_kernel", None)
+
+    def __reduce__(self):
+        return GaussMatrix, (self.re, self.im)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "GaussMatrix":
@@ -317,10 +317,9 @@ class GaussMatrix:
         if isinstance(other, GaussMatrix):
             if self.shape[1] != other.shape[0]:
                 raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-            # row i of self @ other is other^T applied to row i of self
-            t = other.transpose()
-            prods = [mat_vec(t, GaussVector(r, i)) for r, i in zip(self.re, self.im)]
-            return GaussMatrix(tuple(v.re for v in prods), tuple(v.im for v in prods))
+            # column j of self @ other is self applied to column j of other
+            cols = [mat_vec(self, GaussVector(r, i)) for r, i in zip(zip(*other.re), zip(*other.im))]
+            return GaussMatrix(tuple(zip(*(v.re for v in cols))), tuple(zip(*(v.im for v in cols))))
         return NotImplemented
 
     def conjugate_transpose(self) -> "GaussMatrix":
@@ -358,22 +357,54 @@ def inner_product(v: GaussVector, w: GaussVector) -> GaussInt:
 
 def mat_vec(M: GaussMatrix, v: GaussVector) -> GaussVector:
     """Exact matrix-vector product: (S + iA)(x + ip) = (Sx - Ap) + i(Sp + Ax),
-    summed over the nonzero entries of each row of M only."""
+    through the kernel M compiles on first use."""
     if M.shape[1] != len(v):
         raise DimensionMismatch(f"matrix {M.shape} cannot act on length-{len(v)} vector")
-    x, p = v.re, v.im
-    re = []
-    im = []
-    for row in M.nonzeros:
-        r = i = 0
-        for j, s, a in row:
-            xj = x[j]
-            pj = p[j]
-            r += s * xj - a * pj
-            i += s * pj + a * xj
-        re.append(r)
-        im.append(i)
-    return GaussVector(tuple(re), tuple(im))
+    kernel = M._kernel or _compile_kernel(M)
+    return GaussVector(*kernel(v.re, v.im))
+
+
+def _compile_kernel(M: GaussMatrix) -> Callable:
+    """Compile `kernel(x, p) -> (Sx - Ap, Sp + Ax)` for M and cache it on M.
+    The kernel unpacks x and p into locals x0, p0, ...; row 0 of Hm:16, say,
+    becomes `p1+x15`.  A zero entry gives no term, a +-1 a bare sign and any
+    other int a hex literal, so the source holds only int indices and hex
+    literals, whatever the size of the entries."""
+    re, im = [], []
+    for rs, ra in zip(M.re, M.im):
+        r, i = [], []
+        for j, (s, a) in enumerate(zip(rs, ra)):
+            if s:
+                r.append(_term(s, f"x{j}"))
+                i.append(_term(s, f"p{j}"))
+            if a:
+                r.append(_term(-a, f"p{j}"))
+                i.append(_term(a, f"x{j}"))
+        re.append(_tree_sum(r))
+        im.append(_tree_sum(i))
+    xs = "".join(f"x{j}," for j in range(M.shape[1]))
+    namespace: dict = {}
+    body = f" {xs} = x\n {xs.replace('x', 'p')} = p\n return ({','.join(re)},), ({','.join(im)},)"
+    exec(f"def kernel(x, p):\n{body}", namespace)
+    object.__setattr__(M, "_kernel", namespace["kernel"])
+    return namespace["kernel"]
+
+
+def _term(c: int, var: str) -> str:
+    """`+var`, `-var` or a signed `hex*var`: hex() formats the int value
+    itself (an int subclass cannot change it) and has no digit limit."""
+    h = hex(c)
+    sign, h = ("-", h[1:]) if h[0] == "-" else ("+", h)
+    return sign + var if h == "0x1" else f"{sign}{h}*{var}"
+
+
+def _tree_sum(terms: list[str]) -> str:
+    """The signed terms summed as a balanced tree of flat chains of at most
+    32: a flat chain of thousands of terms overflows the compiler's stack."""
+    if len(terms) > 32:
+        half = len(terms) // 2
+        return f"({_tree_sum(terms[:half])})+({_tree_sum(terms[half:])})"
+    return "".join(terms).lstrip("+") or "0"
 
 
 def is_hermitian(M: GaussMatrix) -> bool:

@@ -6,8 +6,29 @@ Nothing in `src/hamca` calls these, so they live with the tests.
 
 from hamca.dynamics import Trajectory
 from hamca.errors import DimensionMismatch
+from hamca.gaussian import GaussInt
 from hamca.models import HamiltonianSpec
 from hamca.serialization import read_trajectory_stream
+
+
+def _dot(row, col):
+    re = 0
+    im = 0
+    for a, b in zip(row, col):
+        re += a.re * b.re - a.im * b.im
+        im += a.re * b.im + a.im * b.re
+    return GaussInt(re, im)
+
+
+def oracle_mat_vec(rows, v):
+    """M v with M as rows of GaussInt and v as a sequence of GaussInt."""
+    return tuple(_dot(row, v) for row in rows)
+
+
+def oracle_matmul(a_rows, b_rows):
+    """A B on rows of GaussInt."""
+    cols = tuple(zip(*b_rows))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a_rows)
 
 
 def step_xp(

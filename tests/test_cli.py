@@ -258,6 +258,21 @@ class TestContinuum:
         code = run_cli("continuum", "born", "--model", "H2", "--psi", "1,0", "--psi1", "0,1")
         assert code == EXIT_ONTOLOGICAL
 
+    def test_born_state_near_the_float_maximum(self, tmp_path):
+        # the norm of (1e308, -6e307) overflows unless the state is scaled
+        # first; a power-of-two scale is exact, so 2**-1000 times it agrees
+        huge, scaled = tmp_path / "huge.csv", tmp_path / "scaled.csv"
+        codes = [
+            run_cli("continuum", "born", "--model", "H2", "--psi", psi, "--out", str(out))
+            for psi, out in (("1e308,-6e307", huge), (f"{1e308 / 2**1000!r},{-6e307 / 2**1000!r}", scaled))
+        ]
+        assert codes == [EXIT_OK, EXIT_OK]
+        assert huge.read_bytes() == scaled.read_bytes()
+
+    def test_born_zero_partner_is_ontological(self):
+        code = run_cli("continuum", "born", "--model", "H2", "--psi", "1,0", "--psi1", "0,0")
+        assert code == EXIT_ONTOLOGICAL
+
 
 def _rewrite_line(path, index, edit):
     """Apply edit to the JSON object on line `index` of a trajectory file."""
@@ -601,10 +616,13 @@ class TestInputChecksExit3:
         ("born", "--psi", "1,0,0", "psi: has 3 components, model needs 2"),
         ("born", "--psi1", "y,1", "psi1: expected comma-separated complex values, got 'y,1'"),
         ("born", "--psi1", "1", "psi1: has 1 components, model needs 2"),
+        ("born", "--psi", "nan,0", "psi: components must be finite, got 'nan,0'"),
+        ("born", "--psi1", "inf,0", "psi1: components must be finite, got 'inf,0'"),
+        ("born", "--psi", "0,0", "psi: must be a nonzero state, got '0,0'"),
     ], ids=["born-nan", "born-inf", "born-empty", "sinh-nan", "sinh-inf", "q1-inf", "sinh-empty-windows",
             "sinh-underscored-window", "sinh-decreasing-windows", "sinh-repeated-window", "born-underscored-l",
             "born-psi-malformed", "born-psi-underscored", "born-psi-length", "born-psi1-malformed",
-            "born-psi1-length"])
+            "born-psi1-length", "born-psi-nan", "born-psi1-inf", "born-psi-zero"])
     def test_float_layer_scales_and_lists(self, capsys, mode, option, value, message):
         assert run_cli("continuum", mode, "--model", "H2", option, value) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -190,6 +190,13 @@ def test_born_ontological_inputs_rejected_by_both(m, psi0, psi1):
     assert "at step 0 (l = 0.2)" in str(err.value)
 
 
+@pytest.mark.parametrize("scale", [2.0**1020, 2.0**-1000], ids=["overflowing-norm", "underflowing-norm"])
+def test_born_is_exact_under_power_of_two_scaling(scale):
+    psi0 = np.array([0.8, -0.6j])
+    ref = ct.born_convergence(MODELS[2], psi0, [0.2, 0.1], horizon=3.0)
+    assert ct.born_convergence(MODELS[2], psi0 * scale, [0.2, 0.1], horizon=3.0) == ref
+
+
 def test_born_evolves_once_per_scale(monkeypatch):
     calls = []
     evolve = ct.evolve_float

@@ -1,19 +1,24 @@
 """The int-pair storage of GaussVector / GaussMatrix against a per-entry oracle.
 
 The containers hold (x, p) and (S, A) as plain int tuples, and a matrix
-also lists the nonzero entries of each row, which is all `mat_vec` reads.
-The oracle below works on one GaussInt per entry of the dense rows, the
-way the kernel did before the storage change (its `_dot`-based
-matrix-vector product and its inner product are kept here verbatim), so
-any disagreement is a bug in the int kernel.  Entries reach 2^200, far
-past any fixed-width integer type.
+compiles its own matrix-vector kernel the first time it is applied.  The
+oracles work on one GaussInt per entry of the dense rows, the way the
+kernel did before the storage change (the matrix products live in
+`oracles.py`, the inner product here), so any disagreement is a bug in
+the int kernel.  Entries reach 2^200, far past any fixed-width integer
+type, and the kernel's own tests go to 2^15000 and rows of 6000 terms.
 """
 
+import pickle
+from copy import deepcopy
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import hamca.conservation as conservation
 from hamca.conservation import verify_stream
 from hamca.dynamics import evolve, step_forward
+from hamca.errors import DimensionMismatch
 from hamca.gaussian import (
     I_UNIT,
     GaussInt,
@@ -25,7 +30,7 @@ from hamca.gaussian import (
 )
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.ontology import classify_state
-from oracles import step_xp
+from oracles import oracle_mat_vec, oracle_matmul, step_xp
 
 BIG = 2**200
 big_ints = st.integers(min_value=-BIG, max_value=BIG)
@@ -38,15 +43,6 @@ dims = st.integers(min_value=1, max_value=5)
 # -- oracle: one GaussInt per entry -----------------------------------------
 
 
-def _dot(row, col):
-    re = 0
-    im = 0
-    for a, b in zip(row, col):
-        re += a.re * b.re - a.im * b.im
-        im += a.re * b.im + a.im * b.re
-    return GaussInt(re, im)
-
-
 def oracle_inner_product(v, w):
     re = 0
     im = 0
@@ -55,15 +51,6 @@ def oracle_inner_product(v, w):
         re += a.re * b.re + a.im * b.im
         im += a.re * b.im - a.im * b.re
     return GaussInt(re, im)
-
-
-def oracle_mat_vec(rows, v):
-    return tuple(_dot(row, v) for row in rows)
-
-
-def oracle_matmul(a_rows, b_rows):
-    cols = tuple(zip(*b_rows))
-    return tuple(tuple(_dot(row, col) for col in cols) for row in a_rows)
 
 
 def oracle_conjugate_transpose(rows):
@@ -217,8 +204,6 @@ def test_sparse_mat_vec_matches_oracle(mv):
     M, v = mv
     assert tuple(mat_vec(M, v)) == oracle_mat_vec(M.rows, tuple(v))
     assert M @ v == mat_vec(M, v)
-    listed = {(i, j): GaussInt(s, a) for i, row in enumerate(M.nonzeros) for j, s, a in row}
-    assert listed == {(i, j): z for i, r in enumerate(M.rows) for j, z in enumerate(r) if z}
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,12 +222,19 @@ def test_sparse_step_forward_matches_oracle(inputs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(dims.flatmap(lambda n: sparse_matrices(n, n)))
-def test_nonzeros_stay_out_of_equality_hash_and_repr(M):
+@given(sparse_matrix_and_vector())
+def test_compiled_kernel_stays_out_of_equality_hash_repr_and_pickle(mv):
+    M, v = mv
     twin = GaussMatrix(M.re, M.im)
+    product = mat_vec(M, v)
+    assert M._kernel is not None and twin._kernel is None
     assert twin == M
     assert hash(twin) == hash(M)
     assert repr(twin) == repr(M) == f"GaussMatrix(re={M.re!r}, im={M.im!r})"
+    for copy in (pickle.loads(pickle.dumps(M)), deepcopy(M)):
+        assert copy == M and hash(copy) == hash(M) and repr(copy) == repr(M)
+        assert copy._kernel is None
+        assert mat_vec(copy, v) == product
 
 
 def test_step_forward_matches_step_xp_over_a_full_period():
@@ -278,6 +270,75 @@ def test_step_forward_matches_step_xp_past_64_bits(e0, e1, n_steps):
         assert (nxt.re, nxt.im) == (x, p)
     last = traj[-1]
     assert max(abs(v).bit_length() for v in last.re + last.im) > 64
+
+
+# -- the compiled kernel at its edges -------------------------------------------
+
+HUGE = 2**15000  # 4516 decimal digits, past str()'s default limit of 4300
+
+
+def test_kernel_takes_coefficients_and_amplitudes_past_any_digit_limit():
+    spec = HamiltonianSpec(
+        dim=3,
+        S=((HUGE, 3, 0), (3, -1, 1), (0, 1, -HUGE)),
+        A=((0, -(2**70), 1), (2**70, 0, 0), (-1, 0, 0)),
+        label="huge",
+    )
+    H = build_hamiltonian(spec)
+    prev = GaussVector((2**64 + 1, -(2**65), 7), (3, 2**80, -(2**64)))
+    curr = GaussVector((-(2**64), 5, 2**90), (2**64 - 1, 0, -1))
+    assert tuple(mat_vec(H, curr)) == oracle_mat_vec(H.rows, tuple(curr))
+    nxt = step_forward(prev, curr, H)
+    assert (nxt.re, nxt.im) == step_xp(prev.re, prev.im, curr.re, curr.im, spec)
+
+
+def test_kernel_of_zero_rows_and_of_the_zero_matrix():
+    v = GaussVector((BIG, -1, 2), (0, 5, -BIG))
+    for rows in ([[0, 0, 0], [1, (0, -2), 3], [0, 0, 0]], [[0, 0, 0]] * 2):
+        M = GaussMatrix.from_rows(rows)
+        assert tuple(mat_vec(M, v)) == oracle_mat_vec(M.rows, tuple(v))
+    assert mat_vec(M, v) == GaussVector.zero(2)
+
+
+@pytest.mark.parametrize("n, k", [(1, 4), (4, 1), (2, 5), (5, 3)])
+def test_kernel_of_rectangular_matrices(n, k):
+    A = GaussMatrix.from_rows([[(BIG * (i - j) + 1, (i * k + j) % 3 - 1) for j in range(k)] for i in range(n)])
+    v = GaussVector.from_iter((BIG + j, -j) for j in range(k))
+    assert tuple(mat_vec(A, v)) == oracle_mat_vec(A.rows, tuple(v))
+    B = GaussMatrix.from_rows([[(j - i, BIG) for j in range(3)] for i in range(k)])
+    assert (A @ B).rows == oracle_matmul(A.rows, B.rows)
+    with pytest.raises(DimensionMismatch):
+        mat_vec(A, GaussVector.zero(k + 1))
+
+
+def test_kernel_sums_a_6000_term_row_without_recursion_error():
+    k = 6000
+    # every entry nonzero: real part +-1 to +-5, imaginary part -1, 0 or 1
+    row = [((-1) ** j * (j % 5 + 1), j % 3 - 1) for j in range(k)]
+    M = GaussMatrix.from_rows([row])
+    v = GaussVector.from_iter((BIG - j, j) for j in range(k))
+    assert tuple(mat_vec(M, v)) == oracle_mat_vec(M.rows, tuple(v))
+
+
+def test_matrix_product_compiles_the_left_kernel_only_and_once():
+    A = GaussMatrix.from_rows([[1, 2], [(0, 1), 3]])
+    B = GaussMatrix.from_rows([[4, 0], [1, (2, -1)]])
+    assert (A @ B).rows == oracle_matmul(A.rows, B.rows)
+    kernel = A._kernel
+    assert kernel is not None and B._kernel is None
+    mat_vec(A, GaussVector.of(1, 1))
+    assert A._kernel is kernel
+
+
+def test_kernel_source_takes_only_the_int_value_of_an_entry():
+    class Loud(int):
+        def __format__(self, spec):
+            return "x0"
+
+        __repr__ = __str__ = lambda self: "x0"
+
+    M = GaussMatrix(((Loud(5), 1),), ((0, Loud(-1)),))
+    assert mat_vec(M, GaussVector.of(2, 3)) == GaussVector.of(GaussInt(13, -3))
 
 
 # -- no GaussInt per entry inside the kernel -----------------------------------
