@@ -56,26 +56,30 @@ _RESIDUAL_BOUND = 1e-11
 _UNITARITY_BOUND = 1e-12
 
 
+def _finite_array(value: MatrixLike | StateLike, what: str) -> np.ndarray:
+    """The float layer's one input conversion: a complex128 array whose entries
+    all fit a float and are finite, so no NaN slips past a `>` bound test."""
+    try:  # numpy converts each GaussInt entry by complex()
+        arr = np.asarray(value.rows if isinstance(value, GaussMatrix) else value, dtype=np.complex128)
+    except OverflowError:  # an exact int past the float range
+        raise ValueError(f"{what} has entries too large for a float") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    return arr
+
+
 def as_state(psi: StateLike, dim: int | None = None) -> np.ndarray:
     """Validate and convert to a finite 1-D complex128 array."""
-    if isinstance(psi, GaussVector):
-        arr = np.array([complex(c) for c in psi], dtype=np.complex128)
-    else:
-        arr = np.asarray(psi, dtype=np.complex128)
+    arr = _finite_array(psi, "state")
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatch(f"expected a 1-D state, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("state contains non-finite entries")
     if dim is not None and arr.size != dim:
         raise DimensionMismatch(f"state has length {arr.size}, expected {dim}")
     return arr
 
 
 def as_matrix(H: MatrixLike) -> np.ndarray:
-    if isinstance(H, GaussMatrix):
-        arr = np.array([[complex(v) for v in row] for row in H.rows], dtype=np.complex128)
-    else:
-        arr = np.asarray(H, dtype=np.complex128)
+    arr = _finite_array(H, "matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
     return arr

@@ -130,7 +130,7 @@ class GaussInt:
         return self.re == o[0] and self.im == o[1]
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)  # as the int it equals
 
     def __repr__(self) -> str:
         with _AnyDigits():

@@ -5,7 +5,8 @@ Three formats, all documented in the README:
 * model files: one JSON object {dim, label, S, A} with integer matrices
   (nested rows or a flat row-major list);
 * trajectory files: JSON Lines, a header object followed by one record per
-  state, integer parts as decimal strings so magnitude is unbounded;
+  state, integer parts as decimal strings so magnitude is unbounded; a
+  record is read back only as the exact line the writer emits;
 * reports: CSV with a header row, floats printed with 17 significant
   digits, '\n' line endings.
 
@@ -181,6 +182,12 @@ def _state_record(n: int, psi: GaussVector) -> str:
     return f'{{"im":["{im}"],"n":{n},"re":["{re_}"]}}'
 
 
+# The one grammar state lines are read by: the line above and "\n", byte for byte.
+# Shape first, then each part list once; [0-9], as \d also matches non-ASCII digits.
+_STATE_LINE = re.compile(r'\{"im":\["([^\]]*)"\],"n":(0|[1-9][0-9]*),"re":\["([^\]]*)"\]\}\n')
+_PARTS = re.compile(r'(?:0|-?[1-9][0-9]*)(?:","(?:0|-?[1-9][0-9]*))*')
+
+
 def _header_record(model: HamiltonianSpec, l: float) -> str:
     head = {
         "format": TRAJECTORY_FORMAT,
@@ -217,6 +224,8 @@ def write_trajectory(traj: Trajectory, path: str | Path) -> None:
 
 
 def _parse_header(line: str, path) -> tuple[HamiltonianSpec, float]:
+    if not line:
+        raise ValueError(f"{path}: empty trajectory file")
     with _AnyDigits():
         head = json.loads(line)
     if not isinstance(head, dict) or head.get("format") != TRAJECTORY_FORMAT:
@@ -236,57 +245,41 @@ def _parse_header(line: str, path) -> tuple[HamiltonianSpec, float]:
     return HamiltonianSpec.from_dict(head["model"]), l
 
 
-def _parse_state(line: str, model: HamiltonianSpec, path) -> tuple[int, GaussVector]:
-    rec = json.loads(line)
-    if not isinstance(rec, dict) or type(rec.get("n")) is not int:
-        raise ValueError(f"{path}: state record without an integer n")
-    n, res, ims = rec["n"], rec.get("re"), rec.get("im")
-    if not (isinstance(res, list) and isinstance(ims, list)):
-        raise ValueError(f"{path}: state record {n} needs 're' and 'im' lists")
-    if len(res) != model.dim or len(ims) != model.dim:
-        raise ValueError(f"{path}: state record {n} has wrong length")
-    if not all(isinstance(v, str) for v in res + ims):
-        raise ValueError(f"{path}: state record {n} has parts that are not decimal strings")
-    with _AnyDigits():
-        try:
-            x, p = tuple(map(int, res)), tuple(map(int, ims))
-        except ValueError:
-            x = p = ()
-        # only the form the writer emits: int() alone also takes "+1", " 0 ", "1_0" and non-ASCII digits
-        canonical = list(map(str, x)) == res and list(map(str, p)) == ims
-    if not canonical:
+def _parse_state(line: str, n: int, dim: int, path) -> GaussVector:
+    """State record n: exactly the line _state_record(n, psi) writes, with its newline."""
+    m = _STATE_LINE.fullmatch(line)
+    if m is None:
+        raise ValueError(f"{path}: state record {n} is not a canonical record line")
+    im_text, n_text, re_text = m.groups()
+    if n_text != str(n):
+        raise ValueError(f"{path}: state records out of order at n = {n_text}")
+    if not (_PARTS.fullmatch(im_text) and _PARTS.fullmatch(re_text)):
         raise ValueError(f"{path}: state record {n} has parts that are not canonical decimal integers")
-    return n, GaussVector(x, p)
+    res, ims = re_text.split('","'), im_text.split('","')
+    if len(res) != dim or len(ims) != dim:
+        raise ValueError(f"{path}: state record {n} has wrong length")
+    with _AnyDigits():
+        return GaussVector(tuple(map(int, res)), tuple(map(int, ims)))
 
 
 def read_trajectory_stream(path: str | Path):
     """Open a trajectory file for streaming.
 
     Returns (model, l, iterator of (n, GaussVector)).  The iterator keeps
-    the file handle open until exhausted and raises ValueError on a
-    malformed record or one whose n is not the next index.
+    the file handle open until exhausted and raises ValueError on the first
+    line that is not the record the writer emits at that position.
     """
-    fh = open(path)
-    first = fh.readline()
-    if not first:
-        fh.close()
-        raise ValueError(f"{path}: empty trajectory file")
+    fh = open(path, newline="")
     try:
-        model, l = _parse_header(first, path)
+        model, l = _parse_header(fh.readline(), path)
     except Exception:
         fh.close()
         raise
 
     def gen() -> Iterator[tuple[int, GaussVector]]:
         with fh:
-            expected = 0
-            for line in fh:
-                if line.strip():
-                    n, psi = _parse_state(line, model, path)
-                    if n != expected:
-                        raise ValueError(f"{path}: state records out of order at n = {n}")
-                    yield n, psi
-                    expected += 1
+            for n, line in enumerate(fh):
+                yield n, _parse_state(line, n, model.dim, path)
 
     return model, l, gen()
 

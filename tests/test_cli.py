@@ -7,6 +7,7 @@ import pytest
 import hamca.cli as cli
 from hamca.cli import (
     EXIT_BUDGET,
+    EXIT_INSTABILITY,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_ONTOLOGICAL,
@@ -19,7 +20,7 @@ from hamca.cli import (
 from hamca.conservation import q_G
 from hamca.dynamics import evolve
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
-from hamca.models import build_hamiltonian, make_cyclic_model
+from hamca.models import HamiltonianSpec, build_hamiltonian, make_cyclic_model
 from hamca.serialization import save_model, write_trajectory
 from oracles import load_trajectory
 
@@ -272,6 +273,29 @@ class TestContinuum:
     def test_born_zero_partner_is_ontological(self):
         code = run_cli("continuum", "born", "--model", "H2", "--psi", "1,0", "--psi1", "0,0")
         assert code == EXIT_ONTOLOGICAL
+
+    def test_born_random_state_by_default(self, capsys):
+        assert run_cli("continuum", "born", "--model", "H2") == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all(line.startswith("born: l=") for line in lines)
+
+    @pytest.mark.parametrize("mode", ["sinh", "q1"])
+    def test_band_edge_model_falls_back_then_overflows(self, tmp_path, capsys, mode):
+        # tridiag(1,2,1), m = 3: the eigenvalue 2 sits on the band edge, so
+        # smooth_partner raises SingularSpectrumError (exit 6 unless caught)
+        # and the start falls back to psi1 = psi0; 2 + sqrt(2) lies outside
+        # the band, so that trajectory grows until it overflows: exit 8
+        path = tmp_path / "tridiag.json"
+        save_model(HamiltonianSpec(3, [[2, 1, 0], [1, 2, 1], [0, 1, 2]], [[0] * 3] * 3, "tridiag"), path)
+        assert run_cli("continuum", mode, "--model", str(path), "--steps", "1200") == EXIT_INSTABILITY
+        assert capsys.readouterr().err == "error: non-finite amplitude first appeared at step 632\n"
+
+    @pytest.mark.parametrize("mode", ["closedform", "sinh", "q1", "born"])
+    def test_model_entry_past_the_float_range(self, tmp_path, capsys, mode):
+        path = tmp_path / "big.json"
+        save_model(HamiltonianSpec(2, [[10**400, 1], [1, 0]], [[0, 0], [0, 0]], "big"), path)
+        assert run_cli("continuum", mode, "--model", str(path)) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: matrix has entries too large for a float\n"
 
 
 def _rewrite_line(path, index, edit):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hamca.continuum as ct
 from hamca.dynamics import evolve
@@ -53,6 +54,45 @@ class TestSpectralDecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ct.SpectralFailure):
             ct.spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestInputBoundary:
+    """as_state and as_matrix share one conversion with one set of checks:
+    every entry must fit a float and be finite, whatever the input type."""
+
+    NAN = [[float("nan"), 0], [0, 1]]
+
+    @pytest.mark.parametrize("call", [
+        ct.as_matrix,
+        ct.spectral_decompose,
+        ct.ClosedFormSolver,
+        lambda H: ct.evolve_float([1, 0], [0, 1], H, 3),
+        lambda H: ct.smooth_partner(H, [1, 0]),
+    ], ids=["as_matrix", "spectral_decompose", "ClosedFormSolver", "evolve_float", "smooth_partner"])
+    def test_non_finite_matrix_rejected(self, call):
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            call(self.NAN)
+
+    @pytest.mark.parametrize("value, convert, what", [
+        (GaussMatrix.from_rows([[10**400, 1], [1, 0]]), ct.as_matrix, "matrix"),
+        ([[0, 1], [1, -(10**400)]], ct.as_matrix, "matrix"),
+        (E(1, (0, 10**400)), ct.as_state, "state"),
+        ([10**400, 0], ct.as_state, "state"),
+    ], ids=["GaussMatrix", "int-rows", "GaussVector", "int-list"])
+    def test_entry_past_the_float_range_rejected(self, value, convert, what):
+        with pytest.raises(ValueError, match=f"^{what} has entries too large for a float$"):
+            convert(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-(2**1020), 2**1020), min_size=8, max_size=8))
+    def test_exact_inputs_convert_entry_by_entry(self, parts):
+        # the same complex128 bits as complex() of each GaussInt entry
+        psi = GaussVector(tuple(parts[:4]), tuple(parts[4:]))
+        M = GaussMatrix((tuple(parts[:2]), tuple(parts[2:4])), (tuple(parts[4:6]), tuple(parts[6:])))
+        expect_psi = np.array([complex(c) for c in psi], dtype=np.complex128)
+        expect_M = np.array([[complex(v) for v in row] for row in M.rows], dtype=np.complex128)
+        assert ct.as_state(psi).tobytes() == expect_psi.tobytes()
+        assert ct.as_matrix(M).tobytes() == expect_M.tobytes()
 
 
 class TestEvolveFloat:

@@ -71,6 +71,15 @@ class TestGaussInt:
             a.re = 5
         assert len({g(1, 2), g(1, 2), g(2, 1)}) == 2
 
+    @pytest.mark.parametrize(
+        "re", [0, 3, -7, 2**64 + 1, -(3**200)], ids=["0", "3", "-7", "2^64+1", "-3^200"]
+    )
+    def test_real_value_hashes_as_its_int(self, re):
+        # GaussInt(re) == re, so set and dict lookups must find it either way
+        assert re in {g(re)} and g(re) in {re}
+        assert {g(re): "z"}[re] == "z" and {re: "n"}[g(re)] == "n"
+        assert g(re, 1) not in {re} and re not in {g(re, 1)}
+
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             GaussInt(1.5, 0)

@@ -1,16 +1,19 @@
 import json
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamca.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VIOLATION, main
 from hamca.conservation import verify_stream
 from hamca.dynamics import evolve
 from hamca.errors import ModelValidationError
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import HamiltonianSpec, build_hamiltonian, make_cyclic_model
 from hamca.serialization import (
+    _header_record,
     _state_record,
     format_float,
     load_gauss_vector,
@@ -327,3 +330,102 @@ class TestStateRecord:
         assert sys.get_int_max_str_digits() == digit_limit
         sys.set_int_max_str_digits(0)  # the oracle's own str() calls; the fixture restores the limit
         assert line == _record_oracle(3, psi)
+
+
+# ---------------------------------------------------------------------------
+# the reader's grammar: exactly the lines the writer emits
+# ---------------------------------------------------------------------------
+
+H2_SPEC = make_cyclic_model(2)
+HEADER = _header_record(H2_SPEC, 1.0) + "\n"
+SWAP = [_state_record(n, psi) + "\n" for n, psi in enumerate(evolve(E(1, 0), E(0, 1), H2_SPEC, 3))]
+NOT_A_RECORD = "is not a canonical record line"
+NOT_CANONICAL = "has parts that are not canonical decimal integers"
+RECORD_CHARS = '{}[]",:nrei0123456789-+ \n\r\t\u0661x'
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """One file that the examples of a hypothesis test rewrite in turn."""
+    return tmp_path_factory.mktemp("grammar") / "t.jsonl"
+
+
+def read_states(path):
+    _, _, states = read_trajectory_stream(path)
+    return [psi for _, psi in states]
+
+
+@st.composite
+def edited_swap_file(draw):
+    """The swap orbit's records with one character inserted, deleted or replaced."""
+    lines = list(SWAP)
+    k = draw(st.integers(0, len(lines) - 1))
+    i = draw(st.integers(0, len(lines[k]) - 1))
+    c = draw(st.sampled_from(RECORD_CHARS))
+    head, tail = lines[k][:i], lines[k][i:]
+    lines[k] = draw(st.sampled_from([head + c + tail, head + tail[1:], head + c + tail[1:]]))
+    return "".join(lines)
+
+
+TAIL = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=60),
+    st.text(RECORD_CHARS, max_size=60),
+    edited_swap_file(),
+)
+BIG_PART = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**5000), 2**5000))
+
+
+class TestReaderGrammar:
+    """A state line reads only as the bytes _state_record writes at its
+    position, and a newline; anything else is a ValueError and `check` exits 3."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(st.tuples(BIG_PART, BIG_PART), min_size=1, max_size=4))
+    def test_every_written_record_reads_back(self, scratch, parts):
+        m = len(parts)
+        psi = GaussVector(tuple(x for x, _ in parts), tuple(p for _, p in parts))
+        zero = [[0] * m] * m
+        lines = [_header_record(HamiltonianSpec(m, zero, zero), 1.0), _state_record(0, psi), _state_record(1, -psi)]
+        scratch.write_text("\n".join(lines) + "\n")
+        assert read_states(scratch) == [psi, -psi]
+
+    @settings(max_examples=150, deadline=None)
+    @given(tail=TAIL)
+    def test_any_text_after_a_header_raises_only_value_error(self, scratch, tail):
+        scratch.write_bytes((HEADER + tail).encode())
+        try:
+            read_states(scratch)
+        except ValueError:
+            assert main(["check", str(scratch)]) == EXIT_VALIDATION
+        else:  # a readable file (an edited digit, too few states): never exit 1 or 9
+            assert main(["check", str(scratch)]) in (EXIT_OK, EXIT_VALIDATION, EXIT_VIOLATION)
+
+    @pytest.mark.parametrize("line, position, fault", [
+        (json.dumps({"n": 1, "re": ["0", "1"], "im": ["0", "0"]}, separators=(",", ":")) + "\n", 1, NOT_A_RECORD),
+        (json.dumps({"im": ["0", "0"], "n": 1, "re": ["0", "1"]}, sort_keys=True) + "\n", 1, NOT_A_RECORD),
+        (" " + SWAP[1], 1, NOT_A_RECORD),
+        (SWAP[1][:-1] + "\r\n", 1, NOT_A_RECORD),
+        (SWAP[1] + "\n", 2, NOT_A_RECORD),
+        (SWAP[1].replace('"1"', '"1\u0661"'), 1, NOT_CANONICAL),  # int() reads 11
+        (SWAP[1].replace('"1"', '"\uff11"'), 1, NOT_CANONICAL),
+        (SWAP[1].replace('"1"', '"1","0"'), 1, "has wrong length"),
+    ], ids=["reordered-keys", "spaces", "leading-space", "crlf", "blank-line", "arabic-indic-digit",
+            "fullwidth-digit", "three-parts"])
+    def test_lines_the_writer_never_emits(self, tmp_path, capsys, line, position, fault):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes((HEADER + SWAP[0] + line + "".join(SWAP[2:])).encode())
+        message = f"{path}: state record {position} {fault}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_states(path)
+        assert main(["check", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, position", [
+        (HEADER + "".join(SWAP) + "\n", len(SWAP)),
+        (HEADER + "".join(SWAP)[:-1], len(SWAP) - 1),
+    ], ids=["trailing-blank-line", "no-final-newline"])
+    def test_file_ends_after_the_last_newline(self, tmp_path, text, position):
+        path = tmp_path / "t.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"state record {position} is not a canonical record line"):
+            read_states(path)
