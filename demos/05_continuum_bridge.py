@@ -37,13 +37,13 @@ print("\nshift-equation residual at 20 off-grid points (mean):")
 ts = np.linspace(150.3, 250.7, 20)
 for W in (16, 32, 64):
     sig = ct.BandlimitedSignal(states, l=1.0, window=W)
-    mean = np.mean([ct.sinh_residual(sig, H3, float(t)) for t in ts])
+    mean = np.mean(ct.sinh_residual(sig, H3, ts))  # one residual per time
     print(f"  window W={W:3d}: {mean:.3e}")
 sig = ct.BandlimitedSignal(states, l=1.0, window=64)
 print(f"  at a sample point: {ct.sinh_residual(sig, H3, 200.0):.3e} (exact up to rounding)")
 
 # --- two-time correlation in continuous time ------------------------------
-res, spread = ct.q1_constancy(sig, [float(t) for t in np.linspace(100, 300, 9)])
+res, spread = ct.q1_constancy(sig, np.linspace(100, 300, 9))
 print(f"\nq1 in continuous time: value {res[0].value:.6f}, spread over t {spread:.2e}")
 print("small-l expansion remainder under refinement of a fixed wave:")
 c0 = sf.eigenvectors.conj().T @ (rng.normal(size=3) + 1j * rng.normal(size=3))

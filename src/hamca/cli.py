@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import continuum as ct
@@ -159,16 +160,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
         model, l, stream = read_trajectory_stream(args.trajectory)
     except (ValueError, OSError) as exc:
         raise ValueError(f"trajectory: {exc}")
-    H = build_hamiltonian(model)
-    G = _g_matrix_arg(H, args.g)
-    states = (psi for _, psi in stream)
-    if args.report:
-        # rows go out as they are verified; a record that fails to parse
-        # leaves an existing report as it was
-        with output_file(args.report) as fh:
-            report = verify_stream(states, H, G, ConservationCsvWriter(fh, model.dim))
-    else:
-        report = verify_stream(states, H, G)
+    with closing(stream):  # on every exit: a bad --g or --report, a violation
+        H = build_hamiltonian(model)
+        G = _g_matrix_arg(H, args.g)
+        states = (psi for _, psi in stream)
+        if args.report:
+            # rows go out as they are verified; a record that fails to parse
+            # leaves an existing report as it was
+            with output_file(args.report) as fh:
+                report = verify_stream(states, H, G, ConservationCsvWriter(fh, model.dim))
+        else:
+            report = verify_stream(states, H, G)
     if not report.ok:
         print(f"FAIL at step {report.first_violation}: {report.message}")
         return EXIT_VIOLATION
@@ -330,7 +332,7 @@ def _continuum_sinh(args, spec, H) -> int:
     for W in windows:
         sig = ct.BandlimitedSignal(states, l=args.l, window=W)
         ts = _sample_times(args, len(states), W) + 0.37 * args.l
-        res = [ct.sinh_residual(sig, H, float(t)) for t in ts]
+        res = ct.sinh_residual(sig, H, ts)
         mean = float(ct.np.mean(res))
         rows.append((W, mean, float(ct.np.max(res))))
         means.append(mean)

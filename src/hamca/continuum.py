@@ -55,6 +55,12 @@ STRICT_BAND_EPSILON = 1e-6
 _RESIDUAL_BOUND = 1e-11
 _UNITARITY_BOUND = 1e-12
 
+#: evolve_float steps this many rows between finiteness checks
+_FINITE_CHECK_ROWS = 256
+
+#: window samples plus sinc weights one batch of sinc sums holds (about 256 KB)
+_BATCH_ENTRIES = 1 << 14
+
 
 def _finite_array(value: MatrixLike | StateLike, what: str) -> np.ndarray:
     """The float layer's one input conversion: a complex128 array whose entries
@@ -139,11 +145,13 @@ def evolve_float(
     out[0] = a
     out[1] = b
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            a, b = b, a - 1j * (A @ b)
-            if not np.isfinite(b).all():
-                raise InstabilityError(n + 2)
-            out[n + 2] = b
+        for start in range(2, n_steps + 2, _FINITE_CHECK_ROWS):
+            stop = min(start + _FINITE_CHECK_ROWS, n_steps + 2)
+            for n in range(start - 2, stop - 2):
+                out[n + 2] = out[n] - 1j * A.dot(out[n + 1])  # A.dot: the gemv A @ runs, cheaper to call
+            finite = np.isfinite(out[start:stop]).all(axis=1)
+            if not finite.all():
+                raise InstabilityError(start + int(np.argmin(finite)))
     return out
 
 
@@ -263,34 +271,50 @@ class BandlimitedSignal:
     def n_samples(self) -> int:
         return self.samples.shape[0]
 
-    def _window_range(self, t: float, margin: int = 0) -> tuple[int, int, float]:
-        u = t / self.l
+    def _window_range(self, t, margin: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, u) for each time in t: u = t / l and its window's first and
+        last sample, once every window, widened by `margin`, lies in the signal."""
+        u = np.asarray(t, dtype=np.float64) / self.l
         W = self.window
         lo_ok = W + margin
         hi_ok = self.n_samples - 1 - W - margin
-        if not (lo_ok <= u <= hi_ok):
+        outside = ~((lo_ok <= u) & (u <= hi_ok))
+        if outside.any():
             raise SignalRangeError(
-                f"t/l = {u:.6g} outside the reconstructible range [{lo_ok}, {hi_ok}] "
+                f"t/l = {u[outside][0]:.6g} outside the reconstructible range [{lo_ok}, {hi_ok}] "
                 f"for window {W} over {self.n_samples} samples"
             )
-        lo = math.ceil(u - W)
-        hi = math.floor(u + W)
-        return lo, hi, u
+        return np.ceil(u - W).astype(np.intp), np.floor(u + W).astype(np.intp), u
 
 
-def _windowed_eval(signal: BandlimitedSignal, lo: int, hi: int, u_eval: np.ndarray) -> np.ndarray:
-    """Sinc sums over the samples lo..hi at each point of u_eval (in units
-    of l), one row per point."""
-    weights = np.sinc(np.subtract.outer(u_eval, np.arange(lo, hi + 1)))
-    return weights @ signal.samples[lo : hi + 1]
+def _windowed_eval(signal: BandlimitedSignal, t, shifts: np.ndarray, margin: int = 0) -> np.ndarray:
+    """Sinc sums at u + s for each shift s and each u = t / l, all over the
+    samples within `window` of u: shape (len(shifts),) + t.shape + (m,).
+
+    Points are batched by window length (2W + 1 samples at integer u, 2W
+    elsewhere), so each point's sum is the very product it would be alone.
+    """
+    lo, hi, u = signal._window_range(t, margin)
+    shape = u.shape
+    lo, size, u = lo.ravel(), (hi - lo + 1).ravel(), u.ravel()
+    m = signal.samples.shape[1]
+    out = np.empty((shifts.size, u.size, m), dtype=np.complex128)
+    for K in set(size.tolist()):
+        rows = np.flatnonzero(size == K)
+        batch = max(1, _BATCH_ENTRIES // (K * (m + shifts.size)))
+        for start in range(0, rows.size, batch):
+            p = rows[start : start + batch]
+            n = lo[p, None] + np.arange(K)
+            weights = np.sinc((u[p, None] + shifts)[:, :, None] - n[:, None, :])
+            out[:, p] = (weights @ signal.samples[n]).swapaxes(0, 1)
+    return out.reshape(shifts.shape + shape + (m,))
 
 
-def reconstruct(signal: BandlimitedSignal, t: float) -> np.ndarray:
-    """Truncated sinc interpolation of the signal at time t, using the
-    samples within `window` of t/l.  Interpolatory: at t = n*l it returns
-    sample n (up to float rounding)."""
-    lo, hi, u = signal._window_range(t)
-    return _windowed_eval(signal, lo, hi, np.array([u]))[0]
+def reconstruct(signal: BandlimitedSignal, t) -> np.ndarray:
+    """Truncated sinc interpolation of the signal at time t, or at each time
+    of an array t, using the samples within `window` of t/l.  Interpolatory:
+    at t = n*l it returns sample n (up to float rounding)."""
+    return _windowed_eval(signal, t, np.zeros(1))[0]
 
 
 def tail_bound(signal: BandlimitedSignal, t: float) -> float:
@@ -302,9 +326,10 @@ def tail_bound(signal: BandlimitedSignal, t: float) -> float:
     return float(np.sum(mags[n] / (math.pi * np.abs(u - n))))
 
 
-def sinh_residual(signal: BandlimitedSignal, H: MatrixLike, t: float) -> float:
+def sinh_residual(signal: BandlimitedSignal, H: MatrixLike, t):
     """Max-norm residual of psi(t+l) - psi(t-l) + i*H*psi(t) with all three
-    values read off one truncated reconstruction anchored at t.
+    values read off one truncated reconstruction anchored at t.  A scalar t
+    gives a float; an array of times gives an array of residuals.
 
     The anchored window is what makes this informative: evaluating each
     shift with its own window would translate the truncation error along
@@ -317,9 +342,9 @@ def sinh_residual(signal: BandlimitedSignal, H: MatrixLike, t: float) -> float:
         raise DimensionMismatch(
             f"H has dimension {A.shape[0]}, signal carries {signal.samples.shape[1]}"
         )
-    lo, hi, u = signal._window_range(t, margin=1)
-    minus, centre, plus = _windowed_eval(signal, lo, hi, u + np.array([-1.0, 0.0, 1.0]))
-    return float(np.max(np.abs(plus - minus + 1j * (A @ centre))))
+    minus, centre, plus = _windowed_eval(signal, t, np.array([-1.0, 0.0, 1.0]), margin=1)
+    res = np.max(np.abs(plus - minus + 1j * (A @ centre[..., None])[..., 0]), axis=-1)
+    return float(res) if res.ndim == 0 else res
 
 
 def sinh_residual_bound(signal: BandlimitedSignal, H: MatrixLike, t: float) -> float:
@@ -375,35 +400,32 @@ class Q1Result:
     remainder: float
 
 
-def q1_continuum(
-    signal: BandlimitedSignal, t: float, convention: Q1Convention = "pairwise"
-) -> Q1Result:
-    if convention not in ("pairwise", "cosh"):
-        raise ValueError(f"unknown convention {convention!r}")
-    lo, hi, u = signal._window_range(t)
-    minus2, minus, centre, plus, plus2 = _windowed_eval(signal, lo, hi, u + np.arange(-2.0, 3.0))
-    pair_value = float(np.real(np.vdot(centre, plus + minus)))
-    cosh_value = pair_value / 2.0
-    norm_term = float(np.real(np.vdot(centre, centre)))
-    d2 = (plus2 - 2.0 * centre + minus2) / (2.0 * signal.l) ** 2
-    expansion = norm_term + (signal.l**2 / 2.0) * float(np.real(np.vdot(centre, d2)))
-    return Q1Result(
-        value=pair_value if convention == "pairwise" else cosh_value,
-        convention=convention,
-        norm_term=norm_term,
-        expansion=expansion,
-        remainder=cosh_value - expansion,
-    )
-
-
 def q1_constancy(
     signal: BandlimitedSignal, ts: Sequence[float], convention: Q1Convention = "pairwise"
 ) -> tuple[list[Q1Result], float]:
     """Evaluate q1 at several times; the spread of values is the constancy
     defect (pure truncation error for trajectory signals)."""
-    results = [q1_continuum(signal, t, convention) for t in ts]
-    values = [r.value for r in results]
-    return results, max(values) - min(values)
+    if convention not in ("pairwise", "cosh"):
+        raise ValueError(f"unknown convention {convention!r}")
+    minus2, minus, centre, plus, plus2 = _windowed_eval(signal, np.ravel(ts), np.arange(-2.0, 3.0))
+
+    def re_dot(a, b):  # Re <a[p], b[p]> for each p, by the BLAS dot np.vdot(a[p], b[p]) runs
+        return np.matmul(a.conj()[:, None, :], b[:, :, None])[:, 0, 0].real
+
+    pair_value = re_dot(centre, plus + minus)
+    cosh_value = pair_value / 2.0
+    norm_term = re_dot(centre, centre)
+    d2 = (plus2 - 2.0 * centre + minus2) / (2.0 * signal.l) ** 2
+    expansion = norm_term + (signal.l**2 / 2.0) * re_dot(centre, d2)
+    values = (pair_value if convention == "pairwise" else cosh_value).tolist()
+    terms = zip(values, norm_term.tolist(), expansion.tolist(), (cosh_value - expansion).tolist())
+    return [Q1Result(v, convention, n, e, r) for v, n, e, r in terms], max(values) - min(values)
+
+
+def q1_continuum(
+    signal: BandlimitedSignal, t: float, convention: Q1Convention = "pairwise"
+) -> Q1Result:
+    return q1_constancy(signal, [t], convention)[0][0]
 
 
 # ---------------------------------------------------------------------------

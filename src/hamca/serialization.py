@@ -226,8 +226,11 @@ def write_trajectory(traj: Trajectory, path: str | Path) -> None:
 def _parse_header(line: str, path) -> tuple[HamiltonianSpec, float]:
     if not line:
         raise ValueError(f"{path}: empty trajectory file")
-    with _AnyDigits():
-        head = json.loads(line)
+    try:
+        with _AnyDigits():
+            head = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: header is not JSON ({exc.msg} at column {exc.pos + 1})") from None
     if not isinstance(head, dict) or head.get("format") != TRAJECTORY_FORMAT:
         raise ValueError(f"{path}: not a trajectory file (missing format marker)")
     if head.get("version") != TRAJECTORY_VERSION:
@@ -266,22 +269,24 @@ def read_trajectory_stream(path: str | Path):
     """Open a trajectory file for streaming.
 
     Returns (model, l, iterator of (n, GaussVector)).  The iterator keeps
-    the file handle open until exhausted and raises ValueError on the first
-    line that is not the record the writer emits at that position.
+    the file open until it is exhausted or closed, and raises ValueError on
+    the first line that is not the record the writer emits at that position.
     """
-    fh = open(path, newline="")
-    try:
-        model, l = _parse_header(fh.readline(), path)
-    except Exception:
-        fh.close()
-        raise
+    fh = open(path, encoding="utf-8", newline="")
 
-    def gen() -> Iterator[tuple[int, GaussVector]]:
+    def records() -> Iterator:
         with fh:
-            for n, line in enumerate(fh):
-                yield n, _parse_state(line, n, model.dim, path)
+            try:
+                model, l = _parse_header(fh.readline(), path)
+                yield model, l
+                for n, line in enumerate(fh):
+                    yield n, _parse_state(line, n, model.dim, path)
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
-    return model, l, gen()
+    stream = records()
+    model, l = next(stream)  # from here on, closing the stream closes the file
+    return model, l, stream
 
 
 # ---------------------------------------------------------------------------

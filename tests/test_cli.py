@@ -21,6 +21,7 @@ from hamca.conservation import q_G
 from hamca.dynamics import evolve
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import HamiltonianSpec, build_hamiltonian, make_cyclic_model
+from hamca import serialization
 from hamca.serialization import save_model, write_trajectory
 from oracles import load_trajectory
 
@@ -62,7 +63,7 @@ class TestRun:
         code = run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1",
                        "--steps", "0", "--out", str(out))
         assert code == EXIT_OK
-        assert sum(1 for _ in open(out)) == 1 + 2  # header + two states
+        assert len(out.read_text().splitlines()) == 1 + 2  # header + two states
 
     def test_byte_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -170,6 +171,46 @@ class TestCheck:
         path = tmp_path / "h4.jsonl"
         write_trajectory(traj, path)
         assert run_cli("check", str(path), "--g", "hamiltonian") == EXIT_OK
+
+
+class TestCheckFileHandling:
+    make_traj = TestCheck.make_traj
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--g", "{tmp}/missing.json"], EXIT_VALIDATION),
+        (["--g", "{tmp}/wrong_dim.json"], EXIT_VALIDATION),
+        (["--g", "{tmp}/noncommuting.json"], EXIT_VALIDATION),
+        (["--report", "{tmp}/missing/r.csv"], EXIT_VALIDATION),
+        (["--report", "{tmp}/r.csv"], EXIT_OK),
+        ([], EXIT_VIOLATION),
+    ], ids=["g-missing", "g-wrong-dim", "g-noncommuting", "report-missing-dir", "report", "violation"])
+    def test_trajectory_is_closed_on_every_exit(self, tmp_path, monkeypatch, argv, code):
+        path = self.make_traj(tmp_path)
+        save_model(make_cyclic_model(3), tmp_path / "wrong_dim.json")
+        (tmp_path / "noncommuting.json").write_text(
+            json.dumps({"dim": 2, "S": [[1, 0], [0, -1]], "A": [[0, 0], [0, 0]]}))
+        if code == EXIT_VIOLATION:
+            _rewrite_line(path, 1 + 4, lambda rec: rec.update(re=["5", "0"]))
+        files = []
+
+        def recording_open(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(serialization, "open", recording_open, raising=False)
+        assert run_cli("check", str(path), *(a.format(tmp=tmp_path) for a in argv)) == code
+        assert files and all(f.closed for f in files)
+
+    @pytest.mark.parametrize("header, message", [
+        (b"garbage\n", "header is not JSON (Expecting value at column 1)"),
+        (b'{"format": \n', "header is not JSON (Expecting value at column 13)"),
+        (b"\xff{}\n", "not UTF-8 text (invalid start byte)"),
+    ], ids=["not-json", "truncated-json", "not-utf8"])
+    def test_unreadable_header_names_the_file(self, tmp_path, capsys, header, message):
+        path = self.make_traj(tmp_path)
+        path.write_bytes(header + path.read_bytes().split(b"\n", 1)[1])
+        assert run_cli("check", str(path)) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: trajectory: {path}: {message}\n"
 
 
 class TestGrowingOrbit:

@@ -5,6 +5,10 @@ replaced, kept verbatim as oracles: the link-fraction loop of
 born_convergence, the per-sample tail_bound loop, and one np.sinc sum per
 evaluation point for the anchored-window reconstructions.  Summation order
 differs, so agreement is required within 1e-12 rather than bit for bit.
+
+The batched sinc kernel and the blocked evolve_float do the same arithmetic
+as the per-point and per-step loops in oracles.py, so against those they
+must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 import pytest
 
 import hamca.continuum as ct
+import oracles
 from hamca.continuum import (
     BandlimitedSignal,
     BornEntry,
@@ -26,7 +31,7 @@ from hamca.continuum import (
     as_state,
     spectral_decompose,
 )
-from hamca.errors import InstabilityError, OntologicalRegimeError
+from hamca.errors import InstabilityError, OntologicalRegimeError, SignalRangeError
 from hamca.models import build_hamiltonian, make_cyclic_model
 
 TOL = 1e-12
@@ -243,16 +248,114 @@ def test_tail_bound_matches_sample_loop(m):
 
 
 def test_each_evaluation_makes_one_window_call(monkeypatch):
+    """One kernel call covers every time a call is given."""
     sig = smooth_signal(3, window=16)
     calls = []
     windowed = ct._windowed_eval
 
-    def counting(signal, lo, hi, u_eval):
-        calls.append(len(u_eval))
-        return windowed(signal, lo, hi, u_eval)
+    def counting(signal, t, shifts, margin=0):
+        calls.append((np.shape(t), len(shifts), margin))
+        return windowed(signal, t, shifts, margin)
 
     monkeypatch.setattr(ct, "_windowed_eval", counting)
+    ts = np.array([40.0, 100.3, 150.5])
     ct.reconstruct(sig, 100.3)
-    ct.sinh_residual(sig, MODELS[3], 100.3)
+    ct.reconstruct(sig, ts)
+    ct.sinh_residual(sig, MODELS[3], ts)
     ct.q1_continuum(sig, 100.3)
-    assert calls == [1, 3, 5]
+    ct.q1_constancy(sig, ts)
+    assert calls == [((), 1, 0), ((3,), 1, 0), ((3,), 3, 1), ((1,), 5, 0), ((3,), 5, 0)]
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel and the blocked stepper against the per-point and
+# per-step loops they replaced: equal bit for bit, not within a tolerance
+# ---------------------------------------------------------------------------
+
+
+def mixed_times(sig, margin=2):
+    """Times across the valid range, on and off the sample grid."""
+    lo = (sig.window + margin) * sig.l
+    hi = (sig.n_samples - 1 - sig.window - margin) * sig.l
+    grid = [n * sig.l for n in range(sig.window + margin, sig.n_samples - sig.window - margin, 7)]
+    return np.sort(np.r_[np.linspace(lo, hi, 23) + 0.37 * sig.l, grid, lo, hi])
+
+
+@pytest.mark.parametrize("m", [2, 3, 8], ids=["H2", "H3", "Hm8"])
+@pytest.mark.parametrize("l", [1.0, 0.5])
+@pytest.mark.parametrize("window", [16, 37, 64, 128])
+def test_array_evaluations_equal_the_per_point_ones(m, l, window):
+    sig = smooth_signal(m, window, n_samples=2 * window + 120, l=l)
+    ts = mixed_times(sig)
+    assert any(float(t / l).is_integer() for t in ts) and not all(float(t / l).is_integer() for t in ts)
+    assert np.array_equal(ct.reconstruct(sig, ts), [oracles.reconstruct_point(sig, t) for t in ts.tolist()])
+    assert np.array_equal(
+        ct.sinh_residual(sig, MODELS[m], ts), [oracles.sinh_residual_point(sig, MODELS[m], t) for t in ts.tolist()]
+    )
+    for convention in ("pairwise", "cosh"):
+        results, spread = ct.q1_constancy(sig, ts, convention)
+        want = [oracles.q1_point(sig, t, convention) for t in ts.tolist()]
+        assert results == want
+        assert spread == max(r.value for r in want) - min(r.value for r in want)
+
+
+def test_scalar_times_keep_scalar_results():
+    sig = smooth_signal(3, window=16)
+    assert type(ct.sinh_residual(sig, MODELS[3], 100.3)) is float
+    assert ct.sinh_residual(sig, MODELS[3], 100.3) == oracles.sinh_residual_point(sig, MODELS[3], 100.3)
+    assert np.array_equal(ct.reconstruct(sig, 100.0), oracles.reconstruct_point(sig, 100.0))
+    assert ct.q1_continuum(sig, 100.3, "cosh") == oracles.q1_point(sig, 100.3, "cosh")
+
+
+def test_one_sinc_call_and_one_product_per_batch(monkeypatch):
+    """Small batches, two window lengths: the count of np.sinc calls is the
+    count of batches, and the values do not move."""
+    sig = smooth_signal(2, window=16)
+    ts = np.array([50.0, 50.5, 60.0, 61.25, 70.5, 80.75, 90.0])  # 3 on the grid, 4 off it
+    want = [oracles.sinh_residual_point(sig, MODELS[2], t) for t in ts.tolist()]
+    monkeypatch.setattr(ct, "_BATCH_ENTRIES", 2 * 33 * (2 + 3))  # two points a batch
+    sinc = np.sinc
+    calls = []
+    monkeypatch.setattr(np, "sinc", lambda x: calls.append(x.shape) or sinc(x))
+    assert np.array_equal(ct.sinh_residual(sig, MODELS[2], ts), want)
+    assert sorted(calls) == sorted([(2, 3, 33), (1, 3, 33), (2, 3, 32), (2, 3, 32)])
+
+
+def test_first_time_out_of_range_is_named():
+    sig = smooth_signal(2, window=16, n_samples=100)
+    with pytest.raises(SignalRangeError, match=r"t/l = 90.5 outside the reconstructible range \[17, 82\]"):
+        ct.sinh_residual(sig, MODELS[2], np.array([40.0, 90.5, 95.0]))
+    with pytest.raises(SignalRangeError, match=r"t/l = nan outside"):
+        ct.reconstruct(sig, [40.0, math.nan])
+
+
+def random_hermitian(m, seed):
+    """A dense Hermitian matrix with inexact entries and spectral radius 1.9."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    X = X + X.conj().T
+    return X * (1.9 / np.max(np.abs(np.linalg.eigvalsh(X))))
+
+
+@pytest.mark.parametrize("model", ["H2", "H3", "Hm8", "dense5"])
+@pytest.mark.parametrize("n_steps", [0, 1, 255, 256, 257, 1000])
+def test_evolve_float_equals_the_step_loop(model, n_steps):
+    H = random_hermitian(5, n_steps) if model == "dense5" else MODELS[{"H2": 2, "H3": 3, "Hm8": 8}[model]]
+    rng = np.random.default_rng(n_steps)
+    m = ct.as_matrix(H).shape[0]
+    psi0, psi1 = random_state(rng, m), random_state(rng, m)
+    assert np.array_equal(ct.evolve_float(psi0, psi1, H, n_steps), oracles.evolve_float_steps(psi0, psi1, H, n_steps))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100, 6e200, 1.5e201, 1e300, 1e307])
+def test_instability_names_the_step_loop_row(scale):
+    """A model with eigenvalues +/-3 grows about 2.6-fold a step: the
+    starting scale moves the first non-finite row (739, 499, 258, 257, 21,
+    4), to either side of the boundary between the first two checked blocks."""
+    growing = [[0, 3], [3, 0]]
+    psi0, psi1 = [scale, 0], [0, scale]
+    with pytest.raises(InstabilityError) as want:
+        oracles.evolve_float_steps(psi0, psi1, growing, 2000)
+    with pytest.raises(InstabilityError) as got:
+        ct.evolve_float(psi0, psi1, growing, 2000)
+    assert got.value.step == want.value.step

@@ -1,6 +1,7 @@
-"""The exact layer never loads numpy; the float layer loads it on first use.
-No command loads `fractions` (nor `decimal`, which it imports): the
-report writes each link weight from its reduced int pair.
+"""The exact layer never loads numpy; the float layer loads it on first use,
+and no continuum mode loads `numpy.ma`.  No command loads `fractions` (nor
+`decimal`, which it imports): the report writes each link weight from its
+reduced int pair.
 
 Each check runs in a fresh interpreter, since the test process itself has
 numpy loaded.  `hamca.cli` must still import `hamca.continuum` (without
@@ -41,8 +42,16 @@ for name, argv in commands.items():
     seen[name] = "numpy" in sys.modules
     seen[name + " rationals"] = [m for m in RATIONALS if m in sys.modules]
 
-seen["closedform exit"] = hamca.cli.main(["continuum", "closedform", "--model", "H3", "--pairs", "2"])
-seen["closedform"] = "numpy" in sys.modules
+continuum = {
+    "closedform": ["--model", "H3", "--pairs", "2"],
+    "sinh": ["--model", "H3", "--windows", "16,32"],
+    "q1": ["--model", "H2", "--tol", "1e-3"],
+    "born": ["--model", "H2", "--psi", "0.8,0.6"],
+}
+for mode, argv in continuum.items():
+    seen[mode + " exit"] = hamca.cli.main(["continuum", mode, *argv])
+    seen[mode] = "numpy" in sys.modules
+    seen[mode + " numpy.ma"] = "numpy.ma" in sys.modules
 print(json.dumps(seen))
 """
 
@@ -72,3 +81,12 @@ def test_exact_commands_build_no_fraction(tmp_path):
     for step in ["import hamca.cli", "run", "check", "cycle"]:
         assert seen[f"{step} rationals"] == [], f"{seen[step + ' rationals']} loaded by {step}"
     assert [seen[f"{c} exit"] for c in ["run", "check", "cycle"]] == [0, 0, 0]
+
+
+def test_continuum_modes_never_load_numpy_ma(tmp_path):
+    """numpy.ma (pulled in by np.unique, among others) costs about 2 MB of
+    peak memory that no continuum mode needs."""
+    seen = observe(tmp_path)
+    modes = ["closedform", "sinh", "q1", "born"]
+    assert [seen[f"{mode} exit"] for mode in modes] == [0, 0, 0, 0]
+    assert [mode for mode in modes if seen[f"{mode} numpy.ma"]] == []
