@@ -84,8 +84,8 @@ def test_exact_commands_build_no_fraction(tmp_path):
 
 
 def test_continuum_modes_never_load_numpy_ma(tmp_path):
-    """numpy.ma (pulled in by np.unique, among others) costs about 2 MB of
-    peak memory that no continuum mode needs."""
+    """numpy.ma (pulled in by np.unique, among others) adds about 1.2 MB to
+    the peak memory of a process that imports numpy; no continuum mode needs it."""
     seen = observe(tmp_path)
     modes = ["closedform", "sinh", "q1", "born"]
     assert [seen[f"{mode} exit"] for mode in modes] == [0, 0, 0, 0]
