@@ -12,10 +12,9 @@ never roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import add, mul
-from typing import Iterable, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 from .dynamics import Trajectory, step_with_product
 from .errors import DimensionMismatch, NonCommutingError
@@ -46,16 +45,12 @@ def commutator(G: GaussMatrix, H: GaussMatrix) -> GaussMatrix:
 
 
 @full_digit_repr
-@dataclass(frozen=True)
-class LinkReport:
-    """Per-degree-of-freedom link counts for one consecutive pair."""
+class LinkReport(NamedTuple):
+    """Per-degree-of-freedom link counts for one consecutive pair; total is
+    sum(per_alpha), so the weights L_a / L sum to 1 exactly."""
 
     per_alpha: tuple[int, ...]
     total: int
-
-    def __post_init__(self) -> None:
-        # the weights L_a / L sum to 1 exactly when this holds
-        assert self.total == sum(self.per_alpha)
 
     def reduced_weights(self) -> tuple[tuple[int, int], ...] | None:
         """None exactly when total = 0, a regime with no continuum limit;
@@ -86,8 +81,7 @@ def link_counts(psi_n: GaussVector, psi_next: GaussVector) -> LinkReport:
     return LinkReport(per_alpha=per, total=sum(per))
 
 
-@dataclass(frozen=True)
-class PairStats:
+class PairStats(NamedTuple):
     """Per-pair snapshot used by trajectory verification and CSV export."""
 
     n: int
@@ -102,8 +96,7 @@ class PairSink(Protocol):
     def append(self, st: PairStats, /) -> None: ...
 
 
-@dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(NamedTuple):
     """Outcome of one verification pass.
 
     first_violation is the index of the first broken pair (q_G change,

@@ -14,8 +14,7 @@ so the package and the exact commands load without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Sequence, Union
+from typing import Literal, NamedTuple, Sequence, Union
 
 from .errors import (
     DimensionMismatch,
@@ -25,7 +24,7 @@ from .errors import (
     SingularSpectrumError,
     SpectralFailure,
 )
-from .gaussian import GaussMatrix, GaussVector
+from .gaussian import GaussMatrix, GaussVector, _Frozen
 
 
 class _NumpyOnFirstUse:
@@ -96,8 +95,7 @@ def as_matrix(H: MatrixLike) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpectralForm:
+class SpectralForm(NamedTuple):
     """Eigenvalues (ascending), unitary eigenvector matrix (columns), and
     the worst-case |H v - lambda v| residual actually achieved."""
 
@@ -242,30 +240,27 @@ def smooth_partner(M: MatrixLike, psi0: StateLike) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BandlimitedSignal:
+class BandlimitedSignal(_Frozen):
     """Trajectory samples viewed as a bandlimited function of time.
 
     samples has shape (N, m); l is the sample spacing; window is the
     truncation half-width W of the sinc sum (at least 8).
     """
 
-    samples: np.ndarray
-    l: float
-    window: int = 32
+    __slots__ = _fields = ("samples", "l", "window")
 
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 2 or self.samples.shape[0] < 2:
-            raise DimensionMismatch(
-                f"samples must be (N >= 2, m), got shape {self.samples.shape}"
-            )
-        if not np.isfinite(self.samples).all():
+    def __init__(self, samples: np.ndarray, l: float, window: int = 32) -> None:
+        samples = np.asarray(samples, dtype=np.complex128)
+        if samples.ndim != 2 or samples.shape[0] < 2:
+            raise DimensionMismatch(f"samples must be (N >= 2, m), got shape {samples.shape}")
+        if not np.isfinite(samples).all():
             raise ValueError("samples contain non-finite entries")
-        if not (math.isfinite(self.l) and self.l > 0):
-            raise ValueError(f"l must be a finite positive number, got {self.l}")
-        if self.window < 8:
-            raise ValueError(f"window must be >= 8, got {self.window}")
+        if not (math.isfinite(l) and l > 0):
+            raise ValueError(f"l must be a finite positive number, got {l}")
+        if window < 8:
+            raise ValueError(f"window must be >= 8, got {window}")
+        for name, value in zip(self._fields, (samples, l, window)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_samples(self) -> int:
@@ -377,8 +372,7 @@ def sinh_residual_bound(signal: BandlimitedSignal, H: MatrixLike, t: float) -> f
 Q1Convention = Literal["pairwise", "cosh"]
 
 
-@dataclass
-class Q1Result:
+class Q1Result(NamedTuple):
     """Continuum evaluation of the conserved two-time correlation.
 
     value follows the requested convention: 'pairwise' matches the exact
@@ -433,16 +427,14 @@ def q1_continuum(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BornEntry:
+class BornEntry(NamedTuple):
     l: float
     steps: int
     link_total: float
     max_error: float
 
 
-@dataclass
-class BornReport:
+class BornReport(NamedTuple):
     entries: list[BornEntry]
 
     @property

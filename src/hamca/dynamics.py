@@ -9,13 +9,12 @@ amplitude magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from operator import add, sub
 from typing import Callable, Iterator, Union
 
 from .errors import DimensionMismatch
-from .gaussian import GaussMatrix, GaussVector, I_UNIT, is_hermitian, mat_vec
+from .gaussian import GaussMatrix, GaussVector, I_UNIT, _Frozen, is_hermitian, mat_vec
 from .models import HamiltonianSpec, basis_state, build_hamiltonian, spec_from_matrix
 
 ModelLike = Union[HamiltonianSpec, GaussMatrix]
@@ -49,28 +48,25 @@ def step_backward(curr: GaussVector, nxt: GaussVector, H: GaussMatrix) -> GaussV
     return nxt + mat_vec(H, curr) * I_UNIT
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Frozen):
     """An evolved state sequence plus the model that produced it.
 
     `l` is the discreteness scale separating successive states; the exact
     layer carries it as metadata only (the continuum layer gives it teeth).
     """
 
-    model: HamiltonianSpec
-    states: tuple[GaussVector, ...]
-    l: float = 1.0
+    __slots__ = _fields = ("model", "states", "l")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.l) and self.l > 0):
-            raise ValueError(f"discreteness scale must be a finite positive number, got {self.l}")
-        if len(self.states) < 2:
+    def __init__(self, model: HamiltonianSpec, states: tuple[GaussVector, ...], l: float = 1.0) -> None:
+        if not (math.isfinite(l) and l > 0):
+            raise ValueError(f"discreteness scale must be a finite positive number, got {l}")
+        if len(states) < 2:
             raise ValueError("a trajectory needs at least the two initial states")
-        for s in self.states:
-            if len(s) != self.model.dim:
-                raise DimensionMismatch(
-                    f"state of length {len(s)} in a dim-{self.model.dim} trajectory"
-                )
+        for s in states:
+            if len(s) != model.dim:
+                raise DimensionMismatch(f"state of length {len(s)} in a dim-{model.dim} trajectory")
+        for name, value in zip(self._fields, (model, states, l)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.states)

@@ -16,8 +16,7 @@ dict keys.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from operator import add, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import DimensionMismatch
@@ -47,9 +46,9 @@ class _AnyDigits:
 
 
 def full_digit_repr(cls: type) -> type:
-    """Class decorator for a dataclass with int fields of any size: its
+    """Class decorator for a NamedTuple with int fields of any size: its
     generated repr runs under _AnyDigits.  A class that holds such values
-    only inside decorated types or GaussInt needs nothing more."""
+    only inside decorated types or _Frozen ones needs nothing more."""
     generated = cls.__repr__
 
     def __repr__(self) -> str:
@@ -67,16 +66,48 @@ def is_int(value) -> bool:
     return type(value) is int
 
 
-@dataclass(frozen=True, slots=True)
-class GaussInt:
+class _Frozen:
+    """Base of the immutable value types.  Each names its `_fields` and sets
+    them once in __init__ through object.__setattr__; ==, hash, repr (under
+    _AnyDigits) and pickling all read the tuple of field values."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        with _AnyDigits():
+            fields = ", ".join(map("{}={!r}".format, self._fields, self._values(self)))
+            return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class GaussInt(_Frozen):
     """A Gaussian integer re + im*i with unbounded integer parts."""
 
-    re: int
-    im: int = 0
+    __slots__ = _fields = ("re", "im")
 
-    def __post_init__(self) -> None:
-        if not is_int(self.re) or not is_int(self.im):
-            raise TypeError(f"GaussInt parts must be Python ints, got {self.re!r}, {self.im!r}")
+    def __init__(self, re: int, im: int = 0) -> None:
+        if not is_int(re) or not is_int(im):
+            raise TypeError(f"GaussInt parts must be Python ints, got {re!r}, {im!r}")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     # -- ring operations ------------------------------------------------
 
@@ -174,19 +205,18 @@ def as_gauss(value) -> GaussInt:
     raise TypeError(f"cannot interpret {value!r} as a Gaussian integer")
 
 
-@full_digit_repr
-@dataclass(frozen=True, slots=True)
-class GaussVector:
+class GaussVector(_Frozen):
     """Fixed-length vector of Gaussian integers, stored as the int tuples
     re = x and im = p of psi = x + ip (user-facing indices are 1-based,
     storage is 0-based)."""
 
-    re: tuple[int, ...]
-    im: tuple[int, ...]
+    __slots__ = _fields = ("re", "im")
 
-    def __post_init__(self) -> None:
-        if not 0 < len(self.re) == len(self.im):
-            raise DimensionMismatch(f"vector parts need one length >= 1, got {len(self.re)}, {len(self.im)}")
+    def __init__(self, re: tuple[int, ...], im: tuple[int, ...]) -> None:
+        if not 0 < len(re) == len(im):
+            raise DimensionMismatch(f"vector parts need one length >= 1, got {len(re)}, {len(im)}")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @classmethod
     def of(cls, *values) -> "GaussVector":
@@ -248,25 +278,21 @@ def _check_len(v: GaussVector, w: GaussVector) -> None:
 IntRows = tuple[tuple[int, ...], ...]
 
 
-@full_digit_repr
-@dataclass(frozen=True, slots=True)
-class GaussMatrix:
+class GaussMatrix(_Frozen):
     """Matrix of Gaussian integers, stored as the int rows re = S and
     im = A of H = S + iA.  `_kernel`, its compiled matrix-vector product,
     is built on first use and takes no part in ==, hash, repr or pickling."""
 
-    re: IntRows
-    im: IntRows
-    _kernel: Callable | None = field(init=False, repr=False, compare=False)
+    _fields = ("re", "im")
+    __slots__ = _fields + ("_kernel",)
 
-    def __post_init__(self) -> None:
-        width = len(self.re[0]) if self.re else 0
-        if width == 0 or len(self.im) != len(self.re) or any(len(r) != width for r in self.re + self.im):
+    def __init__(self, re: IntRows, im: IntRows) -> None:
+        width = len(re[0]) if re else 0
+        if width == 0 or len(im) != len(re) or any(len(r) != width for r in re + im):
             raise DimensionMismatch("matrix needs rows, all non-empty and of one length in re and im")
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
         object.__setattr__(self, "_kernel", None)
-
-    def __reduce__(self):
-        return GaussMatrix, (self.re, self.im)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "GaussMatrix":

@@ -9,11 +9,10 @@ plain integer arithmetic before any complex value exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ModelValidationError
-from .gaussian import GaussMatrix, GaussVector, IntRows, full_digit_repr, is_hermitian, is_int
+from .gaussian import GaussMatrix, GaussVector, IntRows, _Frozen, is_hermitian, is_int
 
 
 def _strict_int(value, name: str) -> int:
@@ -34,33 +33,29 @@ def _freeze_int_rows(rows: Sequence[Sequence[int]], name: str, dim: int) -> IntR
     return tuple(out)
 
 
-@full_digit_repr
-@dataclass(frozen=True)
-class HamiltonianSpec:
+class HamiltonianSpec(_Frozen):
     """Integer model definition (dimension, S, A, free-text label)."""
 
-    dim: int
-    S: IntRows
-    A: IntRows
-    label: str = ""
+    __slots__ = _fields = ("dim", "S", "A", "label")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ModelValidationError(f"dim must be positive, got {self.dim}")
-        object.__setattr__(self, "S", _freeze_int_rows(self.S, "S", self.dim))
-        object.__setattr__(self, "A", _freeze_int_rows(self.A, "A", self.dim))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if self.S[i][j] != self.S[j][i]:
+    def __init__(self, dim: int, S: IntRows, A: IntRows, label: str = "") -> None:
+        if dim < 1:
+            raise ModelValidationError(f"dim must be positive, got {dim}")
+        S, A = _freeze_int_rows(S, "S", dim), _freeze_int_rows(A, "A", dim)
+        for i in range(dim):
+            for j in range(i, dim):
+                if S[i][j] != S[j][i]:
                     raise ModelValidationError(
-                        f"S is not symmetric: S[{i + 1}][{j + 1}] = {self.S[i][j]} "
-                        f"but S[{j + 1}][{i + 1}] = {self.S[j][i]}"
+                        f"S is not symmetric: S[{i + 1}][{j + 1}] = {S[i][j]} "
+                        f"but S[{j + 1}][{i + 1}] = {S[j][i]}"
                     )
-                if self.A[i][j] != -self.A[j][i]:
+                if A[i][j] != -A[j][i]:
                     raise ModelValidationError(
-                        f"A is not antisymmetric: A[{i + 1}][{j + 1}] = {self.A[i][j]} "
-                        f"but A[{j + 1}][{i + 1}] = {self.A[j][i]}"
+                        f"A is not antisymmetric: A[{i + 1}][{j + 1}] = {A[i][j]} "
+                        f"but A[{j + 1}][{i + 1}] = {A[j][i]}"
                     )
+        for name, value in zip(self._fields, (dim, S, A, label)):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {

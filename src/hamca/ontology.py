@@ -9,7 +9,7 @@ phase count as different.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateStateError
 from .gaussian import GaussInt, GaussVector, full_digit_repr
@@ -31,8 +31,7 @@ def classify_state(psi: GaussVector) -> tuple[int, GaussInt] | None:
     return idx + 1, GaussInt(psi.re[idx], psi.im[idx])
 
 
-@dataclass(frozen=True)
-class Visit:
+class Visit(NamedTuple):
     """One visited state: slot/phase when single-component, k=None otherwise."""
 
     n: int
@@ -41,8 +40,7 @@ class Visit:
 
 
 @full_digit_repr
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """Outcome of a period search.
 
     period is None when no recurrence of the initial pair occurred within

@@ -85,16 +85,19 @@ def parse_gauss_vector(text: str) -> GaussVector:
 def load_gauss_vector(path: str | Path) -> GaussVector:
     """State vector file: JSON array of component literals or [re, im] pairs."""
     text = Path(path).read_text()
-    with _AnyDigits():
-        data = json.loads(text)
-    if not isinstance(data, list) or not data:
-        raise ValueError(f"{path}: expected a non-empty JSON array of components")
-    comps = []
-    for item in data:
+    with _AnyDigits():  # exact ints of any size, in the file and in the messages that quote them
         try:
-            comps.append(parse_gauss(item) if isinstance(item, str) else as_gauss(item))
-        except TypeError as exc:
-            raise ValueError(f"{path}: cannot interpret component {item!r}") from exc
+            data = json.loads(text)
+        except RecursionError as exc:  # nested past the interpreter's limit
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(data, list) or not data:
+            raise ValueError(f"{path}: expected a non-empty JSON array of components")
+        comps = []
+        for item in data:
+            try:
+                comps.append(parse_gauss(item) if isinstance(item, str) else as_gauss(item))
+            except TypeError as exc:
+                raise ValueError(f"{path}: cannot interpret component {item!r}") from exc
     return GaussVector.from_iter(comps)
 
 
@@ -157,14 +160,14 @@ def save_model(spec: HamiltonianSpec, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> HamiltonianSpec:
     text = Path(path).read_text()
-    try:
-        with _AnyDigits():
+    with _AnyDigits():  # exact ints of any size, in the file and in the messages that quote them
+        try:
             data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelValidationError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ModelValidationError(f"{path}: model document must be a JSON object")
-    return HamiltonianSpec.from_dict(data)
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested past the interpreter's limit
+            raise ModelValidationError(f"{path}: not valid JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise ModelValidationError(f"{path}: model document must be a JSON object")
+        return HamiltonianSpec.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +234,8 @@ def _parse_header(line: str, path) -> tuple[HamiltonianSpec, float]:
             head = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: header is not JSON ({exc.msg} at column {exc.pos + 1})") from None
+    except RecursionError as exc:  # nested past the interpreter's limit
+        raise ValueError(f"{path}: header is not JSON ({exc})") from None
     if not isinstance(head, dict) or head.get("format") != TRAJECTORY_FORMAT:
         raise ValueError(f"{path}: not a trajectory file (missing format marker)")
     if head.get("version") != TRAJECTORY_VERSION:
@@ -239,7 +244,7 @@ def _parse_header(line: str, path) -> tuple[HamiltonianSpec, float]:
         )
     try:
         l = float(head.get("l"))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         l = math.nan
     if not (math.isfinite(l) and l > 0):
         raise ValueError(f"{path}: header l = {head.get('l')!r} is not a finite positive number")

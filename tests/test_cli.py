@@ -368,7 +368,8 @@ class TestCheckMerged:
     @pytest.mark.parametrize("edit", [
         lambda head: head.update(l="-1"),
         lambda head: head.update(version=99),
-    ], ids=["negative-l", "unknown-version"])
+        lambda head: head.update(l=10**400),  # past the float range
+    ], ids=["negative-l", "unknown-version", "huge-int-l"])
     def test_bad_header_is_a_validation_error(self, tmp_path, edit):
         path = self.make_traj(tmp_path)
         _rewrite_line(path, 0, edit)
@@ -490,6 +491,28 @@ class TestStrictVectorFiles:
         assert run_cli("run", "--model", "H3", "--psi0", f"@{path}", "--psi1", "0,1,0",
                        "--steps", "2", "--out", str(out)) == EXIT_OK
         assert load_trajectory(out)[0] == E((1, -1), (2, 3), 0)
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the interpreter's recursion limit is a validation
+    error that names the file (exit 3), not an internal error (exit 9)."""
+
+    DEEP = "[" * 100_000
+
+    @pytest.mark.parametrize("name, content, argv, prefix", [
+        ("t.jsonl", DEEP + "\n", ["check", "{path}"], "trajectory: {path}: header is not JSON ("),
+        ("m.json", '{"dim": 1, "S": ' + DEEP, ["run", "--model", "{path}", "--psi0", "1", "--psi1", "0",
+                                               "--steps", "1", "--probe"], "model: {path}: not valid JSON ("),
+        ("v.json", DEEP, ["run", "--model", "H2", "--psi0", "@{path}", "--psi1", "0,1", "--steps", "1",
+                          "--probe"], "psi0: {path}: not valid JSON ("),
+    ], ids=["check-header", "run-model", "run-psi0-file"])
+    def test_nesting_past_the_recursion_limit_exits_3(self, tmp_path, capsys, name, content, argv, prefix):
+        path = tmp_path / name
+        path.write_text(content)
+        assert run_cli(*[a.format(path=path) for a in argv]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + prefix.format(path=path))
+        assert "recursion" in err and "internal error" not in err
 
 
 class TestSampleTimes:
