@@ -180,8 +180,8 @@ BIG_LINKS = (GaussVector.of(10**2600), GaussVector.of(10**2600))  # L = 10^5200
 
 
 class TestFullDigitRepr:
-    """Every dataclass repr that holds exact ints prints them in full past
-    the digit limit, and leaves the limit as it found it."""
+    """Every repr that holds exact ints prints them in full past the digit
+    limit, and leaves the limit as it found it."""
 
     @pytest.mark.parametrize("build, digits", [
         (lambda: GaussVector.of(10**5000), 5000),
