@@ -167,8 +167,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.report:
             # rows go out as they are verified; a record that fails to parse
             # leaves an existing report as it was
-            with output_file(args.report) as fh:
-                report = verify_stream(states, H, G, ConservationCsvWriter(fh, model.dim))
+            with output_file(args.report) as fh, ConservationCsvWriter(fh, model.dim) as rows:
+                report = verify_stream(states, H, G, rows)
         else:
             report = verify_stream(states, H, G)
     if not report.ok:

@@ -13,12 +13,13 @@ never roundoff.
 from __future__ import annotations
 
 from math import gcd
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Protocol
 
-from .dynamics import Trajectory, step_with_product
+from .dynamics import Trajectory
 from .errors import DimensionMismatch, NonCommutingError
-from .gaussian import GaussInt, GaussMatrix, GaussVector, full_digit_repr, inner_product, mat_vec
+from .gaussian import GaussInt, GaussMatrix, GaussVector, _AnyDigits, _compile_kernel, full_digit_repr
+from .gaussian import inner_product, is_hermitian, mat_vec
 from .models import build_hamiltonian
 
 
@@ -99,8 +100,8 @@ class PairSink(Protocol):
 class ConservationReport(NamedTuple):
     """Outcome of one verification pass.
 
-    first_violation is the index of the first broken pair (q_G change,
-    2L != q1) or broken state (update rule), and message says which.
+    first_violation is the index of the first broken pair (q_G change) or
+    broken state (update rule), and message says which.
     """
 
     ok: bool
@@ -116,16 +117,19 @@ def verify_stream(
     G: GaussMatrix,
     rows: PairSink | None = None,
 ) -> ConservationReport:
-    """Check a state sequence in one pass: q_G is one constant, the link
-    total matches q1 / 2 at every pair, and every state from index 2 on
-    obeys the update rule.
+    """Check a state sequence in one pass over its int parts: q_G is one
+    constant, and every state from index 2 on obeys the update rule.
 
-    Only a sliding window of states is held, so the sequence may be a
-    generator over a file.  The whole sequence is read even after a
-    violation; when `rows` is given, the PairStats of every pair are
-    appended to it as the pair is checked.  Raises NonCommutingError (with
-    the commutator as witness) when G does not commute with H, and
-    ValueError when the sequence has fewer than two states.
+    G must be Hermitian, as every G built from a HamiltonianSpec is: then
+    q_G is the real int 2 Re<psi_n, G psi_{n+1}>, two int sums per pair
+    once G is applied to each state.  The link total L is not compared with
+    q1 / 2, as both are the same int sum by definition.  Only a sliding
+    window of states is held, so the sequence may be a generator over a
+    file.  The whole sequence is read even after a violation; when `rows`
+    is given, the PairStats of every pair are appended to it as the pair is
+    checked.  Raises NonCommutingError (with the commutator as witness)
+    when G does not commute with H, and ValueError when G is not Hermitian
+    or the sequence has fewer than two states.
     """
     if G.shape != H.shape:
         raise DimensionMismatch(f"G has shape {G.shape}, model needs {H.shape}")
@@ -135,36 +139,37 @@ def verify_stream(
             f"G does not commute with the Hamiltonian; commutator = {comm}",
             witness=comm,
         )
-    g_is_h = G == H
-    value: GaussInt | None = None
-    first: int | None = None
+    if not is_hermitian(G):
+        raise ValueError("G is not Hermitian, so q_G is not the real 2 Re<psi_n, G psi_(n+1)> checked here")
+    m = len(G.re)
+    g_kernel = G._kernel or _compile_kernel(G)
+    h_kernel = None if G == H else H._kernel or _compile_kernel(H)
+    value = first = prev2 = prev = g_prev = None
     message = ""
-    pairs = 0
-    prev2 = prev = g_prev = None
+    n = 0
     for n, psi in enumerate(states):
-        g_psi = mat_vec(G, psi)
-        if prev is not None:
-            # q_G(prev, psi, G), reusing G applied to each state once
-            q = inner_product(psi, g_prev) + inner_product(prev, g_psi)
-            links = link_counts(prev, psi)
+        if len(psi.re) != m:
+            raise DimensionMismatch(f"matrix {G.shape} cannot act on length-{len(psi)} vector")
+        g_psi = g_kernel(psi.re, psi.im)
+        if n:
+            q = 2 * (sum(map(mul, prev.re, g_psi[0])) + sum(map(mul, prev.im, g_psi[1])))
             if rows is not None:
-                rows.append(PairStats(n=n - 1, q=q, links=links))
+                rows.append(PairStats(n - 1, GaussInt(q), link_counts(prev, psi)))
             if value is None:
                 value = q
             elif q != value and first is None:
-                first, message = n - 1, f"q_G changed from {value} to {q}"
-            if first is None and 2 * links.total != q1(prev, psi):
-                first, message = n - 1, "2L != q1"
-            pairs += 1
-        if first is None and prev2 is not None:
-            h_prev = g_prev if g_is_h else mat_vec(H, prev)
-            if step_with_product(prev2, h_prev) != psi:
-                first, message = n, "update rule violated"
+                with _AnyDigits():
+                    first, message = n - 1, f"q_G changed from {value} to {q}"
+            if first is None and n > 1:
+                # psi_n = psi_{n-2} - i H psi_{n-1}, as -i(a + ib) = b - ia
+                hx, hp = g_prev if h_kernel is None else h_kernel(prev.re, prev.im)
+                if tuple(map(add, prev2.re, hp)) != psi.re or tuple(map(sub, prev2.im, hx)) != psi.im:
+                    first, message = n, "update rule violated"
         prev2, prev, g_prev = prev, psi, g_psi
-    if pairs == 0:
+    if n == 0:
         raise ValueError("a trajectory needs at least two states")
     return ConservationReport(
-        ok=first is None, q_value=value, pairs_checked=pairs, first_violation=first, message=message
+        ok=first is None, q_value=GaussInt(value), pairs_checked=n, first_violation=first, message=message
     )
 
 

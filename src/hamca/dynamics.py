@@ -31,13 +31,9 @@ def model_matrix(model: ModelLike) -> GaussMatrix:
 
 
 def step_forward(prev: GaussVector, curr: GaussVector, H: GaussMatrix) -> GaussVector:
-    """psi_{n+1} = psi_{n-1} - i*H*psi_n."""
-    return step_with_product(prev, mat_vec(H, curr))
-
-
-def step_with_product(prev: GaussVector, h_curr: GaussVector) -> GaussVector:
-    """step_forward given h_curr = H*psi_n already computed; the product
-    -i*h_curr is added from its parts, as -i(a + ib) = b - ia."""
+    """psi_{n+1} = psi_{n-1} - i*H*psi_n; the product -i*H*psi_n is added
+    from the parts of H*psi_n, as -i(a + ib) = b - ia."""
+    h_curr = mat_vec(H, curr)
     if len(prev) != len(h_curr):
         raise DimensionMismatch(f"vector lengths differ: {len(prev)} vs {len(h_curr)}")
     return GaussVector(tuple(map(add, prev.re, h_curr.im)), tuple(map(sub, prev.im, h_curr.re)))

@@ -35,10 +35,11 @@ class _AnyDigits:
 
     __slots__ = ("limit",)
 
-    def __enter__(self) -> None:
+    def __enter__(self) -> "_AnyDigits":
         self.limit = _digit_limit()
         if self.limit:
             sys.set_int_max_str_digits(0)
+        return self
 
     def __exit__(self, *exc) -> None:
         if self.limit:
@@ -105,7 +106,8 @@ class GaussInt(_Frozen):
 
     def __init__(self, re: int, im: int = 0) -> None:
         if not is_int(re) or not is_int(im):
-            raise TypeError(f"GaussInt parts must be Python ints, got {re!r}, {im!r}")
+            with _AnyDigits():  # the message quotes parts of any size
+                raise TypeError(f"GaussInt parts must be Python ints, got {re!r}, {im!r}")
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ModelValidationError
-from .gaussian import GaussMatrix, GaussVector, IntRows, _Frozen, is_hermitian, is_int
+from .gaussian import GaussMatrix, GaussVector, IntRows, _AnyDigits, _Frozen, is_hermitian, is_int
 
 
 def _strict_int(value, name: str) -> int:
@@ -39,21 +39,22 @@ class HamiltonianSpec(_Frozen):
     __slots__ = _fields = ("dim", "S", "A", "label")
 
     def __init__(self, dim: int, S: IntRows, A: IntRows, label: str = "") -> None:
-        if dim < 1:
-            raise ModelValidationError(f"dim must be positive, got {dim}")
-        S, A = _freeze_int_rows(S, "S", dim), _freeze_int_rows(A, "A", dim)
-        for i in range(dim):
-            for j in range(i, dim):
-                if S[i][j] != S[j][i]:
-                    raise ModelValidationError(
-                        f"S is not symmetric: S[{i + 1}][{j + 1}] = {S[i][j]} "
-                        f"but S[{j + 1}][{i + 1}] = {S[j][i]}"
-                    )
-                if A[i][j] != -A[j][i]:
-                    raise ModelValidationError(
-                        f"A is not antisymmetric: A[{i + 1}][{j + 1}] = {A[i][j]} "
-                        f"but A[{j + 1}][{i + 1}] = {A[j][i]}"
-                    )
+        with _AnyDigits():  # the messages quote entries of any size
+            if dim < 1:
+                raise ModelValidationError(f"dim must be positive, got {dim}")
+            S, A = _freeze_int_rows(S, "S", dim), _freeze_int_rows(A, "A", dim)
+            for i in range(dim):
+                for j in range(i, dim):
+                    if S[i][j] != S[j][i]:
+                        raise ModelValidationError(
+                            f"S is not symmetric: S[{i + 1}][{j + 1}] = {S[i][j]} "
+                            f"but S[{j + 1}][{i + 1}] = {S[j][i]}"
+                        )
+                    if A[i][j] != -A[j][i]:
+                        raise ModelValidationError(
+                            f"A is not antisymmetric: A[{i + 1}][{j + 1}] = {A[i][j]} "
+                            f"but A[{j + 1}][{i + 1}] = {A[j][i]}"
+                        )
         for name, value in zip(self._fields, (dim, S, A, label)):
             object.__setattr__(self, name, value)
 

@@ -303,11 +303,12 @@ def csv_writer(fh: IO[str]) -> csv.writer:
     return csv.writer(fh, lineterminator="\n")
 
 
-class ConservationCsvWriter:
+class ConservationCsvWriter(_AnyDigits):
     """Streaming conservation report: the header row on creation, then one
     row per appended PairStats, so it can stand in for verify_stream's
     `rows` list.  Columns: n, q_re, q_im, L, L_1..L_m, w_1..w_m (weights
-    blank at L=0)."""
+    blank at L=0).  Its `with` block is an _AnyDigits scope for the whole
+    file, so rows appended inside it print exact parts of any size."""
 
     def __init__(self, fh: IO[str], dim: int):
         self._w = csv_writer(fh)
@@ -319,25 +320,20 @@ class ConservationCsvWriter:
         )
 
     def append(self, st) -> None:
-        weights = st.links.reduced_weights()
-        with _AnyDigits():
-            self._w.writerow(
-                [st.n, st.q.re, st.q.im, st.links.total]
-                + list(st.links.per_alpha)
-                # str(Fraction(num, den)) for the reduced pair
-                + (
-                    [str(num) if den == 1 else f"{num}/{den}" for num, den in weights]
-                    if weights is not None
-                    else self._no_weights
-                )
-            )
+        links = st.links
+        weights = links.reduced_weights()
+        self._w.writerow(
+            [st.n, st.q.re, st.q.im, links.total, *links.per_alpha]
+            # str(Fraction(num, den)) for the reduced pair
+            + ([num if den == 1 else f"{num}/{den}" for num, den in weights] if weights else self._no_weights)
+        )
 
 
 def write_conservation_csv(fh: IO[str], dim: int, stats: Iterable) -> None:
     """A ConservationCsvWriter report of all of `stats`."""
-    rows = ConservationCsvWriter(fh, dim)
-    for st in stats:
-        rows.append(st)
+    with ConservationCsvWriter(fh, dim) as rows:
+        for st in stats:
+            rows.append(st)
 
 
 def write_cycle_csv(fh: IO[str], reports: Iterable) -> None:

@@ -4,14 +4,18 @@ suite's reader of stored trajectories.
 Nothing in `src/hamca` calls these, so they live with the tests.
 """
 
+import csv
+import io
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from hamca.conservation import ConservationReport, PairStats, commutator, link_counts, q1
 from hamca.continuum import Q1Result, as_matrix, as_state
 from hamca.dynamics import Trajectory
-from hamca.errors import DimensionMismatch, InstabilityError, SignalRangeError
-from hamca.gaussian import GaussInt
+from hamca.errors import DimensionMismatch, InstabilityError, NonCommutingError, SignalRangeError
+from hamca.gaussian import I_UNIT, GaussInt, _AnyDigits, inner_product, mat_vec
 from hamca.models import HamiltonianSpec
 from hamca.serialization import read_trajectory_stream
 
@@ -67,6 +71,57 @@ def step_xp(
         for i in range(m)
     )
     return x_next, p_next
+
+
+def verify_stream_reference(states, H, G, rows=None) -> ConservationReport:
+    """verify_stream one GaussVector operation at a time, for any G that
+    commutes with H: q_G from two inner products per pair, the link counts
+    with the check 2L == q1, and the update rule as psi_{n-2} - i H psi_{n-1}."""
+    if G.shape != H.shape:
+        raise DimensionMismatch(f"G has shape {G.shape}, model needs {H.shape}")
+    comm = commutator(G, H)
+    if not comm.is_zero():
+        raise NonCommutingError(f"G does not commute with the Hamiltonian; commutator = {comm}", witness=comm)
+    value = first = None
+    message = ""
+    pairs = 0
+    prev2 = prev = g_prev = None
+    for n, psi in enumerate(states):
+        g_psi = mat_vec(G, psi)
+        if prev is not None:
+            q = inner_product(psi, g_prev) + inner_product(prev, g_psi)
+            links = link_counts(prev, psi)
+            if rows is not None:
+                rows.append(PairStats(n=n - 1, q=q, links=links))
+            if value is None:
+                value = q
+            elif q != value and first is None:
+                first, message = n - 1, f"q_G changed from {value} to {q}"
+            if first is None and 2 * links.total != q1(prev, psi):
+                first, message = n - 1, "2L != q1"
+            pairs += 1
+        if first is None and prev2 is not None:
+            if prev2 - mat_vec(H, prev) * I_UNIT != psi:
+                first, message = n, "update rule violated"
+        prev2, prev, g_prev = prev, psi, g_psi
+    if pairs == 0:
+        raise ValueError("a trajectory needs at least two states")
+    return ConservationReport(
+        ok=first is None, q_value=value, pairs_checked=pairs, first_violation=first, message=message
+    )
+
+
+def conservation_csv_reference(dim: int, stats) -> str:
+    """The conservation report of `stats` with each weight cell str(Fraction(L_a, L))."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["n", "q_re", "q_im", "L"] + [f"L_{a}" for a in range(1, dim + 1)] + [f"w_{a}" for a in range(1, dim + 1)])
+    with _AnyDigits():
+        for st in stats:
+            total = st.links.total
+            weights = [str(Fraction(la, total)) if total else "" for la in st.links.per_alpha]
+            w.writerow([st.n, st.q.re, st.q.im, total, *st.links.per_alpha, *weights])
+    return out.getvalue()
 
 
 def load_trajectory(path) -> Trajectory:

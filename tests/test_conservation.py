@@ -17,9 +17,10 @@ from hamca.conservation import (
 )
 from hamca.dynamics import Trajectory, evolve
 from hamca.errors import NonCommutingError
-from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
+from hamca.gaussian import I_UNIT, GaussInt, GaussMatrix, GaussVector
 from hamca.models import basis_state, build_hamiltonian, make_cyclic_model
 from hamca.serialization import ConservationCsvWriter
+from oracles import conservation_csv_reference, verify_stream_reference
 
 E = GaussVector.of
 H2 = build_hamiltonian(make_cyclic_model(2))
@@ -152,6 +153,13 @@ class TestVerifyTrajectory:
         assert err.value.witness is not None
         assert not err.value.witness.is_zero()
 
+    def test_anti_hermitian_g_rejected(self):
+        # i*I commutes with every H, but its q_G is imaginary, not the real sum checked
+        traj = evolve(E(1, 0), E(0, 1), H2, 4)
+        with pytest.raises(ValueError, match="G is not Hermitian") as err:
+            verify_trajectory(traj, EYE2 * I_UNIT)
+        assert not isinstance(err.value, NonCommutingError)
+
     def test_corrupted_trajectory_reports_step(self):
         # a start with nonzero q1, so scaling one state is visible
         traj = evolve(E(1, 0), E(1, 1), H2, 6)
@@ -248,3 +256,69 @@ class TestReducedWeights:
         assert links.reduced_weights() == tuple((f.numerator, f.denominator) for f in fractions)
         assert cells == [str(f) for f in fractions]
         assert sum(Fraction(*w) for w in links.reduced_weights()) == 1
+
+
+@st.composite
+def hermitian_models(draw) -> GaussMatrix:
+    """H = S + iA of size m <= 5 with S symmetric and A antisymmetric."""
+    m = draw(st.integers(1, 5))
+    entry = st.integers(-2, 2)
+    S = [[0] * m for _ in range(m)]
+    A = [[0] * m for _ in range(m)]
+    for i in range(m):
+        S[i][i] = draw(entry)
+        for j in range(i + 1, m):
+            S[i][j] = S[j][i] = draw(entry)
+            A[i][j] = draw(entry)
+            A[j][i] = -A[i][j]
+    return GaussMatrix(tuple(map(tuple, S)), tuple(map(tuple, A)))
+
+
+@st.composite
+def checked_runs(draw):
+    """(H, G, states): a run of H with amplitudes of up to 2^64 or past the
+    4300-digit limit, a G that commutes with H, and the states either clean
+    or with one state negated, doubled, or one of its parts raised by 1."""
+    H = draw(hermitian_models())
+    m = H.shape[0]
+    scale = draw(st.sampled_from([1, 2**64 + 3, 10**4300 + 7]))
+    part = st.integers(-3, 3)
+
+    def state() -> GaussVector:
+        return GaussVector(*(tuple(draw(part) * scale for _ in range(m)) for _ in "xp"))
+
+    states = list(evolve(state(), state(), H, draw(st.integers(0, 8))))
+    k = draw(st.integers(0, len(states) - 1))
+    corruption = draw(st.sampled_from(["none", "negate", "double", "plus_one"]))
+    if corruption == "negate":
+        states[k] = -states[k]
+    elif corruption == "double":
+        states[k] = states[k] * 2
+    elif corruption == "plus_one":
+        j = draw(st.integers(0, m - 1))
+        x, p = map(list, (states[k].re, states[k].im))
+        (x if draw(st.booleans()) else p)[j] += 1
+        states[k] = GaussVector(tuple(x), tuple(p))
+    G = draw(st.sampled_from([H, GaussMatrix(H.re, H.im), GaussMatrix.identity(m), H @ H]))
+    return H, G, states
+
+
+class TestFusedPassMatchesReference:
+    """verify_stream and its report against the GaussVector-at-a-time
+    verifier it replaced, which also compared 2L with q1 at every pair."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(run=checked_runs())
+    def test_report_and_csv_bytes(self, run):
+        H, G, states = run
+        m = H.shape[0]
+        limit = sys.get_int_max_str_digits()
+        stats = []
+        expected = verify_stream_reference(states, H, G, stats)
+        out = io.StringIO()
+        with ConservationCsvWriter(out, m) as rows:
+            report = verify_stream(iter(states), H, G, rows)
+        assert report == expected
+        assert expected.message != "2L != q1"
+        assert out.getvalue() == conservation_csv_reference(m, stats)
+        assert sys.get_int_max_str_digits() == limit

@@ -84,6 +84,12 @@ class TestGaussInt:
         with pytest.raises(TypeError):
             GaussInt(1.5, 0)
 
+    def test_rejects_a_float_beside_a_part_past_the_digit_limit(self, digit_limit):
+        # the message quotes 10**5000 whole, not a digit-limit ValueError
+        with pytest.raises(TypeError, match="must be Python ints, got 1.5, 10{5000}"):
+            GaussInt(1.5, 10**5000)
+        assert sys.get_int_max_str_digits() == digit_limit
+
 
 class TestInnerProduct:
     def test_orthogonal_basis_states(self):

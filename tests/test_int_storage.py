@@ -15,7 +15,6 @@ from copy import deepcopy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import hamca.conservation as conservation
 from hamca.conservation import verify_stream
 from hamca.dynamics import evolve, step_forward
 from hamca.errors import DimensionMismatch
@@ -24,6 +23,7 @@ from hamca.gaussian import (
     GaussInt,
     GaussMatrix,
     GaussVector,
+    _compile_kernel,
     inner_product,
     is_hermitian,
     mat_vec,
@@ -378,17 +378,38 @@ def test_classify_state_constructs_at_most_one_gauss_int(monkeypatch):
     assert found == (7, GaussInt(1, -BIG))
 
 
-def test_check_with_g_equal_h_applies_h_once_per_state(monkeypatch):
-    spec = make_cyclic_model(6)
-    H = build_hamiltonian(spec)
-    traj = evolve(GaussVector.of(1, 0, 2, 0, 0, -1), GaussVector.of(0, 1, 0, 0, 3, 0), spec, 40)
+def counting_kernel(M: GaussMatrix) -> list:
+    """Replace M's compiled kernel by one that records each state it is applied to."""
     calls = []
+    kernel = M._kernel or _compile_kernel(M)
 
-    def counting(M, v):
-        calls.append(v)
-        return mat_vec(M, v)
+    def counting(x, p):
+        calls.append((x, p))
+        return kernel(x, p)
 
-    monkeypatch.setattr(conservation, "mat_vec", counting)
-    report = verify_stream(traj, H, build_hamiltonian(spec))
+    object.__setattr__(M, "_kernel", counting)
+    return calls
+
+
+def test_check_with_g_equal_h_applies_h_once_per_state():
+    spec = make_cyclic_model(6)
+    H, G = build_hamiltonian(spec), build_hamiltonian(spec)
+    traj = evolve(GaussVector.of(1, 0, 2, 0, 0, -1), GaussVector.of(0, 1, 0, 0, 3, 0), spec, 40)
+    h_calls, g_calls = counting_kernel(H), counting_kernel(G)
+    report = verify_stream(traj, H, G, [])
     assert report.ok
-    assert len(calls) == len(traj)
+    # the commutator G @ H - H @ G applies each kernel to 6 columns first; after
+    # that, as G = H, the product of each state serves its pair and the update rule
+    assert g_calls[6:] == [(psi.re, psi.im) for psi in traj]
+    assert len(h_calls) == 6
+
+
+def test_check_with_g_unlike_h_applies_each_once_per_state():
+    spec = make_cyclic_model(6)
+    H, G = build_hamiltonian(spec), GaussMatrix.identity(6)
+    traj = evolve(GaussVector.of(1, 0, 2, 0, 0, -1), GaussVector.of(0, 1, 0, 0, 3, 0), spec, 40)
+    h_calls, g_calls = counting_kernel(H), counting_kernel(G)
+    assert verify_stream(traj, H, G, []).ok
+    # after the commutator's 6 columns each: H psi_n serves the update rule at state n + 1 only
+    assert g_calls[6:] == [(psi.re, psi.im) for psi in traj]
+    assert h_calls[6:] == [(psi.re, psi.im) for psi in traj[1:-1]]

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from hamca.errors import ModelValidationError
@@ -52,6 +54,14 @@ def test_symmetry_violation_names_entries():
     with pytest.raises(ModelValidationError):
         # nonzero diagonal of A violates A = -A^T
         HamiltonianSpec(dim=2, S=((0, 0), (0, 0)), A=((1, 0), (0, -1)))
+
+
+def test_symmetry_violation_quotes_an_entry_past_the_digit_limit(digit_limit):
+    with pytest.raises(ModelValidationError, match=r"S\[1\]\[2\] = 10{5000} but S\[2\]\[1\] = 0"):
+        HamiltonianSpec(2, [[0, 10**5000], [0, 0]], [[0, 0], [0, 0]])
+    with pytest.raises(ModelValidationError, match="dim must be positive"):
+        HamiltonianSpec(-(10**5000), [], [])
+    assert sys.get_int_max_str_digits() == digit_limit
 
 
 def test_cyclic_family_hermitian_and_unit_entries():
