@@ -115,7 +115,8 @@ def conservation_csv_reference(dim: int, stats) -> str:
     """The conservation report of `stats` with each weight cell str(Fraction(L_a, L))."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    w.writerow(["n", "q_re", "q_im", "L"] + [f"L_{a}" for a in range(1, dim + 1)] + [f"w_{a}" for a in range(1, dim + 1)])
+    slots = range(1, dim + 1)
+    w.writerow(["n", "q_re", "q_im", "L", *(f"L_{a}" for a in slots), *(f"w_{a}" for a in slots)])
     with _AnyDigits():
         for st in stats:
             total = st.links.total
