@@ -123,7 +123,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ValueError(f"l must be a finite positive number, got {args.l}")
 
     # q1 alone: the link total L is the same sum, q1 / 2
-    q_start = q1(psi0, psi1)
+    q_start = q1(psi0, psi1) if args.probe else None
     first_drift = None
 
     def probe(n: int, a: GaussVector, b: GaussVector) -> None:

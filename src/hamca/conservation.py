@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd
 from operator import add, mul, sub
-from typing import Iterable, NamedTuple, Protocol
+from typing import Iterable, NamedTuple
 
 from .dynamics import Trajectory
 from .errors import DimensionMismatch, NonCommutingError
@@ -29,9 +29,9 @@ def q_G(psi_n: GaussVector, psi_next: GaussVector, G: GaussMatrix) -> GaussInt:
     Real (zero imaginary part) whenever G is Hermitian; conserved along
     trajectories whenever G commutes with the model Hamiltonian.
     """
-    return inner_product(psi_next, mat_vec(G, psi_n)) + inner_product(
-        psi_n, mat_vec(G, psi_next)
-    )
+    a = inner_product(psi_next, mat_vec(G, psi_n))
+    b = inner_product(psi_n, mat_vec(G, psi_next))
+    return GaussInt(a.re + b.re, a.im + b.im)
 
 
 def q1(psi_n: GaussVector, psi_next: GaussVector) -> int:
@@ -90,13 +90,6 @@ class PairStats(NamedTuple):
     links: LinkReport
 
 
-class PairSink(Protocol):
-    """Where verify_stream puts each PairStats: a list, or a report writer
-    such as serialization.ConservationCsvWriter."""
-
-    def append(self, st: PairStats, /) -> None: ...
-
-
 class ConservationReport(NamedTuple):
     """Outcome of one verification pass.
 
@@ -115,7 +108,7 @@ def verify_stream(
     states: Iterable[GaussVector],
     H: GaussMatrix,
     G: GaussMatrix,
-    rows: PairSink | None = None,
+    rows=None,
 ) -> ConservationReport:
     """Check a state sequence in one pass over its int parts: q_G is one
     constant, and every state from index 2 on obeys the update rule.
@@ -126,10 +119,12 @@ def verify_stream(
     q1 / 2, as both are the same int sum by definition.  Only a sliding
     window of states is held, so the sequence may be a generator over a
     file.  The whole sequence is read even after a violation; when `rows`
-    is given, the PairStats of every pair are appended to it as the pair is
-    checked.  Raises NonCommutingError (with the commutator as witness)
-    when G does not commute with H, and ValueError when G is not Hermitian
-    or the sequence has fewer than two states.
+    is given (anything with an `append`: a list, or a
+    serialization.ConservationCsvWriter), the PairStats of every pair are
+    appended to it as the pair is checked.  Raises NonCommutingError (with
+    the commutator as witness) when G does not commute with H, and
+    ValueError when G is not Hermitian or the sequence has fewer than two
+    states.
     """
     if G.shape != H.shape:
         raise DimensionMismatch(f"G has shape {G.shape}, model needs {H.shape}")

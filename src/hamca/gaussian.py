@@ -31,19 +31,25 @@ _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 class _AnyDigits:
     """Lifts the int <-> decimal str digit limit inside the block and
     restores the caller's setting after it: exact parts are decimal at any
-    size."""
+    size.  One instance may be entered inside its own block; each exit
+    restores the limit its entry found."""
 
-    __slots__ = ("limit",)
+    __slots__ = ("saved",)
+
+    def __init__(self) -> None:
+        self.saved = []
 
     def __enter__(self) -> "_AnyDigits":
-        self.limit = _digit_limit()
-        if self.limit:
+        limit = _digit_limit()
+        self.saved.append(limit)
+        if limit:
             sys.set_int_max_str_digits(0)
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.limit:
-            sys.set_int_max_str_digits(self.limit)
+        limit = self.saved.pop()
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def full_digit_repr(cls: type) -> type:
@@ -100,7 +106,8 @@ class _Frozen:
 
 
 class GaussInt(_Frozen):
-    """A Gaussian integer re + im*i with unbounded integer parts."""
+    """A Gaussian integer re + im*i with unbounded integer parts: a record
+    (a phase, a q_G) with ==, hash, str and complex() but no arithmetic."""
 
     __slots__ = _fields = ("re", "im")
 
@@ -110,45 +117,6 @@ class GaussInt(_Frozen):
                 raise TypeError(f"GaussInt parts must be Python ints, got {re!r}, {im!r}")
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-
-    # -- ring operations ------------------------------------------------
-
-    def __add__(self, other: ScalarLike) -> "GaussInt":
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return GaussInt(self.re + o[0], self.im + o[1])
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ScalarLike) -> "GaussInt":
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return GaussInt(self.re - o[0], self.im - o[1])
-
-    def __rsub__(self, other: ScalarLike) -> "GaussInt":
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return GaussInt(o[0] - self.re, o[1] - self.im)
-
-    def __mul__(self, other: ScalarLike) -> "GaussInt":
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return GaussInt(
-            self.re * o[0] - self.im * o[1],
-            self.re * o[1] + self.im * o[0],
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GaussInt":
-        return GaussInt(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)

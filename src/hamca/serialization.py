@@ -311,6 +311,7 @@ class ConservationCsvWriter(_AnyDigits):
     file, so rows appended inside it print exact parts of any size."""
 
     def __init__(self, fh: IO[str], dim: int):
+        super().__init__()
         self._w = csv_writer(fh)
         self._no_weights = [""] * dim
         self._w.writerow(

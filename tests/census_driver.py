@@ -1,0 +1,116 @@
+"""Run the commands, the demos and the README quick start under a profiler
+and record which functions of `src/hamca` they enter.
+
+    python tests/census_driver.py WORKDIR
+
+The profiler is installed before `hamca` is first imported, so calls made
+at import time count.  WORKDIR receives the input files the commands read,
+written as plain text so that no library call makes them; each command then
+runs through `hamca.cli.main` with WORKDIR as the current directory and its
+output captured.  The result goes to WORKDIR/census.json: the exit code of
+each command, and (module, first line, name) of every code object entered
+in the package.  `tests/test_census.py` runs this in a fresh interpreter and
+reads that file.
+"""
+
+import contextlib
+import io
+import json
+import os
+import re
+import runpy
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hamca"
+
+_H2 = '{"A":[[0,0],[0,0]],"S":[[0,1],[1,0]],"dim":2,"label":"H2"}'
+
+#: the files the commands read: a model file (the 3-state ring, S as a flat
+#: list), a vector file, a model whose entries overflow the float stepper,
+#: and a trajectory whose third state breaks the update rule
+INPUTS = {
+    "ring3.json": '{"dim": 3, "label": "ring3", "S": [0, 0, 1, 0, 0, 0, 1, 0, 0],'
+    ' "A": [[0, -1, 0], [1, 0, -1], [0, 1, 0]]}\n',
+    "psi.json": '["1-i", 0, [2, 1]]\n',
+    "wide.json": f'{{"dim": 2, "S": [[0, {10**200}], [{10**200}, 0]], "A": [[0, 0], [0, 0]]}}\n',
+    "broken.jsonl": f'{{"format":"hamca-trajectory","l":"1","model":{_H2},"version":1}}\n'
+    '{"im":["0","0"],"n":0,"re":["1","0"]}\n'
+    '{"im":["0","0"],"n":1,"re":["0","1"]}\n'
+    '{"im":["0","0"],"n":2,"re":["5","0"]}\n',
+}
+
+#: (expected exit code, arguments): every mode, then the error paths
+COMMANDS = [
+    (0, ["run", "--model", "ring3.json", "--psi0", "@psi.json", "--psi1", "0, i, 1 - 2i", "--steps", "30",
+         "--l", "0.5", "--out", "traj.jsonl"]),
+    (0, ["run", "--model", "Hm:6", "--psi0", "1,0,0,0,0,0", "--psi1", "0,1,0,0,0,0", "--steps", "40", "--probe"]),
+    (0, ["check", "traj.jsonl"]),
+    (0, ["check", "traj.jsonl", "--g", "hamiltonian", "--report", "report.csv"]),
+    (0, ["check", "traj.jsonl", "--g", "ring3.json"]),
+    (0, ["cycle", "--model", "Hm:5", "--out", "cycles.csv"]),
+    (0, ["cycle", "--model", "H4", "--pair", "k=2"]),
+    (0, ["cycle", "--model", "H2", "--pair", "1,0", "--psi1", "0,i"]),
+    (0, ["continuum", "closedform", "--model", "H3", "--pairs", "3", "--nmax", "20", "--out", "closed.csv"]),
+    (0, ["continuum", "sinh", "--model", "Hm:5", "--windows", "8,16", "--steps", "100", "--points", "3",
+         "--out", "sinh.csv"]),
+    (0, ["continuum", "q1", "--model", "H2", "--steps", "80", "--window", "8", "--points", "3", "--tol", "1e-2",
+         "--out", "q1.csv"]),
+    (0, ["continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--out", "born.csv"]),
+    (1, ["continuum", "closedform", "--model", "H3", "--pairs", "2", "--nmax", "20", "--tol", "0"]),
+    (3, ["run", "--model", "nosuch", "--psi0", "1", "--psi1", "0", "--steps", "1"]),
+    (3, ["run", "--model", "H2", "--psi0", "1 2i,0", "--psi1", "0,1", "--steps", "1"]),
+    (3, ["check", "traj.jsonl", "--g", "nosuch"]),
+    (4, ["check", "broken.jsonl", "--report", "broken.csv"]),
+    (5, ["cycle", "--model", "Hm:5", "--budget", "3"]),
+    (6, ["continuum", "closedform", "--model", "H3", "--pairs", "1", "--strict-band"]),
+    (7, ["continuum", "born", "--model", "H2", "--psi", "1,0", "--psi1", "0,1"]),
+    (8, ["continuum", "q1", "--model", "wide.json", "--steps", "80", "--window", "8", "--points", "3"]),
+]
+
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def quick_start() -> str:
+    """The fenced Python block of the README's "Library quick start"."""
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def run_all(workdir: Path) -> dict:
+    prefix = str(PACKAGE) + os.sep
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(prefix):
+            code = frame.f_code
+            entered.add((Path(code.co_filename).stem, code.co_firstlineno, code.co_name))
+
+    for name, text in INPUTS.items():
+        (workdir / name).write_text(text)
+    os.chdir(workdir)
+    sys.path.insert(0, str(PACKAGE.parent))
+    codes = []
+    sys.setprofile(profile)
+    try:
+        from hamca.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for _, argv in COMMANDS:
+                try:
+                    codes.append(main(argv))
+                except SystemExit as exc:  # argparse's usage error
+                    codes.append(exc.code)
+            for path in DEMOS:
+                runpy.run_path(str(path), run_name="__main__")
+            exec(compile(quick_start(), "README.md quick start", "exec"), {})
+    finally:
+        sys.setprofile(None)
+    return {"exit_codes": codes, "entered": sorted(entered)}
+
+
+if __name__ == "__main__":
+    workdir = Path(sys.argv[1]).resolve()
+    result = run_all(workdir)
+    (workdir / "census.json").write_text(json.dumps(result))

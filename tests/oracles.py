@@ -15,18 +15,23 @@ from hamca.conservation import ConservationReport, PairStats, commutator, link_c
 from hamca.continuum import Q1Result, as_matrix, as_state
 from hamca.dynamics import Trajectory
 from hamca.errors import DimensionMismatch, InstabilityError, NonCommutingError, SignalRangeError
-from hamca.gaussian import I_UNIT, GaussInt, _AnyDigits, inner_product, mat_vec
+from hamca.gaussian import I_UNIT, GaussInt, _AnyDigits, mat_vec
 from hamca.models import HamiltonianSpec
 from hamca.serialization import read_trajectory_stream
 
 
 def _dot(row, col):
+    """sum_k row_k * col_k, expanded on the int parts of GaussInt entries."""
     re = 0
     im = 0
     for a, b in zip(row, col):
         re += a.re * b.re - a.im * b.im
         im += a.re * b.im + a.im * b.re
     return GaussInt(re, im)
+
+
+def conj(a: GaussInt) -> GaussInt:
+    return GaussInt(a.re, -a.im)
 
 
 def oracle_mat_vec(rows, v):
@@ -38,6 +43,14 @@ def oracle_matmul(a_rows, b_rows):
     """A B on rows of GaussInt."""
     cols = tuple(zip(*b_rows))
     return tuple(tuple(_dot(row, col) for col in cols) for row in a_rows)
+
+
+def oracle_q_G(psi_n, psi_next, G) -> GaussInt:
+    """q_G = <psi_{n+1}, G psi_n> + <psi_n, G psi_{n+1}> as one sum of
+    products, conj(bra_k) * (G ket)_k, over both inner products."""
+    bras = [*map(conj, psi_next), *map(conj, psi_n)]
+    kets = [*oracle_mat_vec(G.rows, tuple(psi_n)), *oracle_mat_vec(G.rows, tuple(psi_next))]
+    return _dot(bras, kets)
 
 
 def step_xp(
@@ -75,8 +88,9 @@ def step_xp(
 
 def verify_stream_reference(states, H, G, rows=None) -> ConservationReport:
     """verify_stream one GaussVector operation at a time, for any G that
-    commutes with H: q_G from two inner products per pair, the link counts
-    with the check 2L == q1, and the update rule as psi_{n-2} - i H psi_{n-1}."""
+    commutes with H: q_G as the sum of both inner products of a pair, the
+    link counts with the check 2L == q1, and the update rule as
+    psi_{n-2} - i H psi_{n-1}."""
     if G.shape != H.shape:
         raise DimensionMismatch(f"G has shape {G.shape}, model needs {H.shape}")
     comm = commutator(G, H)
@@ -89,7 +103,7 @@ def verify_stream_reference(states, H, G, rows=None) -> ConservationReport:
     for n, psi in enumerate(states):
         g_psi = mat_vec(G, psi)
         if prev is not None:
-            q = inner_product(psi, g_prev) + inner_product(prev, g_psi)
+            q = _dot([*map(conj, psi), *map(conj, prev)], [*g_prev, *g_psi])
             links = link_counts(prev, psi)
             if rows is not None:
                 rows.append(PairStats(n=n - 1, q=q, links=links))

@@ -1,0 +1,135 @@
+"""Every function of the package is entered by something a user runs.
+
+`census_driver.py` runs the command list, the six demos and the README's
+library quick start in a fresh interpreter under `sys.setprofile` and
+records each function of `src/hamca` it enters.  The census covers every
+public (non-underscore) top-level function and method, and the operator
+methods below; a nested def is part of its enclosing function.  Unlike the
+static census in `test_exports.py` it sees operators, and it does not count
+an unrelated read of the same name (`rows.append`, numpy's `.conjugate()`)
+as a caller.  A function nothing enters is exempt only if the README names
+it as a whole word, the benchmark's tracer pins it in `TARGETS`, it is in
+the static census's `KEEP`, or it is an operator of a class whose algebra
+is in use (at least one of its operators is entered).
+"""
+
+import ast
+import importlib.util
+import json
+import re
+import subprocess
+import sys
+
+import pytest
+
+import census_driver
+from test_exports import KEEP, ROOT, TRACER
+
+OPERATORS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__matmul__"}
+
+
+def functions(source: str) -> dict[tuple[int, str], str]:
+    """The functions a module source defines that the census covers, as
+    (first line, name) -> qualified name.  The first line is that of the
+    first decorator, as in the compiled code object."""
+    found = {}
+
+    def add(node: ast.FunctionDef, qualname: str) -> None:
+        first = min([d.lineno for d in node.decorator_list] + [node.lineno])
+        found[(first, node.name)] = qualname
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(node, node.name)
+        elif isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and (not f.name.startswith("_") or f.name in OPERATORS):
+                    add(f, f"{node.name}.{f.name}")
+    return found
+
+
+def never_entered(
+    package: dict[str, str], entered: set[tuple[str, int, str]], readme: str, pinned: set[str], keep
+) -> list[str]:
+    """`module.qualname` of each covered function of the `package` sources
+    (module name -> source) with no (module, first line, name) in `entered`
+    and no exemption: a whole word of `readme`, a qualified name in
+    `pinned`, a name in `keep`, or an operator of a class with an operator
+    entered."""
+    covered = {
+        (module, first, name): qualname
+        for module, source in package.items()
+        for (first, name), qualname in functions(source).items()
+    }
+    # (module, class) of each class with an operator entered
+    in_use = {(key[0], qualname.split(".")[0]) for key, qualname in covered.items()
+              if key in entered and key[2] in OPERATORS}
+
+    def exempt(module: str, name: str, qualname: str) -> bool:
+        return bool(
+            re.search(rf"\b{re.escape(name)}\b", readme)
+            or qualname in pinned
+            or name in keep
+            or (name in OPERATORS and (module, qualname.split(".")[0]) in in_use)
+        )
+
+    return sorted(
+        f"{key[0]}.{qualname}"
+        for key, qualname in covered.items()
+        if key not in entered and not exempt(key[0], key[2], qualname)
+    )
+
+
+def tracer_targets() -> set[str]:
+    """The attributes `perfbench/tracing.py` traces, read from the module."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {attr for _, _, attr in tracing.TARGETS}
+
+
+@pytest.fixture(scope="module")
+def census(tmp_path_factory) -> dict:
+    workdir = tmp_path_factory.mktemp("census")
+    subprocess.run([sys.executable, census_driver.__file__, str(workdir)], check=True, timeout=60)
+    return json.loads((workdir / "census.json").read_text())
+
+
+def test_each_command_exits_as_expected(census):
+    # a command that fails early would cover less code without this
+    got = dict(enumerate(census["exit_codes"]))
+    expected = {i: code for i, (code, _) in enumerate(census_driver.COMMANDS)}
+    assert got == expected, [census_driver.COMMANDS[i][1] for i in expected if got.get(i) != expected[i]]
+
+
+def test_every_function_is_entered(census):
+    package = {p.stem: p.read_text() for p in sorted(census_driver.PACKAGE.glob("*.py"))}
+    entered = {tuple(key) for key in census["entered"]}
+    readme = (ROOT / "README.md").read_text()
+    assert never_entered(package, entered, readme, tracer_targets(), KEEP) == []
+
+
+PLANTED = '''
+class Vec:
+    def __add__(self, other): return self
+    def __sub__(self, other): return self
+    def norm(self): return 0
+class Scalar:
+    def __mul__(self, other): return self
+    @property
+    def size(self): return 1
+def entry(): return Vec() + Vec()
+def unused(): return entry()
+def traced(): return 0
+def _private(): return 0
+'''
+
+
+def test_census_catches_a_function_nothing_runs():
+    entered = {("a", 3, "__add__"), ("a", 10, "entry")}
+    flagged = never_entered({"a": PLANTED}, entered, "", set(), {})
+    assert flagged == ["a.Scalar.__mul__", "a.Scalar.size", "a.Vec.norm", "a.traced", "a.unused"]
+    # Vec.__sub__ stands with the Vec.__add__ that ran; Scalar has no operator in use
+    assert never_entered({"a": PLANTED}, entered, "the `norm` and `size`", {"traced"}, {"unused"}) == [
+        "a.Scalar.__mul__"
+    ]

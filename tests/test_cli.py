@@ -662,6 +662,21 @@ class TestProbeDrift:
         assert len(calls) == 1 + (5 + 1)
         assert "pairs checked = 6" in capsys.readouterr().out
 
+    ARGS = ("run", "--model", "Hm:4", "--psi0", "1,0,i,0", "--psi1", "1,1-i,0,2", "--steps", "7", "--out", "t.jsonl")
+
+    def test_run_without_probe_computes_no_q1(self, monkeypatch, tmp_path, capsys):
+        real = cli.q1
+        calls = []
+        monkeypatch.setattr(cli, "q1", lambda a, b: calls.append((a, b)) or real(a, b))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*self.ARGS) == EXIT_OK
+        assert calls == []
+        assert capsys.readouterr().out == "wrote 9 states to t.jsonl\n"
+        # the same run with the probe: its bytes as before, q1 once per pair and once to start
+        assert run_cli(*self.ARGS, "--probe") == EXIT_OK
+        assert len(calls) == 1 + (7 + 1)
+        assert capsys.readouterr().out == "probe: q1 = 2, L = 1, pairs checked = 8\nwrote 9 states to t.jsonl\n"
+
 
 class TestInputChecksExit3:
     """Each check exits 3 with a message naming the input at fault."""

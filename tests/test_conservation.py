@@ -18,9 +18,9 @@ from hamca.conservation import (
 from hamca.dynamics import Trajectory, evolve
 from hamca.errors import NonCommutingError
 from hamca.gaussian import I_UNIT, GaussInt, GaussMatrix, GaussVector
-from hamca.models import basis_state, build_hamiltonian, make_cyclic_model
+from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.serialization import ConservationCsvWriter
-from oracles import conservation_csv_reference, verify_stream_reference
+from oracles import conservation_csv_reference, oracle_q_G, verify_stream_reference
 
 E = GaussVector.of
 H2 = build_hamiltonian(make_cyclic_model(2))
@@ -51,16 +51,22 @@ class TestQG:
         assert q1(v, w) == q_G(v, w, EYE2).re
 
 
+def residual(traj, n, G) -> tuple[int, int]:
+    """q_G of pair n minus q_G of pair n - 1, as its (re, im) parts."""
+    later, earlier = q_G(traj[n], traj[n + 1], G), q_G(traj[n - 1], traj[n], G)
+    return later.re - earlier.re, later.im - earlier.im
+
+
 class TestResidual:
     def test_identity_on_two_state_orbit(self):
         traj = evolve(E(1, 0), E(0, 1), H2, 6)
         for n in range(1, 6):
-            assert q_G(traj[n], traj[n + 1], EYE2) - q_G(traj[n - 1], traj[n], EYE2) == GaussInt(0)
+            assert residual(traj, n, EYE2) == (0, 0)
 
     def test_hamiltonian_commutes_with_itself(self):
         traj = evolve(E((1, 1), 2, (0, -1)), E(0, 1, (3, 1)), H3, 5)
         for n in range(1, 5):
-            assert q_G(traj[n], traj[n + 1], H3) - q_G(traj[n - 1], traj[n], H3) == GaussInt(0)
+            assert residual(traj, n, H3) == (0, 0)
 
     def test_noncommuting_g_violates_on_mixed_state(self):
         # trajectory triple from psi0=(1,0), psi1=(1,i); the centre state
@@ -69,7 +75,7 @@ class TestResidual:
         psi2 = E(2, (0, -1))
         traj = evolve(psi0, psi1, H2, 1)
         assert traj[2] == psi2
-        assert q_G(psi1, psi2, SIGMA3) - q_G(psi0, psi1, SIGMA3) == GaussInt(4)
+        assert residual(traj, 1, SIGMA3) == (4, 0)
 
     def test_diagonal_g_accidentally_conserved_on_alternating_orbit(self):
         # the (1,0)/(0,1) orbit hops between the two slots, so a diagonal G
@@ -77,7 +83,43 @@ class TestResidual:
         # even though [G, H] != 0
         traj = evolve(E(1, 0), E(0, 1), H2, 6)
         for n in range(1, 6):
-            assert q_G(traj[n], traj[n + 1], SIGMA3) - q_G(traj[n - 1], traj[n], SIGMA3) == GaussInt(0)
+            assert residual(traj, n, SIGMA3) == (0, 0)
+
+
+BIG = 2**64
+big_parts = st.integers(min_value=-(BIG**2), max_value=BIG**2)
+
+
+def i_times_identity(m: int) -> GaussMatrix:
+    return GaussMatrix(((0,) * m,) * m, GaussMatrix.identity(m).re)
+
+
+class TestQGWithNonHermitianG:
+    """G = i*I commutes with every H but is not Hermitian, so q_G has an
+    imaginary part: i * 2 Re<psi_{n+1}, psi_n>, i times q1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.lists(st.tuples(big_parts, big_parts), min_size=2 * m, max_size=2 * m)))
+    def test_matches_oracle_past_64_bits(self, parts):
+        m = len(parts) // 2
+        psi_n, psi_next = GaussVector.from_iter(parts[:m]), GaussVector.from_iter(parts[m:])
+        G = i_times_identity(m)
+        q = q_G(psi_n, psi_next, G)
+        assert q == oracle_q_G(psi_n, psi_next, G)
+        assert (q.re, q.im) == (0, q1(psi_n, psi_next))
+
+    def test_conserved_with_nonzero_imaginary_part_past_64_bits(self):
+        # tridiag(1, 2, 1) has spectrum outside (-2, 2): from small starts
+        # the parts pass 2^64 well within the run
+        spec = HamiltonianSpec(3, ((2, 1, 0), (1, 2, 1), (0, 1, 2)), ((0, 0, 0),) * 3)
+        traj = evolve(E(1, (0, 2), -1), E(3, 0, (1, 1)), spec, 60)
+        assert max(abs(v).bit_length() for v in traj[-1].re + traj[-1].im) > 64
+        G = i_times_identity(3)
+        values = {q_G(a, b, G) for _, a, b in traj.pairs()}
+        assert values == {oracle_q_G(traj[0], traj[1], G)}
+        (value,) = values
+        assert value.re == 0 and value.im != 0
 
 
 class TestCommutes:

@@ -2,8 +2,8 @@
 
 The containers hold (x, p) and (S, A) as plain int tuples, and a matrix
 compiles its own matrix-vector kernel the first time it is applied.  The
-oracles work on one GaussInt per entry of the dense rows, the way the
-kernel did before the storage change (the matrix products live in
+oracles work on one GaussInt per entry of the dense rows, expanding each
+product on its int parts (`oracles._dot`; the matrix products live in
 `oracles.py`, the inner product here), so any disagreement is a bug in
 the int kernel.  Entries reach 2^200, far past any fixed-width integer
 type, and the kernel's own tests go to 2^15000 and rows of 6000 terms.
@@ -19,7 +19,6 @@ from hamca.conservation import verify_stream
 from hamca.dynamics import evolve, step_forward
 from hamca.errors import DimensionMismatch
 from hamca.gaussian import (
-    I_UNIT,
     GaussInt,
     GaussMatrix,
     GaussVector,
@@ -30,7 +29,7 @@ from hamca.gaussian import (
 )
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.ontology import classify_state
-from oracles import oracle_mat_vec, oracle_matmul, step_xp
+from oracles import _dot, conj, oracle_mat_vec, oracle_matmul, step_xp
 
 BIG = 2**200
 big_ints = st.integers(min_value=-BIG, max_value=BIG)
@@ -38,6 +37,7 @@ scalars = st.builds(GaussInt, big_ints, big_ints)
 small_ints = st.integers(min_value=-3, max_value=3)
 small_states = st.lists(st.builds(GaussInt, small_ints, small_ints), min_size=3, max_size=3)
 dims = st.integers(min_value=1, max_value=5)
+ONE, MINUS_ONE, MINUS_I = GaussInt(1), GaussInt(-1), GaussInt(0, -1)
 
 
 # -- oracle: one GaussInt per entry -----------------------------------------
@@ -54,7 +54,7 @@ def oracle_inner_product(v, w):
 
 
 def oracle_conjugate_transpose(rows):
-    return tuple(tuple(a.conjugate() for a in col) for col in zip(*rows))
+    return tuple(tuple(map(conj, col)) for col in zip(*rows))
 
 
 def oracle_is_hermitian(rows):
@@ -147,7 +147,7 @@ def square_matrices(draw):
         for i in range(n):
             rows[i][i] = GaussInt(rows[i][i].re)
             for j in range(i):
-                rows[i][j] = rows[j][i].conjugate()
+                rows[i][j] = conj(rows[j][i])
     return GaussMatrix.from_rows(rows)
 
 
@@ -158,12 +158,12 @@ def square_matrices(draw):
 @given(vector_pairs(), scalars)
 def test_vector_arithmetic_matches_oracle(vw, s):
     v, w = vw
-    assert tuple(v + w) == tuple(a + b for a, b in zip(v, w))
-    assert tuple(v - w) == tuple(a - b for a, b in zip(v, w))
-    assert tuple(-v) == tuple(-a for a in v)
-    assert tuple(v * s) == tuple(a * s for a in v)
-    assert tuple(s * v) == tuple(s * a for a in v)
-    assert tuple(v * 3) == tuple(a * 3 for a in v)
+    assert tuple(v + w) == tuple(_dot([a, b], [ONE, ONE]) for a, b in zip(v, w))
+    assert tuple(v - w) == tuple(_dot([a, b], [ONE, MINUS_ONE]) for a, b in zip(v, w))
+    assert tuple(-v) == tuple(_dot([a], [MINUS_ONE]) for a in v)
+    assert tuple(v * s) == tuple(_dot([a], [s]) for a in v)
+    assert tuple(s * v) == tuple(_dot([s], [a]) for a in v)
+    assert tuple(v * 3) == tuple(_dot([a], [GaussInt(3)]) for a in v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,9 +193,9 @@ def test_matmul_matches_oracle(ab):
 def test_matrix_arithmetic_and_hermiticity_match_oracle(M, s):
     assert M.conjugate_transpose().rows == oracle_conjugate_transpose(M.rows)
     assert is_hermitian(M) == oracle_is_hermitian(M.rows)
-    assert (M + M).rows == tuple(tuple(a + a for a in r) for r in M.rows)
+    assert (M + M).rows == tuple(tuple(_dot([a], [GaussInt(2)]) for a in r) for r in M.rows)
     assert (M - M).is_zero()
-    assert (M * s).rows == tuple(tuple(a * s for a in r) for r in M.rows)
+    assert (M * s).rows == tuple(tuple(_dot([a], [s]) for a in r) for r in M.rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -217,7 +217,8 @@ def test_sparse_matmul_matches_oracle(ab):
 @given(sparse_step_inputs())
 def test_sparse_step_forward_matches_oracle(inputs):
     prev, curr, H = inputs
-    expected = tuple(a - I_UNIT * b for a, b in zip(prev, oracle_mat_vec(H.rows, tuple(curr))))
+    # psi_{n-1} - i * (H psi_n), entry by entry
+    expected = tuple(_dot([a, b], [ONE, MINUS_I]) for a, b in zip(prev, oracle_mat_vec(H.rows, tuple(curr))))
     assert tuple(step_forward(prev, curr, H)) == expected
 
 
@@ -262,7 +263,7 @@ def test_step_forward_matches_step_xp_past_64_bits(e0, e1, n_steps):
     psi0 = GaussVector.from_iter(e0)
     psi1 = GaussVector.from_iter(e1)
     # states (a, 0, -a) lie on the lambda = 2 eigenvector, which grows only linearly
-    if all(v[1] == 0 and v[0] == -v[2] for v in (e0, e1)):
+    if all(v[1] == 0 and v[0] == GaussInt(-v[2].re, -v[2].im) for v in (e0, e1)):
         psi1 = GaussVector.of(1, 0, 0)
     traj = evolve(psi0, psi1, spec, n_steps)
     for prev, curr, nxt in zip(traj, traj.states[1:], traj.states[2:]):
