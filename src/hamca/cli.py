@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import closing
+from contextlib import closing, nullcontext
 from pathlib import Path
 
 from . import continuum as ct
@@ -38,7 +38,7 @@ from .errors import (
     SpectralFailure,
 )
 from .gaussian import GaussMatrix, GaussVector, _AnyDigits
-from .models import HamiltonianSpec, build_hamiltonian, resolve_builtin
+from .models import HamiltonianSpec, _canonical_int, build_hamiltonian, resolve_builtin
 from .ontology import default_scan_budget, find_period, neighbour_pair_period, scan_ontological_pairs
 from .serialization import (
     ConservationCsvWriter,
@@ -124,22 +124,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     # q1 alone: the link total L is the same sum, q1 / 2
     q_start = q1(psi0, psi1) if args.probe else None
-    first_drift = None
-
-    def probe(n: int, a: GaussVector, b: GaussVector) -> None:
-        nonlocal first_drift
-        if first_drift is None and q1(a, b) != q_start:
-            first_drift = n
-
-    states = stream_states(psi0, psi1, build_hamiltonian(spec), args.steps, probe if args.probe else None)
-    if args.out:
-        with output_file(args.out) as fh:
+    first_drift = prev = writer = None
+    with output_file(args.out) if args.out else nullcontext() as fh:
+        if args.out:
             writer = TrajectoryWriter(fh, spec, args.l)
-            for psi in states:
+        for n, psi in enumerate(stream_states(psi0, psi1, build_hamiltonian(spec), args.steps)):
+            if writer is not None:
                 writer.write_state(psi)
-    else:
-        for _ in states:
-            pass
+            # (psi_{n-1}, psi_n) is pair n - 1; after a drift no pair is checked
+            if args.probe and n and first_drift is None and q1(prev, psi) != q_start:
+                first_drift = n - 1
+            prev = psi
     if args.probe:
         print(f"probe: q1 = {q_start}, L = {q_start // 2}, pairs checked = {args.steps + 1}")
         if first_drift is not None:
@@ -189,9 +184,8 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     if args.pair == "all":
         reports = scan_ontological_pairs(spec, budget)
     elif args.pair.startswith("k="):
-        try:
-            k = int(args.pair[2:])
-        except ValueError:
+        k = _canonical_int(args.pair[2:])
+        if k is None:
             raise ValueError(f"pair: cannot parse {args.pair!r}")
         if not 1 <= k <= spec.dim - 1:
             raise ValueError(f"pair: k must be in 1..{spec.dim - 1}")

@@ -485,6 +485,8 @@ def born_convergence(
         raise ValueError("l_values must be strictly decreasing")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be a finite positive number, got {horizon}")
+    if not math.isfinite(horizon / ls[-1]):  # the smallest l runs the most steps
+        raise ValueError(f"horizon / l must be finite, got horizon = {horizon} and l = {ls[-1]}")
     sf = spectral_decompose(A)
     rho = float(np.max(np.abs(sf.eigenvalues)))
     V = sf.eigenvectors

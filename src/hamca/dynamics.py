@@ -3,15 +3,16 @@
 The update rule is second order: psi_{n+1} = psi_{n-1} - i*H*psi_n, so a
 run always starts from two states.  Everything here stays in Gaussian
 integers; stepping backward inverts stepping forward exactly, at any
-amplitude magnitude.
+amplitude magnitude.  `stream_states` is the one stepping loop: `evolve`,
+`run`, `cycle` and `transfer_operators` each make a single pass over it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import count, islice
 from operator import add, sub
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 from .errors import DimensionMismatch
 from .gaussian import GaussMatrix, GaussVector, I_UNIT, _Frozen, is_hermitian, mat_vec
@@ -99,29 +100,22 @@ def stream_states(
     psi1: GaussVector,
     H: GaussMatrix,
     n_steps: int | None = None,
-    probe: Callable[[int, GaussVector, GaussVector], None] | None = None,
 ) -> Iterator[GaussVector]:
     """Generate psi_0, psi_1, psi_2, ... keeping only a sliding pair.
 
     Suited to very long runs where storing the whole trajectory is not an
-    option.  `probe(n, psi_n, psi_{n+1})` is invoked once per consecutive
-    pair as it becomes available.  n_steps = None streams forever.
+    option: a consumer that needs a pair keeps the previous state itself.
+    n_steps = None streams forever.
     """
     m = H.shape[0]
     if len(psi0) != m or len(psi1) != m:
         raise DimensionMismatch(f"initial states of length {len(psi0)}/{len(psi1)} for a dim-{m} model")
     yield psi0
     yield psi1
-    if probe is not None:
-        probe(0, psi0, psi1)
     prev, curr = psi0, psi1
-    n = 1
-    while n_steps is None or n <= n_steps:
+    for _ in count() if n_steps is None else range(n_steps):
         prev, curr = curr, step_forward(prev, curr, H)
         yield curr
-        if probe is not None:
-            probe(n, prev, curr)
-        n += 1
 
 
 def transfer_operators(H: GaussMatrix, n_max: int) -> list[GaussMatrix]:

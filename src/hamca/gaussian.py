@@ -233,9 +233,6 @@ class GaussVector(_Frozen):
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return not (any(self.re) or any(self.im))
-
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self)) + ")"
 

@@ -135,14 +135,18 @@ def basis_state(m: int, k: int) -> GaussVector:
     return GaussVector(tuple(int(i == k - 1) for i in range(m)), (0,) * m)
 
 
+def _canonical_int(text: str) -> int | None:
+    """text as an int if it is written 0|[1-9][0-9]* in ASCII digits, else None:
+    no sign, space, underscore, leading zero or other script's digit."""
+    if text.isascii() and text.isdigit() and (text == "0" or text[0] != "0"):
+        return int(text)
+    return None
+
+
 def resolve_builtin(label: str) -> HamiltonianSpec | None:
-    """Map the reserved labels H2, H3, H4 and Hm:<m> to their models."""
+    """Map the reserved labels H2, H3, H4 and Hm:<m> to their models; any
+    other spelling of m (Hm:05, Hm:+5, Hm:1_0) is not a built-in."""
     if label in ("H2", "H3", "H4"):
         return make_cyclic_model(int(label[1:]))
-    if label.startswith("Hm:"):
-        try:
-            m = int(label.split(":", 1)[1])
-        except ValueError:
-            return None
-        return make_cyclic_model(m)
-    return None
+    m = _canonical_int(label[3:]) if label.startswith("Hm:") else None
+    return None if m is None else make_cyclic_model(m)

@@ -4,7 +4,8 @@ A state is called single-component when exactly one slot is nonzero; an
 orbit whose every visited state is single-component evolves by permuting
 basis slots up to a scalar factor.  Recurrence is judged on the state
 *pair* and by entry-exact equality: two states differing by an overall
-phase count as different.
+phase count as different.  The period search is one pass over the exact
+stream that keeps only the previous state.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ def classify_state(psi: GaussVector) -> tuple[int, GaussInt] | None:
         raise DegenerateStateError("zero vector has no component to classify")
     if len(hits) != 1:
         return None
-    idx = hits[0]
-    return idx + 1, GaussInt(psi.re[idx], psi.im[idx])
+    return hits[0] + 1, psi[hits[0]]
 
 
 class Visit(NamedTuple):
@@ -47,8 +47,9 @@ class CycleReport(NamedTuple):
     the budget.  visits covers one full period when found (steps 0..P-1),
     otherwise every computed state.  ontological is True iff every visited
     state is single-component.  link_number is the conserved total L of
-    the initial pair.  expected_period, when set by a family scan, lets
-    callers flag measured-vs-expected mismatches without hard-coding.
+    the initial pair.  pair_index and expected_period, set by a family
+    scan (neighbour_pair_period), let callers flag measured-vs-expected
+    mismatches without hard-coding.
     """
 
     period: int | None
@@ -71,47 +72,38 @@ class CycleReport(NamedTuple):
 
 
 def _visit(n: int, psi: GaussVector) -> Visit:
-    if psi.is_zero():
-        return Visit(n=n, k=None, phase=None)
-    cls = classify_state(psi)
-    if cls is None:
-        return Visit(n=n, k=None, phase=None)
-    return Visit(n=n, k=cls[0], phase=cls[1])
+    """State n as a Visit: a zero state, like a superposed one, is in no slot."""
+    try:
+        cls = classify_state(psi)
+    except DegenerateStateError:
+        cls = None
+    return Visit(n, *cls) if cls else Visit(n, None, None)
 
 
-def find_period(
-    psi0: GaussVector,
-    psi1: GaussVector,
-    model: ModelLike,
-    max_steps: int,
-    pair_index: int | None = None,
-    expected_period: int | None = None,
-) -> CycleReport:
+def find_period(psi0: GaussVector, psi1: GaussVector, model: ModelLike, max_steps: int) -> CycleReport:
     """Smallest P <= max_steps with (psi_P, psi_{P+1}) = (psi_0, psi_1),
     comparing entries exactly.  Sequential search, so a found period is
-    minimal by construction."""
+    minimal by construction.  One pass over the stream: each state is
+    classified as it arrives, and only the previous state is kept."""
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     links = link_counts(psi0, psi1)
-    states: list[GaussVector] = []
-    period = None
+    visits: list[Visit] = []
+    period = prev = None
     for n, psi in enumerate(stream_states(psi0, psi1, model_matrix(model), max_steps)):
-        states.append(psi)
-        # the pair starting at step n - 1 is (states[n - 1], states[n])
-        if n >= 2 and states[n - 1] == psi0 and psi == psi1:
+        # the pair starting at step n - 1 is (prev, psi)
+        if n >= 2 and prev == psi0 and psi == psi1:
             period = n - 1
+            visits.pop()  # state n - 1 starts the next period
             break
-    visited = states[:period] if period is not None else states
-    visits = tuple(_visit(n, s) for n, s in enumerate(visited))
-    ontological = all(v.k is not None for v in visits)
+        visits.append(_visit(n, psi))
+        prev = psi
     return CycleReport(
         period=period,
-        visits=visits,
-        ontological=ontological,
+        visits=tuple(visits),
+        ontological=all(v.k is not None for v in visits),
         link_number=links.total,
         max_steps=max_steps,
-        pair_index=pair_index,
-        expected_period=expected_period,
     )
 
 
@@ -125,14 +117,8 @@ def neighbour_pair_period(model: ModelLike, k: int, max_steps: int) -> CycleRepo
     the expected 4m period of the cyclic family."""
     H = model_matrix(model)
     m = H.shape[0]
-    return find_period(
-        basis_state(m, k),
-        basis_state(m, k + 1),
-        H,
-        max_steps,
-        pair_index=k,
-        expected_period=4 * m,
-    )
+    report = find_period(basis_state(m, k), basis_state(m, k + 1), H, max_steps)
+    return report._replace(pair_index=k, expected_period=4 * m)
 
 
 def scan_ontological_pairs(model: ModelLike, max_steps: int | None = None) -> list[CycleReport]:

@@ -62,6 +62,9 @@ COMMANDS = [
     (3, ["run", "--model", "nosuch", "--psi0", "1", "--psi1", "0", "--steps", "1"]),
     (3, ["run", "--model", "H2", "--psi0", "1 2i,0", "--psi1", "0,1", "--steps", "1"]),
     (3, ["check", "traj.jsonl", "--g", "nosuch"]),
+    (3, ["cycle", "--model", "Hm:05"]),
+    (3, ["cycle", "--model", "H4", "--pair", "k=01"]),
+    (3, ["continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--horizon", "1e300", "--l-values", "1e-10"]),
     (4, ["check", "broken.jsonl", "--report", "broken.csv"]),
     (5, ["cycle", "--model", "Hm:5", "--budget", "3"]),
     (6, ["continuum", "closedform", "--model", "H3", "--pairs", "1", "--strict-band"]),

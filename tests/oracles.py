@@ -13,10 +13,11 @@ import numpy as np
 
 from hamca.conservation import ConservationReport, PairStats, commutator, link_counts, q1
 from hamca.continuum import Q1Result, as_matrix, as_state
-from hamca.dynamics import Trajectory
+from hamca.dynamics import Trajectory, model_matrix, stream_states
 from hamca.errors import DimensionMismatch, InstabilityError, NonCommutingError, SignalRangeError
 from hamca.gaussian import I_UNIT, GaussInt, _AnyDigits, mat_vec
 from hamca.models import HamiltonianSpec
+from hamca.ontology import CycleReport, Visit
 from hamca.serialization import read_trajectory_stream
 
 
@@ -137,6 +138,34 @@ def conservation_csv_reference(dim: int, stats) -> str:
             weights = [str(Fraction(la, total)) if total else "" for la in st.links.per_alpha]
             w.writerow([st.n, st.q.re, st.q.im, total, *st.links.per_alpha, *weights])
     return out.getvalue()
+
+
+def find_period_reference(psi0, psi1, model, max_steps: int) -> CycleReport:
+    """find_period as a store-then-classify search: every state is kept, the
+    recurrence is looked up among the stored states, and the visited ones
+    are classified afterwards, one slot at a time."""
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    states = []
+    period = None
+    for n, psi in enumerate(stream_states(psi0, psi1, model_matrix(model), max_steps)):
+        states.append(psi)
+        # the pair starting at step n - 1 is (states[n - 1], states[n])
+        if n >= 2 and states[n - 1] == psi0 and psi == psi1:
+            period = n - 1
+            break
+    visits = []
+    for n, psi in enumerate(states[:period] if period is not None else states):
+        slots = [k for k, z in enumerate(psi, 1) if z != GaussInt(0, 0)]
+        single = len(slots) == 1
+        visits.append(Visit(n, slots[0] if single else None, psi[slots[0] - 1] if single else None))
+    return CycleReport(
+        period=period,
+        visits=tuple(visits),
+        ontological=all(v.k is not None for v in visits),
+        link_number=link_counts(psi0, psi1).total,
+        max_steps=max_steps,
+    )
 
 
 def load_trajectory(path) -> Trajectory:

@@ -698,6 +698,25 @@ class TestInputChecksExit3:
         assert run_cli("cycle", "--model", "H3", "--pair", pair) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: pair: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--model", "Hm:1_0"), "model: no built-in named 'Hm:1_0' and no such file"),
+        (("--model", "Hm:+4"), "model: no built-in named 'Hm:+4' and no such file"),
+        (("--model", "Hm: 5"), "model: no built-in named 'Hm: 5' and no such file"),
+        (("--model", "Hm:\u0664"), "model: no built-in named 'Hm:\u0664' and no such file"),
+        (("--model", "Hm:05"), "model: no built-in named 'Hm:05' and no such file"),
+        (("--model", "Hm:12", "--pair", "k=1_0"), "pair: cannot parse 'k=1_0'"),
+        (("--model", "Hm:12", "--pair", "k=+3"), "pair: cannot parse 'k=+3'"),
+        (("--model", "Hm:12", "--pair", "k= 3"), "pair: cannot parse 'k= 3'"),
+        (("--model", "Hm:12", "--pair", "k=03"), "pair: cannot parse 'k=03'"),
+        (("--model", "Hm:12", "--pair", "k=\u0663"), "pair: cannot parse 'k=\u0663'"),
+    ], ids=["label-underscore", "label-sign", "label-space", "label-arabic-digit", "label-leading-zero",
+            "pair-underscore", "pair-sign", "pair-space", "pair-leading-zero", "pair-arabic-digit"])
+    def test_cycle_numbers_are_canonical_ascii(self, tmp_path, monkeypatch, capsys, argv, message):
+        # 0|[1-9][0-9]* only: int() would read each of these as a number
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("cycle", *argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_cycle_explicit_pair_needs_psi1(self, capsys):
         assert run_cli("cycle", "--model", "H2", "--pair", "1,0") == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: pair: ")
@@ -722,10 +741,12 @@ class TestInputChecksExit3:
         ("born", "--psi", "nan,0", "psi: components must be finite, got 'nan,0'"),
         ("born", "--psi1", "inf,0", "psi1: components must be finite, got 'inf,0'"),
         ("born", "--psi", "0,0", "psi: must be a nonzero state, got '0,0'"),
+        ("born", "--l-values", "1e-320", "horizon / l must be finite, got horizon = 3.0 and l = 1e-320"),
     ], ids=["born-nan", "born-inf", "born-empty", "sinh-nan", "sinh-inf", "q1-inf", "sinh-empty-windows",
             "sinh-underscored-window", "sinh-decreasing-windows", "sinh-repeated-window", "born-underscored-l",
             "born-psi-malformed", "born-psi-underscored", "born-psi-length", "born-psi1-malformed",
-            "born-psi1-length", "born-psi-nan", "born-psi1-inf", "born-psi-zero"])
+            "born-psi1-length", "born-psi-nan", "born-psi1-inf", "born-psi-zero",
+            "born-steps-past-float-range"])
     def test_float_layer_scales_and_lists(self, capsys, mode, option, value, message):
         assert run_cli("continuum", mode, "--model", "H2", option, value) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"

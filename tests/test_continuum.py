@@ -322,6 +322,13 @@ class TestBornConvergence:
         with pytest.raises(ValueError):
             ct.born_convergence(H2, [0.8, 0.6], [0.05, 0.1])
 
+    @pytest.mark.parametrize("horizon, ls", [(1e300, [1e-10]), (1e308, [0.2, 1e-300])])
+    def test_step_count_past_the_float_range_rejected(self, horizon, ls):
+        # horizon / l overflows to inf, which has no int step count
+        with pytest.raises(ValueError) as err:
+            ct.born_convergence(H2, [0.8, 0.6], ls, horizon=horizon)
+        assert str(err.value) == f"horizon / l must be finite, got horizon = {horizon} and l = {ls[-1]}"
+
     def test_three_state_model_converges_too(self):
         psi = np.array([0.5, 0.5j, np.sqrt(0.5)])
         report = ct.born_convergence(H3, psi, [0.2, 0.1, 0.05])

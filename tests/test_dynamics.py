@@ -129,11 +129,6 @@ class TestStream:
         streamed = list(stream_states(E(1, 0), E(0, 1), H2, 20))
         assert streamed == full
 
-    def test_probe_sees_every_pair(self):
-        seen = []
-        list(stream_states(E(1, 0), E(0, 1), H2, 5, probe=lambda n, a, b: seen.append(n)))
-        assert seen == list(range(6))
-
     def test_unbounded_stream_is_lazy(self):
         gen = stream_states(E(1, 0), E(0, 1), H2)
         first = [next(gen) for _ in range(5)]

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hamca.errors import DegenerateStateError
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
-from hamca.models import basis_state, build_hamiltonian, make_cyclic_model
+from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.ontology import (
     classify_state,
     default_scan_budget,
@@ -11,7 +14,8 @@ from hamca.ontology import (
     scan_ontological_pairs,
 )
 from hamca.conservation import link_counts
-from hamca.dynamics import evolve
+from hamca.dynamics import evolve, stream_states
+from oracles import find_period_reference
 
 E = GaussVector.of
 H2 = build_hamiltonian(make_cyclic_model(2))
@@ -27,6 +31,10 @@ class TestClassifyState:
 
     def test_superposed(self):
         assert classify_state(E(1, 1)) is None
+
+    def test_parts_in_different_slots_are_superposed(self):
+        assert classify_state(E(0, 3, (0, -2))) is None
+        assert classify_state(E((0, 5), 0, 7)) is None
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateStateError):
@@ -144,3 +152,110 @@ class TestNeighbourPair:
         assert rep.pair_index == 2
         assert rep.expected_period == 24
         assert rep.matches_expected
+
+
+# ---------------------------------------------------------------------------
+# the one-pass search against the store-then-classify reference
+# ---------------------------------------------------------------------------
+
+UNIT = st.integers(-2, 2)
+BIG = st.sampled_from([1, -1]).map(lambda s: s * (2**64 + 3))  # past 64 bits
+
+
+@st.composite
+def hermitian_models(draw):
+    """A random Hermitian H = S + iA with m <= 5 and entries in [-2, 2]."""
+    m = draw(st.integers(1, 5))
+    S = [[0] * m for _ in range(m)]
+    A = [[0] * m for _ in range(m)]
+    for i in range(m):
+        S[i][i] = draw(UNIT)
+        for j in range(i + 1, m):
+            S[i][j] = S[j][i] = draw(UNIT)
+            A[i][j] = draw(UNIT)
+            A[j][i] = -A[i][j]
+    return HamiltonianSpec(m, S, A)
+
+
+def models():
+    """Random models, plus ring and zero models whose pairs all recur."""
+    rings = st.integers(2, 5).map(make_cyclic_model)
+    zero = st.integers(1, 5).map(lambda m: HamiltonianSpec(m, [[0] * m] * m, [[0] * m] * m))
+    return st.one_of(hermitian_models(), rings, zero)
+
+
+@st.composite
+def states(draw, m):
+    """Zero, single-slot (re and im both set in one slot), split (re and im
+    in different slots), superposed, and past-64-bit states."""
+    kind = draw(st.sampled_from(["zero", "single", "split", "superposed", "big"]))
+    re, im = [0] * m, [0] * m
+    if kind == "single":
+        k = draw(st.integers(0, m - 1))
+        re[k], im[k] = draw(st.sampled_from([(1, 0), (0, -1), (1, 1), (-2, 1), (2**64 + 3, -1)]))
+    elif kind == "split" and m > 1:
+        a, b = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        re[a], im[b] = draw(UNIT.filter(bool)), draw(UNIT.filter(bool))
+    elif kind in ("superposed", "big"):
+        parts = BIG if kind == "big" else UNIT
+        re = draw(st.lists(parts, min_size=m, max_size=m))
+        im = draw(st.lists(parts, min_size=m, max_size=m))
+    return GaussVector(tuple(re), tuple(im))
+
+
+@st.composite
+def searches(draw):
+    spec = draw(models())
+    psi0 = draw(states(spec.dim))
+    psi1 = psi0 if draw(st.booleans()) else draw(states(spec.dim))
+    return spec, psi0, psi1
+
+
+class TestFindPeriodMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(search=searches(), budget=st.integers(1, 40))
+    def test_whole_reports_agree(self, search, budget):
+        spec, psi0, psi1 = search
+        full = find_period_reference(psi0, psi1, spec, 60)
+        # a budget below, at and above the period when there is one
+        budgets = {budget} | ({full.period - 1, full.period, full.period + 1} - {0} if full.found else set())
+        for b in sorted(budgets):
+            assert find_period(psi0, psi1, spec, b) == find_period_reference(psi0, psi1, spec, b)
+
+
+def ring_blocks(*sizes: int) -> HamiltonianSpec:
+    """The rings Hm:<size> side by side, with no coupling between them."""
+    m = sum(sizes)
+    S = [[0] * m for _ in range(m)]
+    A = [[0] * m for _ in range(m)]
+    start = 0
+    for size in sizes:
+        ring = make_cyclic_model(size)
+        for i in range(size):
+            S[start + i][start:start + size] = ring.S[i]
+            A[start + i][start:start + size] = ring.A[i]
+        start += size
+    return HamiltonianSpec(m, S, A)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFindPeriodMemory:
+    def test_no_state_is_stored(self):
+        # Hm:7 + Hm:11 + Hm:13 (31 slots): a pair touching all three rings
+        # recurs after 4 * 7 * 11 * 13 = 4004 steps, past this budget
+        H = build_hamiltonian(ring_blocks(7, 11, 13))
+        psi0 = GaussVector.from_iter(int(i in (0, 7, 18)) for i in range(31))
+        psi1 = GaussVector.from_iter(int(i in (1, 8, 19)) for i in range(31))
+        budget = 3000
+        assert not find_period(psi0, psi1, H, budget).found  # also compiles H's kernel
+        stored = traced_peak(lambda: list(stream_states(psi0, psi1, H, budget)))
+        assert traced_peak(lambda: find_period(psi0, psi1, H, budget)) < stored / 2
