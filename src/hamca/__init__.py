@@ -11,7 +11,6 @@ from .gaussian import (
     GaussInt,
     GaussMatrix,
     GaussVector,
-    I_UNIT,
     inner_product,
     is_hermitian,
     mat_vec,

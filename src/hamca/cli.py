@@ -300,7 +300,7 @@ def _continuum_closedform(args, spec, H) -> int:
 def _number_list(option: str, text: str, kind: type) -> list:
     """A comma-separated option value as a list of `kind` (int, float or complex)."""
     try:
-        if "_" not in text:  # int, float and complex all read "1_6" as 16
+        if "_" not in text and text.isascii():  # int, float and complex read "1_6" and "١٦" as 16
             return [kind(v) for v in text.split(",")]
     except ValueError:
         pass
@@ -331,7 +331,7 @@ def _continuum_sinh(args, spec, H) -> int:
         rows.append((W, mean, float(ct.np.max(res))))
         means.append(mean)
     _write_float_report(args.out, ["window", "mean_residual", "max_residual"], rows)
-    decreasing = all(a > b for a, b in zip(means, means[1:]))
+    decreasing = all(a > b or b == 0 for a, b in zip(means, means[1:]))  # an exact 0 has converged
     for W, mean, mx in rows:
         print(f"sinh: W={W} mean residual {format_float(mean)} max {format_float(mx)}")
     return EXIT_OK if decreasing else EXIT_TOLERANCE
@@ -365,7 +365,7 @@ def _continuum_born(args, spec, H) -> int:
     for e in report.entries:
         print(f"born: l={format_float(e.l)} max|w-p|={format_float(e.max_error)}")
     errs = report.errors
-    decreasing = all(a > b for a, b in zip(errs, errs[1:]))
+    decreasing = all(a > b or b == 0 for a, b in zip(errs, errs[1:]))  # an exact 0 has converged
     return EXIT_OK if decreasing else EXIT_TOLERANCE
 
 

@@ -13,12 +13,12 @@ never roundoff.
 from __future__ import annotations
 
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul
 from typing import Iterable, NamedTuple
 
 from .dynamics import Trajectory
 from .errors import DimensionMismatch, NonCommutingError
-from .gaussian import GaussInt, GaussMatrix, GaussVector, _AnyDigits, _compile_kernel, full_digit_repr
+from .gaussian import GaussInt, GaussMatrix, GaussVector, _AnyDigits, _step_kernel, full_digit_repr
 from .gaussian import inner_product, is_hermitian, mat_vec
 from .models import build_hamiltonian
 
@@ -137,17 +137,18 @@ def verify_stream(
     if not is_hermitian(G):
         raise ValueError("G is not Hermitian, so q_G is not the real 2 Re<psi_n, G psi_(n+1)> checked here")
     m = len(G.re)
-    g_kernel = G._kernel or _compile_kernel(G)
-    h_kernel = None if G == H else H._kernel or _compile_kernel(H)
-    value = first = prev2 = prev = g_prev = None
+    g_step, h_step = _step_kernel(G), _step_kernel(H)
+    zeros = (0,) * m
+    value = first = prev2 = prev = None
     message = ""
     n = 0
     for n, psi in enumerate(states):
         if len(psi.re) != m:
             raise DimensionMismatch(f"matrix {G.shape} cannot act on length-{len(psi)} vector")
-        g_psi = g_kernel(psi.re, psi.im)
         if n:
-            q = 2 * (sum(map(mul, prev.re, g_psi[0])) + sum(map(mul, prev.im, g_psi[1])))
+            # G's step from zero is -iG psi_n, so G psi_n = -k_im + i k_re and q = 2 Re<psi_{n-1}, G psi_n>
+            k_re, k_im = g_step(psi.re, psi.im, zeros, zeros)
+            q = 2 * (sum(map(mul, prev.im, k_re)) - sum(map(mul, prev.re, k_im)))
             if rows is not None:
                 rows.append(PairStats(n - 1, GaussInt(q), link_counts(prev, psi)))
             if value is None:
@@ -155,12 +156,10 @@ def verify_stream(
             elif q != value and first is None:
                 with _AnyDigits():
                     first, message = n - 1, f"q_G changed from {value} to {q}"
-            if first is None and n > 1:
-                # psi_n = psi_{n-2} - i H psi_{n-1}, as -i(a + ib) = b - ia
-                hx, hp = g_prev if h_kernel is None else h_kernel(prev.re, prev.im)
-                if tuple(map(add, prev2.re, hp)) != psi.re or tuple(map(sub, prev2.im, hx)) != psi.im:
-                    first, message = n, "update rule violated"
-        prev2, prev, g_prev = prev, psi, g_psi
+            # psi_n = psi_{n-2} - i H psi_{n-1}, H's step from (psi_{n-1}, psi_{n-2})
+            if first is None and n > 1 and h_step(prev.re, prev.im, prev2.re, prev2.im) != (psi.re, psi.im):
+                first, message = n, "update rule violated"
+        prev2, prev = prev, psi
     if n == 0:
         raise ValueError("a trajectory needs at least two states")
     return ConservationReport(

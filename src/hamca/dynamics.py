@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from itertools import count, islice
-from operator import add, sub
 from typing import Iterator, Union
 
 from .errors import DimensionMismatch
-from .gaussian import GaussMatrix, GaussVector, I_UNIT, _Frozen, is_hermitian, mat_vec
+from .gaussian import GaussMatrix, GaussVector, _Frozen, _step_kernel, is_hermitian
 from .models import HamiltonianSpec, basis_state, build_hamiltonian, spec_from_matrix
 
 ModelLike = Union[HamiltonianSpec, GaussMatrix]
@@ -32,17 +31,17 @@ def model_matrix(model: ModelLike) -> GaussMatrix:
 
 
 def step_forward(prev: GaussVector, curr: GaussVector, H: GaussMatrix) -> GaussVector:
-    """psi_{n+1} = psi_{n-1} - i*H*psi_n; the product -i*H*psi_n is added
-    from the parts of H*psi_n, as -i(a + ib) = b - ia."""
-    h_curr = mat_vec(H, curr)
-    if len(prev) != len(h_curr):
-        raise DimensionMismatch(f"vector lengths differ: {len(prev)} vs {len(h_curr)}")
-    return GaussVector(tuple(map(add, prev.re, h_curr.im)), tuple(map(sub, prev.im, h_curr.re)))
+    """psi_{n+1} = psi_{n-1} - i*H*psi_n, one call of H's compiled step."""
+    if len(curr) != len(H.re[0]):
+        raise DimensionMismatch(f"matrix {H.shape} cannot act on length-{len(curr)} vector")
+    if len(prev) != len(H.re):
+        raise DimensionMismatch(f"vector lengths differ: {len(prev)} vs {len(H.re)}")
+    return GaussVector(*_step_kernel(H)(curr.re, curr.im, prev.re, prev.im))
 
 
 def step_backward(curr: GaussVector, nxt: GaussVector, H: GaussMatrix) -> GaussVector:
-    """psi_{n-1} = psi_{n+1} + i*H*psi_n; exact inverse of step_forward."""
-    return nxt + mat_vec(H, curr) * I_UNIT
+    """psi_{n-1} = psi_{n+1} + i*H*psi_n, step_forward from (psi_{n+1}, -psi_n): its exact inverse."""
+    return step_forward(nxt, -curr, H)
 
 
 class Trajectory(_Frozen):

@@ -4,13 +4,13 @@ Scalars are pairs of arbitrary-precision Python ints, so products of
 thousand-digit entries stay exact; nothing here ever rounds.  A vector
 psi = x + ip stores its int pair (x, p) and a matrix H = S + iA its pair
 (S, A); arithmetic runs on those ints, and indexing or iteration yields
-GaussInt scalars.  The first time a matrix is applied it compiles its own
-matrix-vector product: one straight-line sum per output part, with a term
-for each nonzero entry only, so a product costs one term per nonzero, not
-one per entry.  The compile is lazy and cached on the matrix; two threads
-that race on it only compile the same function twice.  All three types are
-immutable and hashable, hence safe to share between threads or reuse as
-dict keys.
+GaussInt scalars.  The first time a matrix is applied it compiles its step
+of the update rule, (a + ib) - iM(x + ip), that its product is read off:
+one straight-line sum per output part with a term per nonzero entry, so a
+step costs one term per nonzero, not one per entry.  The compile is lazy
+and cached on the matrix; two threads that race on it only compile it
+twice.  All three types are immutable and hashable, hence safe to share
+between threads or reuse as dict keys.
 """
 
 from __future__ import annotations
@@ -152,9 +152,6 @@ class GaussInt(_Frozen):
             return f"{self.re}{sign}{imag}"
 
 
-I_UNIT = GaussInt(0, 1)
-
-
 def _parts(value: ScalarLike) -> tuple[int, int] | None:
     """(re, im) of a GaussInt or int scalar operand, None for anything else."""
     if isinstance(value, GaussInt):
@@ -247,7 +244,7 @@ IntRows = tuple[tuple[int, ...], ...]
 
 class GaussMatrix(_Frozen):
     """Matrix of Gaussian integers, stored as the int rows re = S and
-    im = A of H = S + iA.  `_kernel`, its compiled matrix-vector product,
+    im = A of H = S + iA.  `_kernel`, its compiled step (`_step_kernel`),
     is built on first use and takes no part in ==, hash, repr or pickling."""
 
     _fields = ("re", "im")
@@ -349,36 +346,41 @@ def inner_product(v: GaussVector, w: GaussVector) -> GaussInt:
 
 
 def mat_vec(M: GaussMatrix, v: GaussVector) -> GaussVector:
-    """Exact matrix-vector product: (S + iA)(x + ip) = (Sx - Ap) + i(Sp + Ax),
-    through the kernel M compiles on first use."""
+    """Exact matrix-vector product: i times the parts (Sp + Ax, Ap - Sx) of
+    -iMv that M's step returns from zero accumulators."""
     if M.shape[1] != len(v):
         raise DimensionMismatch(f"matrix {M.shape} cannot act on length-{len(v)} vector")
-    kernel = M._kernel or _compile_kernel(M)
-    return GaussVector(*kernel(v.re, v.im))
+    zeros = (0,) * len(M.re)
+    re, im = _step_kernel(M)(v.re, v.im, zeros, zeros)
+    return GaussVector(tuple(map(neg, im)), re)
 
 
-def _compile_kernel(M: GaussMatrix) -> Callable:
-    """Compile `kernel(x, p) -> (Sx - Ap, Sp + Ax)` for M and cache it on M.
-    The kernel unpacks x and p into locals x0, p0, ...; row 0 of Hm:16, say,
-    becomes `p1+x15`.  A zero entry gives no term, a +-1 a bare sign and any
-    other int a hex literal, so the source holds only int indices and hex
-    literals, whatever the size of the entries."""
+def _step_kernel(M: GaussMatrix) -> Callable:
+    """M's `kernel(x, p, a, b) -> (a + Sp + Ax, b - Sx + Ap)`, the parts of
+    (a + ib) - iM(x + ip), compiled on first use and cached on M.  The kernel
+    unpacks its arguments into locals x0, p0, a0, b0, ...; row 0 of Hm:16,
+    say, becomes `a0-x1+p15`.  A zero entry gives no term, a +-1 a bare sign
+    and any other int a hex literal, so the source holds only int indices
+    and hex literals, whatever the size of the entries."""
+    if M._kernel is not None:
+        return M._kernel
     re, im = [], []
-    for rs, ra in zip(M.re, M.im):
-        r, i = [], []
+    for k, (rs, ra) in enumerate(zip(M.re, M.im)):
+        r, i = [f"+a{k}"], [f"+b{k}"]
         for j, (s, a) in enumerate(zip(rs, ra)):
             if s:
-                r.append(_term(s, f"x{j}"))
-                i.append(_term(s, f"p{j}"))
+                r.append(_term(s, f"p{j}"))
+                i.append(_term(-s, f"x{j}"))
             if a:
-                r.append(_term(-a, f"p{j}"))
-                i.append(_term(a, f"x{j}"))
+                r.append(_term(a, f"x{j}"))
+                i.append(_term(a, f"p{j}"))
         re.append(_tree_sum(r))
         im.append(_tree_sum(i))
     xs = "".join(f"x{j}," for j in range(M.shape[1]))
+    acc = "".join(f"a{k}," for k in range(len(M.re)))
+    unpack = f" {xs} = x\n {xs.replace('x', 'p')} = p\n {acc} = a\n {acc.replace('a', 'b')} = b\n"
     namespace: dict = {}
-    body = f" {xs} = x\n {xs.replace('x', 'p')} = p\n return ({','.join(re)},), ({','.join(im)},)"
-    exec(f"def kernel(x, p):\n{body}", namespace)
+    exec(f"def kernel(x, p, a, b):\n{unpack} return ({','.join(re)},), ({','.join(im)},)", namespace)
     object.__setattr__(M, "_kernel", namespace["kernel"])
     return namespace["kernel"]
 
@@ -397,7 +399,7 @@ def _tree_sum(terms: list[str]) -> str:
     if len(terms) > 32:
         half = len(terms) // 2
         return f"({_tree_sum(terms[:half])})+({_tree_sum(terms[half:])})"
-    return "".join(terms).lstrip("+") or "0"
+    return "".join(terms).lstrip("+")
 
 
 def is_hermitian(M: GaussMatrix) -> bool:

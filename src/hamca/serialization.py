@@ -45,11 +45,11 @@ def format_float(x: float) -> str:
 # Gaussian-integer literals: "0", "-3", "i", "-2i", "1+i", "4 - 7i"
 # ---------------------------------------------------------------------------
 
-# A sign joins the real and the imaginary part and may have spaces around
-# it; nothing else may: "1 2i" is two numbers, not 1+2i.
+# A sign joins the parts and may have spaces around it; nothing else may:
+# "1 2i" is two numbers, not 1+2i.  [0-9], as \d also takes "١", read as 1.
 _GAUSS_RE = re.compile(
-    r"""(?P<re>[+-]?\d+)(?:\s*(?P<sign>[+-])\s*(?P<mag>\d*)i)?   # a, a + bi
-      | (?P<im>[+-]?\d*)i                                          # bi alone
+    r"""(?P<re>[+-]?[0-9]+)(?:\s*(?P<sign>[+-])\s*(?P<mag>[0-9]*)i)?   # a, a + bi
+      | (?P<im>[+-]?[0-9]*)i                                             # bi alone
     """,
     re.VERBOSE,
 )

@@ -58,9 +58,11 @@ COMMANDS = [
     (0, ["continuum", "q1", "--model", "H2", "--steps", "80", "--window", "8", "--points", "3", "--tol", "1e-2",
          "--out", "q1.csv"]),
     (0, ["continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--out", "born.csv"]),
+    (0, ["continuum", "born", "--model", "H2", "--psi", "1,1"]),
     (1, ["continuum", "closedform", "--model", "H3", "--pairs", "2", "--nmax", "20", "--tol", "0"]),
     (3, ["run", "--model", "nosuch", "--psi0", "1", "--psi1", "0", "--steps", "1"]),
     (3, ["run", "--model", "H2", "--psi0", "1 2i,0", "--psi1", "0,1", "--steps", "1"]),
+    (3, ["run", "--model", "H2", "--psi0", "\u0661,0", "--psi1", "0,1", "--steps", "1"]),
     (3, ["check", "traj.jsonl", "--g", "nosuch"]),
     (3, ["cycle", "--model", "Hm:05"]),
     (3, ["cycle", "--model", "H4", "--pair", "k=01"]),

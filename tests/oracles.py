@@ -15,7 +15,7 @@ from hamca.conservation import ConservationReport, PairStats, commutator, link_c
 from hamca.continuum import Q1Result, as_matrix, as_state
 from hamca.dynamics import Trajectory, model_matrix, stream_states
 from hamca.errors import DimensionMismatch, InstabilityError, NonCommutingError, SignalRangeError
-from hamca.gaussian import I_UNIT, GaussInt, _AnyDigits, mat_vec
+from hamca.gaussian import GaussInt, _AnyDigits, mat_vec
 from hamca.models import HamiltonianSpec
 from hamca.ontology import CycleReport, Visit
 from hamca.serialization import read_trajectory_stream
@@ -44,6 +44,12 @@ def oracle_matmul(a_rows, b_rows):
     """A B on rows of GaussInt."""
     cols = tuple(zip(*b_rows))
     return tuple(tuple(_dot(row, col) for col in cols) for row in a_rows)
+
+
+def oracle_step_backward(curr, nxt, H):
+    """psi_{n-1} = psi_{n+1} + i H psi_n on rows of GaussInt, entry by entry."""
+    one, i = GaussInt(1), GaussInt(0, 1)
+    return tuple(_dot([b, h], [one, i]) for b, h in zip(nxt, oracle_mat_vec(H.rows, tuple(curr))))
 
 
 def oracle_q_G(psi_n, psi_next, G) -> GaussInt:
@@ -116,7 +122,7 @@ def verify_stream_reference(states, H, G, rows=None) -> ConservationReport:
                 first, message = n - 1, "2L != q1"
             pairs += 1
         if first is None and prev2 is not None:
-            if prev2 - mat_vec(H, prev) * I_UNIT != psi:
+            if prev2 - mat_vec(H, prev) * GaussInt(0, 1) != psi:
                 first, message = n, "update rule violated"
         prev2, prev, g_prev = prev, psi, g_psi
     if pairs == 0:

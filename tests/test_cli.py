@@ -17,6 +17,7 @@ from hamca.cli import (
     EXIT_VIOLATION,
     main,
 )
+from hamca import continuum as ct
 from hamca.conservation import q_G
 from hamca.dynamics import evolve
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
@@ -320,6 +321,32 @@ class TestContinuum:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3 and all(line.startswith("born: l=") for line in lines)
 
+    def test_born_eigenstate_agrees_exactly_and_converges(self, capsys):
+        # (1, 1) is an eigenstate of H2: link fractions equal the probabilities at every l
+        assert run_cli("continuum", "born", "--model", "H2", "--psi", "1,1") == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all(line.endswith(" max|w-p|=0") for line in lines)
+
+    @pytest.mark.parametrize("errors, code", [
+        ([0.5, 0.0, 0.0], EXIT_OK),
+        ([0.0, 0.5, 0.25], EXIT_TOLERANCE),
+        ([0.5, 0.0, 0.25], EXIT_TOLERANCE),
+        ([0.5, 0.25, 0.25], EXIT_TOLERANCE),
+    ], ids=["falls-to-zero", "rises-from-zero", "zero-then-rises", "stalls"])
+    @pytest.mark.parametrize("mode", ["sinh", "born"])
+    def test_verdict_counts_an_exact_zero_as_converged(self, monkeypatch, capsys, mode, errors, code):
+        if mode == "born":
+            def fake(H, psi0, ls, **kw):
+                return ct.BornReport([ct.BornEntry(l, 1, 1.0, e) for l, e in zip(ls, errors)])
+
+            monkeypatch.setattr(ct, "born_convergence", fake)
+        else:
+            windows = [16, 32, 64]
+            monkeypatch.setattr(ct, "sinh_residual",
+                                lambda sig, H, ts: ct.np.full(len(ts), errors[windows.index(sig.window)]))
+        assert run_cli("continuum", mode, "--model", "H2") == code
+        capsys.readouterr()
+
     @pytest.mark.parametrize("mode", ["sinh", "q1"])
     def test_band_edge_model_falls_back_then_overflows(self, tmp_path, capsys, mode):
         # tridiag(1,2,1), m = 3: the eigenvalue 2 sits on the band edge, so
@@ -581,6 +608,29 @@ class TestLiteralSignsOnTheCommandLine:
             assert run_cli("run", "--model", "H2", "--psi0", psi0, "--psi1", "0,1",
                            "--steps", "4", "--out", str(out)) == EXIT_OK
         assert spaced.read_bytes() == packed.read_bytes()
+
+
+class TestAsciiDigits:
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--model", "H2", "--psi0", "\u0661,0", "--psi1", "0,1", "--steps", "1"],
+         "psi0: cannot parse Gaussian integer from '\u0661'"),
+        (["run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,\uff11i", "--steps", "1"],
+         "psi1: cannot parse Gaussian integer from '\uff11i'"),
+        (["run", "--model", "H2", "--psi0", "@v.json", "--psi1", "0,1", "--steps", "1"],
+         "psi0: cannot parse Gaussian integer from '\u0663'"),
+        (["continuum", "sinh", "--model", "H2", "--windows", "\u0661\u0666,32"],
+         "windows: expected comma-separated int values, got '\u0661\u0666,32'"),
+        (["continuum", "born", "--model", "H2", "--psi", "\uff10.8,0.6"],
+         "psi: expected comma-separated complex values, got '\uff10.8,0.6'"),
+        (["continuum", "born", "--model", "H2", "--l-values", "0.2,\u0660.1"],
+         "l-values: expected comma-separated float values, got '0.2,\u0660.1'"),
+    ], ids=["psi0-arabic-indic", "psi1-fullwidth", "vector-file", "sinh-windows", "born-psi", "born-l-values"])
+    def test_non_ascii_digits_exit_3(self, tmp_path, monkeypatch, capsys, argv, message):
+        # int(), float() and complex() read these digits as 1, 16, 0.8, ...
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "v.json").write_text('["\u0663", 0]')
+        assert run_cli(*argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestInternalError:

@@ -17,7 +17,7 @@ from hamca.conservation import (
 )
 from hamca.dynamics import Trajectory, evolve
 from hamca.errors import NonCommutingError
-from hamca.gaussian import I_UNIT, GaussInt, GaussMatrix, GaussVector
+from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.serialization import ConservationCsvWriter
 from oracles import conservation_csv_reference, oracle_q_G, verify_stream_reference
@@ -199,7 +199,7 @@ class TestVerifyTrajectory:
         # i*I commutes with every H, but its q_G is imaginary, not the real sum checked
         traj = evolve(E(1, 0), E(0, 1), H2, 4)
         with pytest.raises(ValueError, match="G is not Hermitian") as err:
-            verify_trajectory(traj, EYE2 * I_UNIT)
+            verify_trajectory(traj, EYE2 * GaussInt(0, 1))
         assert not isinstance(err.value, NonCommutingError)
 
     def test_corrupted_trajectory_reports_step(self):

@@ -99,9 +99,12 @@ def test_load_gauss_vector_raises_only_value_error(scratch, doc):
 @given(text=LITERALS)
 def test_parse_gauss_raises_only_value_error(text):
     try:
-        assert isinstance(parse_gauss(text), GaussInt)
+        value = parse_gauss(text)
     except ValueError:
-        pass
+        return
+    assert isinstance(value, GaussInt)
+    # a literal that parses is ASCII apart from whitespace: no other digit is read as one
+    assert "".join(text.split()).isascii()
 
 
 @settings(max_examples=12, deadline=None,

@@ -1,7 +1,7 @@
 """The int-pair storage of GaussVector / GaussMatrix against a per-entry oracle.
 
 The containers hold (x, p) and (S, A) as plain int tuples, and a matrix
-compiles its own matrix-vector kernel the first time it is applied.  The
+compiles its own step kernel the first time it is applied.  The
 oracles work on one GaussInt per entry of the dense rows, expanding each
 product on its int parts (`oracles._dot`; the matrix products live in
 `oracles.py`, the inner product here), so any disagreement is a bug in
@@ -16,20 +16,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamca.conservation import verify_stream
-from hamca.dynamics import evolve, step_forward
+from hamca.dynamics import evolve, step_backward, step_forward
 from hamca.errors import DimensionMismatch
 from hamca.gaussian import (
     GaussInt,
     GaussMatrix,
     GaussVector,
-    _compile_kernel,
+    _step_kernel,
     inner_product,
     is_hermitian,
     mat_vec,
 )
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.ontology import classify_state
-from oracles import _dot, conj, oracle_mat_vec, oracle_matmul, step_xp
+from oracles import _dot, conj, oracle_mat_vec, oracle_matmul, oracle_step_backward, step_xp
 
 BIG = 2**200
 big_ints = st.integers(min_value=-BIG, max_value=BIG)
@@ -222,6 +222,13 @@ def test_sparse_step_forward_matches_oracle(inputs):
     assert tuple(step_forward(prev, curr, H)) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(sparse_step_inputs())
+def test_sparse_step_backward_matches_oracle(inputs):
+    curr, nxt, H = inputs
+    assert tuple(step_backward(curr, nxt, H)) == oracle_step_backward(curr, nxt, H)
+
+
 @settings(max_examples=40, deadline=None)
 @given(sparse_matrix_and_vector())
 def test_compiled_kernel_stays_out_of_equality_hash_repr_and_pickle(mv):
@@ -380,37 +387,29 @@ def test_classify_state_constructs_at_most_one_gauss_int(monkeypatch):
 
 
 def counting_kernel(M: GaussMatrix) -> list:
-    """Replace M's compiled kernel by one that records each state it is applied to."""
+    """Replace M's compiled step by one that records the arguments of each call."""
     calls = []
-    kernel = M._kernel or _compile_kernel(M)
+    kernel = _step_kernel(M)
 
-    def counting(x, p):
-        calls.append((x, p))
-        return kernel(x, p)
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
 
     object.__setattr__(M, "_kernel", counting)
     return calls
 
 
-def test_check_with_g_equal_h_applies_h_once_per_state():
+@pytest.mark.parametrize("g_is_h", [True, False], ids=["g_equal_h", "g_identity"])
+def test_check_steps_g_once_per_state_and_h_once_per_state_from_index_2(g_is_h):
     spec = make_cyclic_model(6)
-    H, G = build_hamiltonian(spec), build_hamiltonian(spec)
-    traj = evolve(GaussVector.of(1, 0, 2, 0, 0, -1), GaussVector.of(0, 1, 0, 0, 3, 0), spec, 40)
-    h_calls, g_calls = counting_kernel(H), counting_kernel(G)
-    report = verify_stream(traj, H, G, [])
-    assert report.ok
-    # the commutator G @ H - H @ G applies each kernel to 6 columns first; after
-    # that, as G = H, the product of each state serves its pair and the update rule
-    assert g_calls[6:] == [(psi.re, psi.im) for psi in traj]
-    assert len(h_calls) == 6
-
-
-def test_check_with_g_unlike_h_applies_each_once_per_state():
-    spec = make_cyclic_model(6)
-    H, G = build_hamiltonian(spec), GaussMatrix.identity(6)
+    H = build_hamiltonian(spec)
+    G = build_hamiltonian(spec) if g_is_h else GaussMatrix.identity(6)
     traj = evolve(GaussVector.of(1, 0, 2, 0, 0, -1), GaussVector.of(0, 1, 0, 0, 3, 0), spec, 40)
     h_calls, g_calls = counting_kernel(H), counting_kernel(G)
     assert verify_stream(traj, H, G, []).ok
-    # after the commutator's 6 columns each: H psi_n serves the update rule at state n + 1 only
-    assert g_calls[6:] == [(psi.re, psi.im) for psi in traj]
-    assert h_calls[6:] == [(psi.re, psi.im) for psi in traj[1:-1]]
+    # the commutator G @ H - H @ G applies each kernel to 6 columns first; after
+    # that G's step from zero gives G psi_n for the pair ending at each state,
+    # and H's step rebuilds psi_n from (psi_{n-1}, psi_{n-2}) for the update rule
+    zeros = (0,) * 6
+    assert g_calls[6:] == [(psi.re, psi.im, zeros, zeros) for psi in traj[1:]]
+    assert h_calls[6:] == [(psi.re, psi.im, back.re, back.im) for back, psi in zip(traj, traj[1:-1])]
