@@ -297,14 +297,22 @@ def _continuum_closedform(args, spec, H) -> int:
     return EXIT_OK if worst <= tol else EXIT_TOLERANCE
 
 
+def _ascii(kind: type):
+    """Parse one `kind` (int, float or complex) from ASCII without `_`; `kind` alone reads "١٦" and "1_6"."""
+    def parse(text: str):
+        if "_" in text or not text.isascii():
+            raise ValueError(text)
+        return kind(text)
+    parse.__name__ = kind.__name__  # argparse's usage error: "invalid int value"
+    return parse
+
+
 def _number_list(option: str, text: str, kind: type) -> list:
     """A comma-separated option value as a list of `kind` (int, float or complex)."""
     try:
-        if "_" not in text and text.isascii():  # int, float and complex read "1_6" and "١٦" as 16
-            return [kind(v) for v in text.split(",")]
+        return list(map(_ascii(kind), text.split(",")))
     except ValueError:
-        pass
-    raise ValueError(f"{option}: expected comma-separated {kind.__name__} values, got {text!r}")
+        raise ValueError(f"{option}: expected comma-separated {kind.__name__} values, got {text!r}") from None
 
 
 def _complex_state(option: str, text: str, dim: int) -> list[complex]:
@@ -377,13 +385,14 @@ def _continuum_born(args, spec, H) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hamca", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
+    ascii_int, ascii_float = _ascii(int), _ascii(float)  # signs kept: `--steps -1` reaches its own check
 
     run = sub.add_parser("run", help="evolve a model and write a trajectory file")
     run.add_argument("--model", required=True, help="built-in label (H2, H3, H4, Hm:<m>) or model file")
     run.add_argument("--psi0", required=True, help="initial state: literal '1, -i, 0' or @file.json")
     run.add_argument("--psi1", required=True, help="second initial state, same syntax")
-    run.add_argument("--steps", type=int, required=True, help="number of update steps")
-    run.add_argument("--l", type=float, default=1.0, help="discreteness scale (metadata)")
+    run.add_argument("--steps", type=ascii_int, required=True, help="number of update steps")
+    run.add_argument("--l", type=ascii_float, default=1.0, help="discreteness scale (metadata)")
     run.add_argument("--out", help="trajectory output path (JSON Lines)")
     run.add_argument("--probe", action="store_true", help="online q1/L conservation probe (streaming)")
     run.set_defaults(func=_cmd_run)
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     cyc.add_argument("--model", required=True)
     cyc.add_argument("--pair", default="all", help="'all', 'k=<index>', or a psi0 literal (with --psi1)")
     cyc.add_argument("--psi1", help="second state literal when --pair is a psi0 literal")
-    cyc.add_argument("--budget", type=int, help="max steps to search (default 8*dim + 8)")
+    cyc.add_argument("--budget", type=ascii_int, help="max steps to search (default 8*dim + 8)")
     cyc.add_argument("--out", help="CSV output path")
     cyc.set_defaults(func=_cmd_cycle)
 
@@ -406,19 +415,19 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("mode", choices=["closedform", "sinh", "q1", "born"])
     con.add_argument("--model", required=True)
     con.add_argument("--out", help="CSV output path")
-    con.add_argument("--seed", type=int, default=0)
-    con.add_argument("--pairs", type=int, default=100, help="closedform: number of random pairs")
-    con.add_argument("--nmax", type=int, default=100, help="closedform: steps per pair")
-    con.add_argument("--tol", type=float, default=1e-8, help="closedform/q1 tolerance")
+    con.add_argument("--seed", type=ascii_int, default=0)
+    con.add_argument("--pairs", type=ascii_int, default=100, help="closedform: number of random pairs")
+    con.add_argument("--nmax", type=ascii_int, default=100, help="closedform: steps per pair")
+    con.add_argument("--tol", type=ascii_float, default=1e-8, help="closedform/q1 tolerance")
     con.add_argument("--strict-band", action="store_true", help="reject eigenvalues near the +/-2 band edge")
-    con.add_argument("--steps", type=int, default=400, help="sinh/q1: trajectory length")
-    con.add_argument("--l", type=float, default=1.0, help="sinh/q1: sample spacing")
+    con.add_argument("--steps", type=ascii_int, default=400, help="sinh/q1: trajectory length")
+    con.add_argument("--l", type=ascii_float, default=1.0, help="sinh/q1: sample spacing")
     con.add_argument("--windows", default="16,32,64", help="sinh: increasing comma-separated window sizes")
-    con.add_argument("--window", type=int, default=32, help="q1: window size")
-    con.add_argument("--points", type=int, default=20, help="sinh/q1: evaluation points")
+    con.add_argument("--window", type=ascii_int, default=32, help="q1: window size")
+    con.add_argument("--points", type=ascii_int, default=20, help="sinh/q1: evaluation points")
     con.add_argument("--convention", choices=["pairwise", "cosh"], default="pairwise")
     con.add_argument("--l-values", default="0.2,0.1,0.05", help="born: descending list of scales")
-    con.add_argument("--horizon", type=float, default=3.0, help="born: physical time horizon")
+    con.add_argument("--horizon", type=ascii_float, default=3.0, help="born: physical time horizon")
     con.add_argument("--psi", help="born: complex components '0.8,0.6' (default: random)")
     con.add_argument("--psi1", dest="psi1", help="born: explicit second state (overrides smooth branch)")
     con.set_defaults(func=_cmd_continuum)

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 from .dynamics import Trajectory
 from .errors import DimensionMismatch, NonCommutingError
-from .gaussian import GaussInt, GaussMatrix, GaussVector, _AnyDigits, _step_kernel, full_digit_repr
+from .gaussian import GaussInt, GaussMatrix, GaussVector, _step_kernel, full_digit_repr
 from .gaussian import inner_product, is_hermitian, mat_vec
 from .models import build_hamiltonian
 
@@ -26,8 +26,9 @@ from .models import build_hamiltonian
 def q_G(psi_n: GaussVector, psi_next: GaussVector, G: GaussMatrix) -> GaussInt:
     """Two-time correlation of a consecutive state pair under G.
 
-    Real (zero imaginary part) whenever G is Hermitian; conserved along
-    trajectories whenever G commutes with the model Hamiltonian.
+    Real, 2 Re<psi_n, G psi_{n+1}>, whenever G is Hermitian.  If also
+    [G, H] = 0, the update rule conserves it: the rule at n + 2 gives
+    q(n+1) = q(n), as GH is Hermitian and -i<psi, GH psi> has no real part.
     """
     a = inner_product(psi_next, mat_vec(G, psi_n))
     b = inner_product(psi_n, mat_vec(G, psi_next))
@@ -113,18 +114,19 @@ def verify_stream(
     """Check a state sequence in one pass over its int parts: q_G is one
     constant, and every state from index 2 on obeys the update rule.
 
-    G must be Hermitian, as every G built from a HamiltonianSpec is: then
-    q_G is the real int 2 Re<psi_n, G psi_{n+1}>, two int sums per pair
-    once G is applied to each state.  The link total L is not compared with
-    q1 / 2, as both are the same int sum by definition.  Only a sliding
-    window of states is held, so the sequence may be a generator over a
-    file.  The whole sequence is read even after a violation; when `rows`
-    is given (anything with an `append`: a list, or a
+    Each state costs one application of H, whose step from (psi_{n-1},
+    psi_{n-2}) must give psi_n.  As G is Hermitian and commutes with H
+    (both checked first), GH is Hermitian and the rule at n gives q(n-1) =
+    q(n-2) + 2 Re(-i<psi_{n-1}, GH psi_{n-1}>) = q(n-2).  So `q_G` runs at
+    pair 0 and at each pair n - 1 whose rule at n fails, where a changed q
+    is reported at n - 1; other pairs carry the running q, their exact q.
+    Only a sliding window of states is held, so the sequence may be a
+    generator over a file.  The whole sequence is read even after a
+    violation; when `rows` is given (anything with an `append`: a list, or a
     serialization.ConservationCsvWriter), the PairStats of every pair are
     appended to it as the pair is checked.  Raises NonCommutingError (with
-    the commutator as witness) when G does not commute with H, and
-    ValueError when G is not Hermitian or the sequence has fewer than two
-    states.
+    the commutator as witness) when [G, H] != 0, and ValueError when G is
+    not Hermitian or the sequence has fewer than two states.
     """
     if G.shape != H.shape:
         raise DimensionMismatch(f"G has shape {G.shape}, model needs {H.shape}")
@@ -137,33 +139,30 @@ def verify_stream(
     if not is_hermitian(G):
         raise ValueError("G is not Hermitian, so q_G is not the real 2 Re<psi_n, G psi_(n+1)> checked here")
     m = len(G.re)
-    g_step, h_step = _step_kernel(G), _step_kernel(H)
-    zeros = (0,) * m
-    value = first = prev2 = prev = None
+    h_step = _step_kernel(H)
+    value = q = first = prev2 = prev = None
     message = ""
     n = 0
     for n, psi in enumerate(states):
         if len(psi.re) != m:
             raise DimensionMismatch(f"matrix {G.shape} cannot act on length-{len(psi)} vector")
-        if n:
-            # G's step from zero is -iG psi_n, so G psi_n = -k_im + i k_re and q = 2 Re<psi_{n-1}, G psi_n>
-            k_re, k_im = g_step(psi.re, psi.im, zeros, zeros)
-            q = 2 * (sum(map(mul, prev.im, k_re)) - sum(map(mul, prev.re, k_im)))
-            if rows is not None:
-                rows.append(PairStats(n - 1, GaussInt(q), link_counts(prev, psi)))
-            if value is None:
-                value = q
-            elif q != value and first is None:
-                with _AnyDigits():
-                    first, message = n - 1, f"q_G changed from {value} to {q}"
-            # psi_n = psi_{n-2} - i H psi_{n-1}, H's step from (psi_{n-1}, psi_{n-2})
-            if first is None and n > 1 and h_step(prev.re, prev.im, prev2.re, prev2.im) != (psi.re, psi.im):
+        if n == 1:
+            value = q = q_G(prev, psi, G)
+        # psi_n = psi_{n-2} - i H psi_{n-1}, H's step from (psi_{n-1}, psi_{n-2}); where it
+        # holds, pair n - 1 has the q of pair n - 2, so q_G runs only where it fails
+        elif n and h_step(prev.re, prev.im, prev2.re, prev2.im) != (psi.re, psi.im):
+            q = q_G(prev, psi, G)
+            if first is None and q != value:
+                first, message = n - 1, f"q_G changed from {value} to {q}"
+            elif first is None:
                 first, message = n, "update rule violated"
+        if n and rows is not None:
+            rows.append(PairStats(n - 1, q, link_counts(prev, psi)))
         prev2, prev = prev, psi
     if n == 0:
         raise ValueError("a trajectory needs at least two states")
     return ConservationReport(
-        ok=first is None, q_value=GaussInt(value), pairs_checked=n, first_violation=first, message=message
+        ok=first is None, q_value=value, pairs_checked=n, first_violation=first, message=message
     )
 
 

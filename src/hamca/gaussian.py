@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from operator import add, attrgetter, mul, neg, sub
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import DimensionMismatch
 
@@ -257,11 +257,6 @@ class GaussMatrix(_Frozen):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
         object.__setattr__(self, "_kernel", None)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "GaussMatrix":
-        zs = [[as_gauss(v) for v in row] for row in rows]
-        return cls(tuple(tuple(z.re for z in r) for r in zs), tuple(tuple(z.im for z in r) for r in zs))
 
     @classmethod
     def identity(cls, m: int) -> "GaussMatrix":

@@ -60,6 +60,7 @@ COMMANDS = [
     (0, ["continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--out", "born.csv"]),
     (0, ["continuum", "born", "--model", "H2", "--psi", "1,1"]),
     (1, ["continuum", "closedform", "--model", "H3", "--pairs", "2", "--nmax", "20", "--tol", "0"]),
+    (2, ["run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "1_0"]),
     (3, ["run", "--model", "nosuch", "--psi0", "1", "--psi1", "0", "--steps", "1"]),
     (3, ["run", "--model", "H2", "--psi0", "1 2i,0", "--psi1", "0,1", "--steps", "1"]),
     (3, ["run", "--model", "H2", "--psi0", "\u0661,0", "--psi1", "0,1", "--steps", "1"]),

@@ -15,7 +15,7 @@ from hamca.conservation import ConservationReport, PairStats, commutator, link_c
 from hamca.continuum import Q1Result, as_matrix, as_state
 from hamca.dynamics import Trajectory, model_matrix, stream_states
 from hamca.errors import DimensionMismatch, InstabilityError, NonCommutingError, SignalRangeError
-from hamca.gaussian import GaussInt, _AnyDigits, mat_vec
+from hamca.gaussian import GaussInt, GaussMatrix, _AnyDigits, as_gauss, mat_vec
 from hamca.models import HamiltonianSpec
 from hamca.ontology import CycleReport, Visit
 from hamca.serialization import read_trajectory_stream
@@ -33,6 +33,12 @@ def _dot(row, col):
 
 def conj(a: GaussInt) -> GaussInt:
     return GaussInt(a.re, -a.im)
+
+
+def gauss_matrix(rows) -> GaussMatrix:
+    """GaussMatrix(re, im) from rows of Gaussian entries: ints, (re, im) pairs or GaussInt."""
+    zs = [[as_gauss(v) for v in row] for row in rows]
+    return GaussMatrix(tuple(tuple(z.re for z in r) for r in zs), tuple(tuple(z.im for z in r) for r in zs))
 
 
 def oracle_mat_vec(rows, v):

@@ -610,6 +610,19 @@ class TestLiteralSignsOnTheCommandLine:
         assert spaced.read_bytes() == packed.read_bytes()
 
 
+RUN_H2 = ["run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1"]
+CLOSEDFORM_H2 = ["continuum", "closedform", "--model", "H2"]
+
+#: (argv, option, kind) for each option that argparse reads as one int or float
+NUMBER_OPTIONS = [
+    (RUN_H2, "--steps", "int"),
+    (RUN_H2 + ["--steps", "1"], "--l", "float"),
+    (["cycle", "--model", "H2"], "--budget", "int"),
+    *((CLOSEDFORM_H2, option, "int") for option in ("--seed", "--pairs", "--nmax", "--steps", "--window", "--points")),
+    *((CLOSEDFORM_H2, option, "float") for option in ("--tol", "--l", "--horizon")),
+]
+
+
 class TestAsciiDigits:
     @pytest.mark.parametrize("argv, message", [
         (["run", "--model", "H2", "--psi0", "\u0661,0", "--psi1", "0,1", "--steps", "1"],
@@ -631,6 +644,16 @@ class TestAsciiDigits:
         (tmp_path / "v.json").write_text('["\u0663", 0]')
         assert run_cli(*argv) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["\u0661\u0660", "1_0"], ids=["arabic-indic", "underscore"])
+    @pytest.mark.parametrize("argv, option, kind", NUMBER_OPTIONS,
+                             ids=[f"{argv[0]}{option}" for argv, option, _ in NUMBER_OPTIONS])
+    def test_number_option_is_a_usage_error(self, capsys, argv, option, kind, value):
+        # argparse's type=int and type=float read both values as 10
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, option, value)
+        assert exc.value.code == 2
+        assert f"argument {option}: invalid {kind} value: {value!r}" in capsys.readouterr().err
 
 
 class TestInternalError:

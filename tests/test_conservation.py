@@ -20,12 +20,12 @@ from hamca.errors import NonCommutingError
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.serialization import ConservationCsvWriter
-from oracles import conservation_csv_reference, oracle_q_G, verify_stream_reference
+from oracles import conservation_csv_reference, gauss_matrix, oracle_q_G, verify_stream_reference
 
 E = GaussVector.of
 H2 = build_hamiltonian(make_cyclic_model(2))
 H3 = build_hamiltonian(make_cyclic_model(3))
-SIGMA3 = GaussMatrix.from_rows([[1, 0], [0, -1]])
+SIGMA3 = gauss_matrix([[1, 0], [0, -1]])
 EYE2 = GaussMatrix.identity(2)
 
 
@@ -132,7 +132,7 @@ class TestCommutes:
 
     def test_diagonal_counterexample_with_witness(self):
         assert not commutator(SIGMA3, H2).is_zero()
-        assert commutator(SIGMA3, H2) == GaussMatrix.from_rows([[0, 2], [-2, 0]])
+        assert commutator(SIGMA3, H2) == gauss_matrix([[0, 2], [-2, 0]])
 
 
 class TestLinkCounts:
@@ -320,9 +320,12 @@ def hermitian_models(draw) -> GaussMatrix:
 def checked_runs(draw):
     """(H, G, states): a run of H with amplitudes of up to 2^64 or past the
     4300-digit limit, a G that commutes with H, and the states either clean
-    or with one state negated, doubled, or one of its parts raised by 1."""
+    or with one state negated, doubled, or one of its parts raised by 1, or
+    with i G psi_(k-1) added to psi_k, k >= 1, which breaks the rule at k but
+    leaves the q of pair k - 1 as it was: Re<psi, G i G psi> = 0."""
     H = draw(hermitian_models())
     m = H.shape[0]
+    G = draw(st.sampled_from([H, GaussMatrix(H.re, H.im), GaussMatrix.identity(m), H @ H]))
     scale = draw(st.sampled_from([1, 2**64 + 3, 10**4300 + 7]))
     part = st.integers(-3, 3)
 
@@ -331,7 +334,7 @@ def checked_runs(draw):
 
     states = list(evolve(state(), state(), H, draw(st.integers(0, 8))))
     k = draw(st.integers(0, len(states) - 1))
-    corruption = draw(st.sampled_from(["none", "negate", "double", "plus_one"]))
+    corruption = draw(st.sampled_from(["none", "negate", "double", "plus_one", "rule_only"]))
     if corruption == "negate":
         states[k] = -states[k]
     elif corruption == "double":
@@ -341,7 +344,9 @@ def checked_runs(draw):
         x, p = map(list, (states[k].re, states[k].im))
         (x if draw(st.booleans()) else p)[j] += 1
         states[k] = GaussVector(tuple(x), tuple(p))
-    G = draw(st.sampled_from([H, GaussMatrix(H.re, H.im), GaussMatrix.identity(m), H @ H]))
+    elif corruption == "rule_only":
+        k = max(k, 1)
+        states[k] = states[k] + (G @ states[k - 1]) * GaussInt(0, 1)
     return H, G, states
 
 

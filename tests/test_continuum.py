@@ -13,6 +13,7 @@ from hamca.errors import (
 from hamca.gaussian import GaussMatrix, GaussVector
 from hamca.conservation import q1
 from hamca.models import basis_state, build_hamiltonian, make_cyclic_model
+from oracles import gauss_matrix
 
 H2 = build_hamiltonian(make_cyclic_model(2))
 H3 = build_hamiltonian(make_cyclic_model(3))
@@ -74,7 +75,7 @@ class TestInputBoundary:
             call(self.NAN)
 
     @pytest.mark.parametrize("value, convert, what", [
-        (GaussMatrix.from_rows([[10**400, 1], [1, 0]]), ct.as_matrix, "matrix"),
+        (gauss_matrix([[10**400, 1], [1, 0]]), ct.as_matrix, "matrix"),
         ([[0, 1], [1, -(10**400)]], ct.as_matrix, "matrix"),
         (E(1, (0, 10**400)), ct.as_state, "state"),
         ([10**400, 0], ct.as_state, "state"),
@@ -117,7 +118,7 @@ class TestEvolveFloat:
             assert dev <= k * 1e-13
 
     def test_instability_reports_first_bad_step(self):
-        blow = GaussMatrix.from_rows([[0, 10**3], [10**3, 0]])
+        blow = gauss_matrix([[0, 10**3], [10**3, 0]])
         with pytest.raises(InstabilityError) as err:
             ct.evolve_float([1, 0], [0, 1], blow, 200)
         assert err.value.step > 2

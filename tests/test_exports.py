@@ -24,7 +24,6 @@ KEEP = {
     "tail_bound": "the truncation bound tests hold the sinc reconstruction to",
     "sinh_residual_bound": "the a-priori bound tests hold sinh_residual to",
     "reconstruct": "the paper's sinc reconstruction of a signal from its samples",
-    "from_rows": "GaussMatrix from Gaussian entries, the constructor tests build matrices with",
 }
 
 

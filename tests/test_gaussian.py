@@ -22,7 +22,7 @@ from hamca.dynamics import evolve
 from hamca.models import HamiltonianSpec, build_hamiltonian, make_cyclic_model
 from hamca.ontology import find_period
 from hamca.serialization import ConservationCsvWriter, load_gauss_vector
-from oracles import _dot, conj
+from oracles import _dot, conj, gauss_matrix
 
 
 H2 = build_hamiltonian(make_cyclic_model(2))
@@ -103,11 +103,11 @@ class TestMatVec:
         assert mat_vec(GaussMatrix.identity(3), v) == v
 
     def test_swap_matrix(self):
-        swap = GaussMatrix.from_rows([[0, 1], [1, 0]])
+        swap = gauss_matrix([[0, 1], [1, 0]])
         assert mat_vec(swap, vec(1, 0)) == vec(0, 1)
 
     def test_two_state_model_swaps_basis(self):
-        h2 = GaussMatrix.from_rows([[0, 1], [1, 0]])
+        h2 = gauss_matrix([[0, 1], [1, 0]])
         assert mat_vec(h2, vec(0, 1)) == vec(1, 0)
 
     def test_dimension_mismatch(self):
@@ -117,23 +117,23 @@ class TestMatVec:
 
 class TestMatrixOps:
     def test_matmul_associative_with_identity(self):
-        m = GaussMatrix.from_rows([[(1, 1), 2], [(0, -3), (4, 5)]])
+        m = gauss_matrix([[(1, 1), 2], [(0, -3), (4, 5)]])
         eye = GaussMatrix.identity(2)
         assert m @ eye == m
         assert eye @ m == m
 
     def test_conjugate_transpose(self):
-        m = GaussMatrix.from_rows([[(1, 2), (3, 4)], [(5, 6), (7, 8)]])
+        m = gauss_matrix([[(1, 2), (3, 4)], [(5, 6), (7, 8)]])
         mh = m.conjugate_transpose()
         assert mh[0, 1] == g(5, -6)
         assert mh.conjugate_transpose() == m
 
     def test_is_hermitian_examples(self):
-        h2 = GaussMatrix.from_rows([[0, 1], [1, 0]])
-        h3 = GaussMatrix.from_rows(
+        h2 = gauss_matrix([[0, 1], [1, 0]])
+        h3 = gauss_matrix(
             [[0, (0, -1), 1], [(0, 1), 0, (0, -1)], [1, (0, 1), 0]]
         )
-        not_herm = GaussMatrix.from_rows([[0, (0, 1)], [(0, 1), 0]])
+        not_herm = gauss_matrix([[0, (0, 1)], [(0, 1), 0]])
         assert is_hermitian(h2)
         assert is_hermitian(h3)
         assert not is_hermitian(not_herm)
@@ -144,7 +144,7 @@ class TestUnboundedMagnitude:
         big = 10**1000 + 7
         a = g(big, -big)
         b = g(big + 3, big)
-        prod = mat_vec(GaussMatrix.from_rows([[a]]), vec(b))[0]  # a * b by a 1 x 1 kernel
+        prod = mat_vec(gauss_matrix([[a]]), vec(b))[0]  # a * b by a 1 x 1 kernel
         assert prod == _dot([a], [b])
         assert prod.re == big * (big + 3) + big * big
         assert prod.im == big * big - big * (big + 3)
@@ -154,7 +154,7 @@ class TestUnboundedMagnitude:
 
     def test_big_matrix_product_round_trips(self):
         big = 3**2100  # ~1000 digits
-        m = GaussMatrix.from_rows([[(big, 0), (0, 1)], [(0, -1), (1, big)]])
+        m = gauss_matrix([[(big, 0), (0, 1)], [(0, -1), (1, big)]])
         eye = GaussMatrix.identity(2)
         assert (m @ eye)[1, 1] == g(1, big)
 
@@ -184,7 +184,7 @@ class TestFullDigitRepr:
 
     @pytest.mark.parametrize("build, digits", [
         (lambda: GaussVector.of(10**5000), 5000),
-        (lambda: GaussMatrix.from_rows([[10**5000]]), 5000),
+        (lambda: gauss_matrix([[10**5000]]), 5000),
         (lambda: link_counts(*BIG_LINKS), 5200),
         (lambda: PairStats(0, GaussInt(2 * 10**5200), link_counts(*BIG_LINKS)), 5200),
         (lambda: HamiltonianSpec(1, [[10**5000]], [[0]]), 5000),

@@ -15,7 +15,8 @@ from copy import deepcopy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hamca.conservation import verify_stream
+from hamca import conservation
+from hamca.conservation import q_G, verify_stream
 from hamca.dynamics import evolve, step_backward, step_forward
 from hamca.errors import DimensionMismatch
 from hamca.gaussian import (
@@ -29,7 +30,7 @@ from hamca.gaussian import (
 )
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.ontology import classify_state
-from oracles import _dot, conj, oracle_mat_vec, oracle_matmul, oracle_step_backward, step_xp
+from oracles import _dot, conj, gauss_matrix, oracle_mat_vec, oracle_matmul, oracle_step_backward, step_xp
 
 BIG = 2**200
 big_ints = st.integers(min_value=-BIG, max_value=BIG)
@@ -85,7 +86,7 @@ def vector_pairs(draw):
 def matrix_and_vector(draw):
     n, k = draw(dims), draw(dims)
     rows = draw(st.lists(entries(k), min_size=n, max_size=n))
-    return GaussMatrix.from_rows(rows), GaussVector.from_iter(draw(entries(k)))
+    return gauss_matrix(rows), GaussVector.from_iter(draw(entries(k)))
 
 
 @st.composite
@@ -93,7 +94,7 @@ def matrix_pairs(draw):
     n, k, m = draw(dims), draw(dims), draw(dims)
     a = draw(st.lists(entries(k), min_size=n, max_size=n))
     b = draw(st.lists(entries(m), min_size=k, max_size=k))
-    return GaussMatrix.from_rows(a), GaussMatrix.from_rows(b)
+    return gauss_matrix(a), gauss_matrix(b)
 
 
 nonzero_ints = big_ints.filter(bool)
@@ -115,7 +116,7 @@ def sparse_matrices(draw, n, k):
             rows.append([GaussInt(0)] * k)
         else:
             rows.append(draw(st.lists(sparse_scalars, min_size=k, max_size=k)))
-    return GaussMatrix.from_rows(rows)
+    return gauss_matrix(rows)
 
 
 @st.composite
@@ -148,7 +149,7 @@ def square_matrices(draw):
             rows[i][i] = GaussInt(rows[i][i].re)
             for j in range(i):
                 rows[i][j] = conj(rows[j][i])
-    return GaussMatrix.from_rows(rows)
+    return gauss_matrix(rows)
 
 
 # -- differential tests ---------------------------------------------------------
@@ -302,17 +303,17 @@ def test_kernel_takes_coefficients_and_amplitudes_past_any_digit_limit():
 
 def test_kernel_of_zero_rows_and_of_the_zero_matrix():
     v = GaussVector((BIG, -1, 2), (0, 5, -BIG))
-    M = GaussMatrix.from_rows([[0, 0, 0], [1, (0, -2), 3], [0, 0, 0]])
+    M = gauss_matrix([[0, 0, 0], [1, (0, -2), 3], [0, 0, 0]])
     assert tuple(mat_vec(M, v)) == oracle_mat_vec(M.rows, tuple(v))
-    assert mat_vec(GaussMatrix.from_rows([[0, 0, 0]] * 2), v) == GaussVector.zero(2)
+    assert mat_vec(gauss_matrix([[0, 0, 0]] * 2), v) == GaussVector.zero(2)
 
 
 @pytest.mark.parametrize("n, k", [(1, 4), (4, 1), (2, 5), (5, 3)])
 def test_kernel_of_rectangular_matrices(n, k):
-    A = GaussMatrix.from_rows([[(BIG * (i - j) + 1, (i * k + j) % 3 - 1) for j in range(k)] for i in range(n)])
+    A = gauss_matrix([[(BIG * (i - j) + 1, (i * k + j) % 3 - 1) for j in range(k)] for i in range(n)])
     v = GaussVector.from_iter((BIG + j, -j) for j in range(k))
     assert tuple(mat_vec(A, v)) == oracle_mat_vec(A.rows, tuple(v))
-    B = GaussMatrix.from_rows([[(j - i, BIG) for j in range(3)] for i in range(k)])
+    B = gauss_matrix([[(j - i, BIG) for j in range(3)] for i in range(k)])
     assert (A @ B).rows == oracle_matmul(A.rows, B.rows)
     with pytest.raises(DimensionMismatch):
         mat_vec(A, GaussVector.zero(k + 1))
@@ -322,14 +323,14 @@ def test_kernel_sums_a_6000_term_row_without_recursion_error():
     k = 6000
     # every entry nonzero: real part +-1 to +-5, imaginary part -1, 0 or 1
     row = [((-1) ** j * (j % 5 + 1), j % 3 - 1) for j in range(k)]
-    M = GaussMatrix.from_rows([row])
+    M = gauss_matrix([row])
     v = GaussVector.from_iter((BIG - j, j) for j in range(k))
     assert tuple(mat_vec(M, v)) == oracle_mat_vec(M.rows, tuple(v))
 
 
 def test_matrix_product_compiles_the_left_kernel_only_and_once():
-    A = GaussMatrix.from_rows([[1, 2], [(0, 1), 3]])
-    B = GaussMatrix.from_rows([[4, 0], [1, (2, -1)]])
+    A = gauss_matrix([[1, 2], [(0, 1), 3]])
+    B = gauss_matrix([[4, 0], [1, (2, -1)]])
     assert (A @ B).rows == oracle_matmul(A.rows, B.rows)
     kernel = A._kernel
     assert kernel is not None and B._kernel is None
@@ -399,17 +400,33 @@ def counting_kernel(M: GaussMatrix) -> list:
     return calls
 
 
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
 @pytest.mark.parametrize("g_is_h", [True, False], ids=["g_equal_h", "g_identity"])
-def test_check_steps_g_once_per_state_and_h_once_per_state_from_index_2(g_is_h):
+def test_check_applies_g_only_in_q_g_and_h_once_per_state(monkeypatch, g_is_h, corrupt):
     spec = make_cyclic_model(6)
     H = build_hamiltonian(spec)
     G = build_hamiltonian(spec) if g_is_h else GaussMatrix.identity(6)
-    traj = evolve(GaussVector.of(1, 0, 2, 0, 0, -1), GaussVector.of(0, 1, 0, 0, 3, 0), spec, 40)
+    states = list(evolve(GaussVector.of(1, 0, 2, 0, 0, -1), GaussVector.of(0, 1, 0, 0, 3, 0), spec, 40))
+    broken = []
+    if corrupt:
+        # a slot of state 10 raised by 1 breaks the rule at 10, at 11 (through H) and at 12
+        states[10] = states[10] + basis_state(6, 2)
+        broken = [10, 11, 12]
+    q_calls = []
+
+    def counting_q_G(*args):
+        q_calls.append(args)
+        return q_G(*args)
+
+    monkeypatch.setattr(conservation, "q_G", counting_q_G)
     h_calls, g_calls = counting_kernel(H), counting_kernel(G)
-    assert verify_stream(traj, H, G, []).ok
+    assert verify_stream(iter(states), H, G, []).ok is not corrupt
     # the commutator G @ H - H @ G applies each kernel to 6 columns first; after
-    # that G's step from zero gives G psi_n for the pair ending at each state,
-    # and H's step rebuilds psi_n from (psi_{n-1}, psi_{n-2}) for the update rule
+    # that H's step rebuilds psi_n from (psi_{n-1}, psi_{n-2}) for the update
+    # rule, and G runs only in q_G: at pair 0 and at each pair n - 1 whose rule
+    # at n fails, as G psi_{n-1} and G psi_n
+    pairs = [0] + [n - 1 for n in broken]
+    assert q_calls == [(states[k], states[k + 1], G) for k in pairs]
     zeros = (0,) * 6
-    assert g_calls[6:] == [(psi.re, psi.im, zeros, zeros) for psi in traj[1:]]
-    assert h_calls[6:] == [(psi.re, psi.im, back.re, back.im) for back, psi in zip(traj, traj[1:-1])]
+    assert g_calls[6:] == [(psi.re, psi.im, zeros, zeros) for k in pairs for psi in states[k : k + 2]]
+    assert h_calls[6:] == [(psi.re, psi.im, back.re, back.im) for back, psi in zip(states, states[1:-1])]

@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from hamca.errors import ModelValidationError
-from hamca.gaussian import GaussInt, GaussMatrix, GaussVector, is_hermitian
+from hamca.gaussian import GaussInt, GaussVector, is_hermitian
 from hamca.models import (
     HamiltonianSpec,
     basis_state,
@@ -12,12 +12,13 @@ from hamca.models import (
     resolve_builtin,
     spec_from_matrix,
 )
+from oracles import gauss_matrix
 
 
 def test_swap_model_from_parts():
     spec = HamiltonianSpec(dim=2, S=((0, 1), (1, 0)), A=((0, 0), (0, 0)), label="H2")
     H = build_hamiltonian(spec)
-    assert H == GaussMatrix.from_rows([[0, 1], [1, 0]])
+    assert H == gauss_matrix([[0, 1], [1, 0]])
     assert is_hermitian(H)
 
 
@@ -28,7 +29,7 @@ def test_zero_model_is_frozen_dynamics():
 
 def test_three_state_model_matrix():
     H = build_hamiltonian(make_cyclic_model(3))
-    expected = GaussMatrix.from_rows(
+    expected = gauss_matrix(
         [[0, (0, -1), 1], [(0, 1), 0, (0, -1)], [1, (0, 1), 0]]
     )
     assert H == expected
@@ -38,7 +39,7 @@ def test_two_state_special_case_is_plain_swap():
     spec = make_cyclic_model(2)
     assert spec.S == ((0, 1), (1, 0))
     assert spec.A == ((0, 0), (0, 0))
-    assert build_hamiltonian(spec) == GaussMatrix.from_rows([[0, 1], [1, 0]])
+    assert build_hamiltonian(spec) == gauss_matrix([[0, 1], [1, 0]])
 
 
 def test_four_state_first_row():
@@ -99,7 +100,7 @@ def test_spec_from_matrix_round_trip():
     derived = spec_from_matrix(H, label=spec.label)
     assert derived.S == spec.S
     assert derived.A == spec.A
-    not_herm = GaussMatrix.from_rows([[0, (0, 1)], [(0, 1), 0]])
+    not_herm = gauss_matrix([[0, (0, 1)], [(0, 1), 0]])
     with pytest.raises(ModelValidationError):
         spec_from_matrix(not_herm)
 

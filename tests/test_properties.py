@@ -21,7 +21,7 @@ from hamca.gaussian import (
 )
 from hamca.models import HamiltonianSpec, build_hamiltonian
 from hamca.ontology import classify_state
-from oracles import conj, step_xp
+from oracles import conj, gauss_matrix, step_xp
 
 small_ints = st.integers(min_value=-9, max_value=9)
 tiny_ints = st.integers(min_value=-3, max_value=3)
@@ -36,7 +36,7 @@ def vectors(dim):
 def matrices(dim):
     return st.lists(
         st.lists(gauss_scalars, min_size=dim, max_size=dim), min_size=dim, max_size=dim
-    ).map(GaussMatrix.from_rows)
+    ).map(gauss_matrix)
 
 
 @st.composite
