@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import sys
 from operator import add, attrgetter, mul, neg, sub
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator
 
 from .errors import DimensionMismatch
-
-ScalarLike = Union["GaussInt", int]
 
 #: the interpreter's limit on int <-> decimal str conversion, 0 for none
 #: (4300 digits by default since CPython 3.10.7; earlier ones have none)
@@ -125,10 +123,11 @@ class GaussInt(_Frozen):
         return complex(self.re, self.im)
 
     def __eq__(self, other: object) -> bool:
-        o = _parts(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o[0] and self.im == o[1]
+        if isinstance(other, GaussInt):
+            return self.re == other.re and self.im == other.im
+        if is_int(other):
+            return self.re == other and not self.im
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.re, self.im)) if self.im else hash(self.re)  # as the int it equals
@@ -150,15 +149,6 @@ class GaussInt(_Frozen):
             if self.re == 0:
                 return f"{sign}{imag}" if sign == "-" else imag
             return f"{self.re}{sign}{imag}"
-
-
-def _parts(value: ScalarLike) -> tuple[int, int] | None:
-    """(re, im) of a GaussInt or int scalar operand, None for anything else."""
-    if isinstance(value, GaussInt):
-        return value.re, value.im
-    if is_int(value):
-        return value, 0
-    return None
 
 
 def as_gauss(value) -> GaussInt:
@@ -211,24 +201,8 @@ class GaussVector(_Frozen):
         _check_len(self, other)
         return GaussVector(tuple(map(add, self.re, other.re)), tuple(map(add, self.im, other.im)))
 
-    def __sub__(self, other: "GaussVector") -> "GaussVector":
-        _check_len(self, other)
-        return GaussVector(tuple(map(sub, self.re, other.re)), tuple(map(sub, self.im, other.im)))
-
     def __neg__(self) -> "GaussVector":
         return GaussVector(tuple(map(neg, self.re)), tuple(map(neg, self.im)))
-
-    def __mul__(self, scalar: ScalarLike) -> "GaussVector":
-        s = _parts(scalar)
-        if s is None:
-            return NotImplemented
-        sr, si = s
-        return GaussVector(
-            tuple(a * sr - b * si for a, b in zip(self.re, self.im)),
-            tuple(a * si + b * sr for a, b in zip(self.re, self.im)),
-        )
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return "(" + ", ".join(map(str, self)) + ")"
@@ -284,17 +258,6 @@ class GaussMatrix(_Frozen):
 
     def __sub__(self, other: "GaussMatrix") -> "GaussMatrix":
         return _entrywise(sub, self, other)
-
-    def __neg__(self) -> "GaussMatrix":
-        return self * -1
-
-    def __mul__(self, scalar: ScalarLike) -> "GaussMatrix":
-        if _parts(scalar) is None:
-            return NotImplemented
-        scaled = [GaussVector(r, i) * scalar for r, i in zip(self.re, self.im)]
-        return GaussMatrix(tuple(v.re for v in scaled), tuple(v.im for v in scaled))
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, GaussVector):

@@ -125,5 +125,7 @@ def scan_ontological_pairs(model: ModelLike, max_steps: int | None = None) -> li
     """neighbour_pair_period for every k = 1..m-1, with H built once."""
     H = model_matrix(model)
     m = H.shape[0]
+    if m < 2:
+        raise ValueError("a 1-state model has no neighbour pair")
     budget = default_scan_budget(m) if max_steps is None else max_steps
     return [neighbour_pair_period(H, k, budget) for k in range(1, m)]

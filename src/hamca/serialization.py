@@ -27,7 +27,6 @@ import stat
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .dynamics import Trajectory
 from .errors import ModelValidationError
 from .gaussian import GaussInt, GaussVector, _AnyDigits, as_gauss
 from .models import HamiltonianSpec
@@ -151,13 +150,6 @@ def output_file(path: str | Path) -> Iterator[IO[str]]:
 # ---------------------------------------------------------------------------
 
 
-def save_model(spec: HamiltonianSpec, path: str | Path) -> None:
-    with _AnyDigits():
-        doc = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
-    with output_file(path) as fh:
-        fh.write(doc + "\n")
-
-
 def load_model(path: str | Path) -> HamiltonianSpec:
     text = Path(path).read_text()
     with _AnyDigits():  # exact ints of any size, in the file and in the messages that quote them
@@ -217,13 +209,6 @@ class TrajectoryWriter:
     @property
     def states_written(self) -> int:
         return self._count
-
-
-def write_trajectory(traj: Trajectory, path: str | Path) -> None:
-    with output_file(path) as fh:
-        writer = TrajectoryWriter(fh, traj.model, traj.l)
-        for psi in traj:
-            writer.write_state(psi)
 
 
 def _parse_header(line: str, path) -> tuple[HamiltonianSpec, float]:

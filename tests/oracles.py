@@ -6,6 +6,7 @@ Nothing in `src/hamca` calls these, so they live with the tests.
 
 import csv
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -15,10 +16,10 @@ from hamca.conservation import ConservationReport, PairStats, commutator, link_c
 from hamca.continuum import Q1Result, as_matrix, as_state
 from hamca.dynamics import Trajectory, model_matrix, stream_states
 from hamca.errors import DimensionMismatch, InstabilityError, NonCommutingError, SignalRangeError
-from hamca.gaussian import GaussInt, GaussMatrix, _AnyDigits, as_gauss, mat_vec
+from hamca.gaussian import GaussInt, GaussMatrix, GaussVector, _AnyDigits, as_gauss, mat_vec
 from hamca.models import HamiltonianSpec
 from hamca.ontology import CycleReport, Visit
-from hamca.serialization import read_trajectory_stream
+from hamca.serialization import TrajectoryWriter, output_file, read_trajectory_stream
 
 
 def _dot(row, col):
@@ -39,6 +40,15 @@ def gauss_matrix(rows) -> GaussMatrix:
     """GaussMatrix(re, im) from rows of Gaussian entries: ints, (re, im) pairs or GaussInt."""
     zs = [[as_gauss(v) for v in row] for row in rows]
     return GaussMatrix(tuple(tuple(z.re for z in r) for r in zs), tuple(tuple(z.im for z in r) for r in zs))
+
+
+def scaled(x, s):
+    """s x for a GaussVector or GaussMatrix x and an int or GaussInt s,
+    entry by entry on the int parts."""
+    s = as_gauss(s)
+    if isinstance(x, GaussMatrix):
+        return gauss_matrix([[_dot([a], [s]) for a in row] for row in x.rows])
+    return GaussVector.from_iter(_dot([a], [s]) for a in x)
 
 
 def oracle_mat_vec(rows, v):
@@ -128,7 +138,7 @@ def verify_stream_reference(states, H, G, rows=None) -> ConservationReport:
                 first, message = n - 1, "2L != q1"
             pairs += 1
         if first is None and prev2 is not None:
-            if prev2 - mat_vec(H, prev) * GaussInt(0, 1) != psi:
+            if prev2 + scaled(mat_vec(H, prev), GaussInt(0, -1)) != psi:
                 first, message = n, "update rule violated"
         prev2, prev, g_prev = prev, psi, g_psi
     if pairs == 0:
@@ -178,6 +188,22 @@ def find_period_reference(psi0, psi1, model, max_steps: int) -> CycleReport:
         link_number=link_counts(psi0, psi1).total,
         max_steps=max_steps,
     )
+
+
+def save_model(spec: HamiltonianSpec, path) -> None:
+    """A model file: the canonical JSON of spec.to_dict() and a newline."""
+    with _AnyDigits():
+        doc = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+    with output_file(path) as fh:
+        fh.write(doc + "\n")
+
+
+def write_trajectory(traj: Trajectory, path) -> None:
+    """A trajectory file of all of `traj`, through the writer `hamca run --out` streams to."""
+    with output_file(path) as fh:
+        writer = TrajectoryWriter(fh, traj.model, traj.l)
+        for psi in traj:
+            writer.write_state(psi)
 
 
 def load_trajectory(path) -> Trajectory:

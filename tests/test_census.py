@@ -7,23 +7,22 @@ public (non-underscore) top-level function and method, and the operator
 methods below; a nested def is part of its enclosing function.  Unlike the
 static census in `test_exports.py` it sees operators, and it does not count
 an unrelated read of the same name (`rows.append`, numpy's `.conjugate()`)
-as a caller.  A function nothing enters is exempt only if the README names
-it as a whole word, the benchmark's tracer pins it in `TARGETS`, it is in
-the static census's `KEEP`, or it is an operator of a class whose algebra
-is in use (at least one of its operators is entered).
+as a caller.  A function nothing enters is exempt only if the benchmark's
+tracer pins it in `TARGETS` or it is in the static census's `KEEP`: each
+operator earns its place on its own, and a name the README only mentions
+has no caller.
 """
 
 import ast
 import importlib.util
 import json
-import re
 import subprocess
 import sys
 
 import pytest
 
 import census_driver
-from test_exports import KEEP, ROOT, TRACER
+from test_exports import KEEP, TRACER
 
 OPERATORS = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__matmul__"}
 
@@ -48,35 +47,15 @@ def functions(source: str) -> dict[tuple[int, str], str]:
     return found
 
 
-def never_entered(
-    package: dict[str, str], entered: set[tuple[str, int, str]], readme: str, pinned: set[str], keep
-) -> list[str]:
+def never_entered(package: dict[str, str], entered: set[tuple[str, int, str]], pinned: set[str], keep) -> list[str]:
     """`module.qualname` of each covered function of the `package` sources
     (module name -> source) with no (module, first line, name) in `entered`
-    and no exemption: a whole word of `readme`, a qualified name in
-    `pinned`, a name in `keep`, or an operator of a class with an operator
-    entered."""
-    covered = {
-        (module, first, name): qualname
+    and no exemption: a qualified name in `pinned` or a name in `keep`."""
+    return sorted(
+        f"{module}.{qualname}"
         for module, source in package.items()
         for (first, name), qualname in functions(source).items()
-    }
-    # (module, class) of each class with an operator entered
-    in_use = {(key[0], qualname.split(".")[0]) for key, qualname in covered.items()
-              if key in entered and key[2] in OPERATORS}
-
-    def exempt(module: str, name: str, qualname: str) -> bool:
-        return bool(
-            re.search(rf"\b{re.escape(name)}\b", readme)
-            or qualname in pinned
-            or name in keep
-            or (name in OPERATORS and (module, qualname.split(".")[0]) in in_use)
-        )
-
-    return sorted(
-        f"{key[0]}.{qualname}"
-        for key, qualname in covered.items()
-        if key not in entered and not exempt(key[0], key[2], qualname)
+        if (module, first, name) not in entered and qualname not in pinned and name not in keep
     )
 
 
@@ -105,8 +84,7 @@ def test_each_command_exits_as_expected(census):
 def test_every_function_is_entered(census):
     package = {p.stem: p.read_text() for p in sorted(census_driver.PACKAGE.glob("*.py"))}
     entered = {tuple(key) for key in census["entered"]}
-    readme = (ROOT / "README.md").read_text()
-    assert never_entered(package, entered, readme, tracer_targets(), KEEP) == []
+    assert never_entered(package, entered, tracer_targets(), KEEP) == []
 
 
 PLANTED = '''
@@ -127,9 +105,9 @@ def _private(): return 0
 
 def test_census_catches_a_function_nothing_runs():
     entered = {("a", 3, "__add__"), ("a", 10, "entry")}
-    flagged = never_entered({"a": PLANTED}, entered, "", set(), {})
-    assert flagged == ["a.Scalar.__mul__", "a.Scalar.size", "a.Vec.norm", "a.traced", "a.unused"]
-    # Vec.__sub__ stands with the Vec.__add__ that ran; Scalar has no operator in use
-    assert never_entered({"a": PLANTED}, entered, "the `norm` and `size`", {"traced"}, {"unused"}) == [
-        "a.Scalar.__mul__"
+    flagged = never_entered({"a": PLANTED}, entered, set(), {})
+    assert flagged == ["a.Scalar.__mul__", "a.Scalar.size", "a.Vec.__sub__", "a.Vec.norm", "a.traced", "a.unused"]
+    # only a tracer pin or a KEEP name exempts: Vec.__sub__ is flagged although Vec.__add__ ran
+    assert never_entered({"a": PLANTED}, entered, {"traced"}, {"unused"}) == [
+        "a.Scalar.__mul__", "a.Scalar.size", "a.Vec.__sub__", "a.Vec.norm"
     ]

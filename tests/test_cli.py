@@ -23,8 +23,7 @@ from hamca.dynamics import evolve
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import HamiltonianSpec, build_hamiltonian, make_cyclic_model
 from hamca import serialization
-from hamca.serialization import save_model, write_trajectory
-from oracles import load_trajectory
+from oracles import load_trajectory, save_model, scaled, write_trajectory
 
 E = GaussVector.of
 
@@ -719,7 +718,7 @@ class TestProbeDrift:
         def corrupting(prev, curr, H):
             made.append(real(prev, curr, H))
             # psi_4 doubled: q1 of the pair (psi_3, psi_4) goes from 2 to 4
-            return made[-1] * 2 if len(made) == 3 else made[-1]
+            return scaled(made[-1], 2) if len(made) == 3 else made[-1]
 
         monkeypatch.setattr(dynamics, "step_forward", corrupting)
         code = run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "1,0", "--steps", "6", "--probe")
@@ -793,6 +792,15 @@ class TestInputChecksExit3:
     def test_cycle_explicit_pair_needs_psi1(self, capsys):
         assert run_cli("cycle", "--model", "H2", "--pair", "1,0") == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: pair: ")
+
+    def test_cycle_all_pairs_of_a_1_state_model(self, tmp_path, capsys):
+        # --pair all scans no pair at m = 1: an error, not a silent exit 0
+        path = tmp_path / "one.json"
+        save_model(HamiltonianSpec(1, [[1]], [[0]], "one"), path)
+        out = tmp_path / "cycles.csv"
+        assert run_cli("cycle", "--model", str(path), "--out", str(out)) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: a 1-state model has no neighbour pair\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode, option, value, message", [
         ("born", "--l-values", "nan", "l_values must be finite positive numbers, got [nan]"),

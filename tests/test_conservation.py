@@ -20,7 +20,7 @@ from hamca.errors import NonCommutingError
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from hamca.serialization import ConservationCsvWriter
-from oracles import conservation_csv_reference, gauss_matrix, oracle_q_G, verify_stream_reference
+from oracles import conservation_csv_reference, gauss_matrix, oracle_q_G, scaled, verify_stream_reference
 
 E = GaussVector.of
 H2 = build_hamiltonian(make_cyclic_model(2))
@@ -176,7 +176,7 @@ class TestVerifyTrajectory:
 
     def test_constant_trajectory_gives_twice_norm(self):
         v = E((1, 2), (3, 0))
-        traj = evolve(v, v, GaussMatrix.identity(2) * 0, 4)
+        traj = evolve(v, v, gauss_matrix([[0, 0], [0, 0]]), 4)
         report = verify_trajectory(traj, EYE2)
         assert report.ok
         assert report.q_value == GaussInt(2 * (1 + 4 + 9))
@@ -199,7 +199,7 @@ class TestVerifyTrajectory:
         # i*I commutes with every H, but its q_G is imaginary, not the real sum checked
         traj = evolve(E(1, 0), E(0, 1), H2, 4)
         with pytest.raises(ValueError, match="G is not Hermitian") as err:
-            verify_trajectory(traj, EYE2 * GaussInt(0, 1))
+            verify_trajectory(traj, gauss_matrix([[(0, 1), 0], [0, (0, 1)]]))
         assert not isinstance(err.value, NonCommutingError)
 
     def test_corrupted_trajectory_reports_step(self):
@@ -207,7 +207,7 @@ class TestVerifyTrajectory:
         traj = evolve(E(1, 0), E(1, 1), H2, 6)
         assert verify_trajectory(traj, EYE2).q_value == GaussInt(2)
         states = list(traj.states)
-        states[5] = states[5] * GaussInt(2)
+        states[5] = scaled(states[5], 2)
         bad = Trajectory(model=traj.model, states=tuple(states), l=traj.l)
         report = verify_trajectory(bad, EYE2)
         assert not report.ok
@@ -338,7 +338,7 @@ def checked_runs(draw):
     if corruption == "negate":
         states[k] = -states[k]
     elif corruption == "double":
-        states[k] = states[k] * 2
+        states[k] = scaled(states[k], 2)
     elif corruption == "plus_one":
         j = draw(st.integers(0, m - 1))
         x, p = map(list, (states[k].re, states[k].im))
@@ -346,7 +346,7 @@ def checked_runs(draw):
         states[k] = GaussVector(tuple(x), tuple(p))
     elif corruption == "rule_only":
         k = max(k, 1)
-        states[k] = states[k] + (G @ states[k - 1]) * GaussInt(0, 1)
+        states[k] = states[k] + scaled(G @ states[k - 1], GaussInt(0, 1))
     return H, G, states
 
 

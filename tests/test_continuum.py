@@ -30,7 +30,7 @@ class TestSpectralDecompose:
         assert np.allclose(sf.eigenvalues, [-1.0, 1.0], atol=1e-12)
 
     def test_zero_matrix(self):
-        sf = ct.spectral_decompose(GaussMatrix.identity(3) * 0)
+        sf = ct.spectral_decompose(gauss_matrix([[0] * 3] * 3))
         assert np.allclose(sf.eigenvalues, 0.0)
         assert np.allclose(sf.eigenvectors, np.eye(3))
 
@@ -104,7 +104,7 @@ class TestEvolveFloat:
             assert np.max(np.abs(states[n] - ct.as_state(psi))) <= 1e-12
 
     def test_zero_hamiltonian_alternates(self):
-        states = ct.evolve_float([1, 2], [3, 4], GaussMatrix.identity(2) * 0, 5)
+        states = ct.evolve_float([1, 2], [3, 4], gauss_matrix([[0, 0], [0, 0]]), 5)
         assert np.allclose(states[::2], states[0])
         assert np.allclose(states[1::2], states[1])
 
@@ -228,7 +228,7 @@ class TestSinhResidual:
     def test_zero_hamiltonian_constant_signal(self):
         v = np.array([1.0, -2.0j])
         sig = ct.BandlimitedSignal(np.tile(v, (100, 1)), l=1.0, window=16)
-        assert ct.sinh_residual(sig, GaussMatrix.identity(2) * 0, 50.0) <= 1e-12
+        assert ct.sinh_residual(sig, gauss_matrix([[0, 0], [0, 0]]), 50.0) <= 1e-12
 
     def test_off_grid_decreases_with_window_on_average(self):
         rng = np.random.default_rng(4)

@@ -12,10 +12,11 @@ from hamca.dynamics import (
     stream_states,
     transfer_operators,
 )
-from oracles import step_xp
+from oracles import gauss_matrix, scaled, step_xp
 
 H2 = build_hamiltonian(make_cyclic_model(2))
 H3 = build_hamiltonian(make_cyclic_model(3))
+Z2 = gauss_matrix([[0, 0], [0, 0]])
 E = GaussVector.of
 
 
@@ -38,15 +39,14 @@ class TestStepForward:
         assert step_forward(E(1, 0), E(0, 1), H2) == E((1, -1), 0)
 
     def test_zero_hamiltonian_returns_prev(self):
-        z = GaussMatrix.identity(2) * 0
         v = E((3, 4), (-1, 2))
-        assert step_forward(v, E(9, 9), z) == v
+        assert step_forward(v, E(9, 9), Z2) == v
 
     def test_cyclic_family_end_pair_lands_on_first_slot(self):
         m = 5
         H = build_hamiltonian(make_cyclic_model(m))
         out = step_forward(basis_state(m, m - 1), basis_state(m, m), H)
-        assert out == basis_state(m, 1) * GaussInt(0, -1)
+        assert out == scaled(basis_state(m, 1), GaussInt(0, -1))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -59,12 +59,12 @@ class TestStepBackward:
 
     def test_zero_hamiltonian(self):
         v = E((1, 2), 3)
-        assert step_backward(E(5, 5), v, GaussMatrix.identity(2) * 0) == v
+        assert step_backward(E(5, 5), v, Z2) == v
 
     def test_inverts_cyclic_family_step(self):
         m = 5
         H = build_hamiltonian(make_cyclic_model(m))
-        nxt = basis_state(m, 1) * GaussInt(0, -1)
+        nxt = scaled(basis_state(m, 1), GaussInt(0, -1))
         assert step_backward(basis_state(m, m), nxt, H) == basis_state(m, m - 1)
 
     def test_round_trip_identity(self):
@@ -80,7 +80,7 @@ class TestEvolve:
 
     def test_zero_hamiltonian_constant(self):
         v = E((1, -2), 7)
-        traj = evolve(v, v, GaussMatrix.identity(2) * 0, 5)
+        traj = evolve(v, v, Z2, 5)
         assert all(s == v for s in traj)
 
     def test_three_state_neighbour_pair_hand_values(self):
@@ -88,9 +88,9 @@ class TestEvolve:
         # repeats them with -1
         traj = evolve(basis_state(3, 2), basis_state(3, 3), H3, 10)
         mi = GaussInt(0, -1)
-        assert traj[2] == basis_state(3, 1) * mi
-        assert traj[3] == basis_state(3, 2) * mi
-        assert traj[4] == basis_state(3, 3) * mi
+        assert traj[2] == scaled(basis_state(3, 1), mi)
+        assert traj[3] == scaled(basis_state(3, 2), mi)
+        assert traj[4] == scaled(basis_state(3, 3), mi)
         assert traj[5] == -basis_state(3, 1)
         assert traj[6] == -traj[0]
         assert traj[7] == -traj[1]
@@ -169,17 +169,17 @@ class TestTransferOperator:
     def test_first_values(self):
         ops = transfer_operators(H2, 3)
         assert ops[0] == GaussMatrix.identity(2)
-        assert ops[1] == GaussMatrix.identity(2) * 0
+        assert ops[1] == Z2
         assert ops[2] == GaussMatrix.identity(2)
-        assert ops[3] == -(H2 * GaussInt(0, 1))
+        assert ops[3] == scaled(H2, GaussInt(0, -1))
 
     def test_zero_hamiltonian_alternates(self):
-        ops = transfer_operators(GaussMatrix.identity(3) * 0, 8)
+        ops = transfer_operators(gauss_matrix([[0] * 3] * 3), 8)
         for k, op in enumerate(ops):
             if k % 2 == 0:
                 assert op == GaussMatrix.identity(3)
             else:
-                assert op == GaussMatrix.identity(3) * 0
+                assert op == gauss_matrix([[0] * 3] * 3)
 
     def test_matched_start_propagation(self):
         psi0 = E((1, 1), (2, 0))
@@ -205,8 +205,8 @@ def transfer_by_matrix_recurrence(H, n_max):
     """Reference: T(0) = 1, T(1) = 0, T(k+1) = T(k-1) - iH T(k) as matrix
     products, independent of the stepper transfer_operators reads."""
     m = H.shape[0]
-    ops = [GaussMatrix.identity(m), GaussMatrix.identity(m) * 0]
-    minus_iH = -(H * GaussInt(0, 1))
+    ops = [GaussMatrix.identity(m), gauss_matrix([[0] * m] * m)]
+    minus_iH = scaled(H, GaussInt(0, -1))
     while len(ops) <= n_max:
         ops.append(ops[-2] + minus_iH @ ops[-1])
     return ops[: n_max + 1]
@@ -222,7 +222,7 @@ STIFF = HamiltonianSpec(
 
 @pytest.mark.parametrize(
     "H",
-    [H2, H3, build_hamiltonian(make_cyclic_model(8)), GaussMatrix.identity(3) * 0, build_hamiltonian(STIFF)],
+    [H2, H3, build_hamiltonian(make_cyclic_model(8)), gauss_matrix([[0] * 3] * 3), build_hamiltonian(STIFF)],
     ids=["H2", "H3", "Hm:8", "zeros3", "stiff"],
 )
 @pytest.mark.parametrize("n_max", [0, 1, 2, 40])

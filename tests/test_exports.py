@@ -7,9 +7,10 @@ each public method of a class defined there, and each name that
 when code reads it, as an `ast.Name` or an `ast.Attribute` load outside a
 def of that name, in a `src/hamca` module, a demo or the benchmark's
 tracer (`perfbench/tracing.py`); or when it appears as a whole word in the
-README or in the tracer, which names its spans in strings.  A public name
-that only tests call is a duplicate of something else or dead code; the
-few that earn their place anyway are kept below, each with its reason.
+tracer, which names its spans in strings.  A name the README mentions is
+not called for that.  A public name that only tests call is a duplicate of
+something else or dead code; the few that earn their place anyway are kept
+below, each with its reason.
 """
 
 import ast
@@ -67,26 +68,21 @@ def reads(source: str) -> set[str]:
     return found
 
 
-def uncalled(package: dict[str, str], code: dict[str, str], words: dict[str, str]) -> list[str]:
+def uncalled(package: dict[str, str], code: dict[str, str], spans: str) -> list[str]:
     """Public names of the `package` sources that no `code` source reads
-    and no `words` text names as a whole word.  Each argument maps a label
-    to a text."""
+    and the `spans` text does not name as a whole word.  `package` and
+    `code` map a label to a source."""
     names = set().union(*map(definitions, package.values()))
     called = set().union(*map(reads, code.values()))
-    return sorted(
-        name
-        for name in names - called
-        if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in words.values())
-    )
+    return sorted(name for name in names - called if not re.search(rf"\b{re.escape(name)}\b", spans))
 
 
-def sources() -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+def sources() -> tuple[dict[str, str], dict[str, str], str]:
     package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     code = dict(package)
     code.update({str(p): p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))})
     code[str(TRACER)] = TRACER.read_text()
-    words = {str(p): p.read_text() for p in (ROOT / "README.md", TRACER)}
-    return package, code, words
+    return package, code, code[str(TRACER)]
 
 
 def test_every_export_has_a_caller():
@@ -110,7 +106,9 @@ def entry(): return helper()
 def test_census_catches_an_export_without_a_caller():
     package = {"a.py": PLANTED}
     code = dict(package, demo="entry()\n")
-    readme = {"README.md": "tested_only_is_another_word"}
-    assert uncalled(package, code, readme) == ["UNREAD", "b", "tested_only"]
-    # a whole word in the README counts as a caller
-    assert uncalled(package, code, {"README.md": "UNREAD and tested_only"}) == ["b"]
+    assert uncalled(package, code, "tested_only_is_another_word") == ["UNREAD", "b", "tested_only"]
+    # a whole word of the tracer's span names counts as a caller
+    assert uncalled(package, code, "'UNREAD' and 'tested_only'") == ["b"]
+    # the README is no source: a name it mentions is flagged like any other
+    _, code, spans = sources()
+    assert all(label.endswith(".py") for label in code) and spans == TRACER.read_text()

@@ -156,15 +156,11 @@ def square_matrices(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(vector_pairs(), scalars)
-def test_vector_arithmetic_matches_oracle(vw, s):
+@given(vector_pairs())
+def test_vector_arithmetic_matches_oracle(vw):
     v, w = vw
     assert tuple(v + w) == tuple(_dot([a, b], [ONE, ONE]) for a, b in zip(v, w))
-    assert tuple(v - w) == tuple(_dot([a, b], [ONE, MINUS_ONE]) for a, b in zip(v, w))
     assert tuple(-v) == tuple(_dot([a], [MINUS_ONE]) for a in v)
-    assert tuple(v * s) == tuple(_dot([a], [s]) for a in v)
-    assert tuple(s * v) == tuple(_dot([s], [a]) for a in v)
-    assert tuple(v * 3) == tuple(_dot([a], [GaussInt(3)]) for a in v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,13 +186,12 @@ def test_matmul_matches_oracle(ab):
 
 
 @settings(max_examples=60, deadline=None)
-@given(square_matrices(), scalars)
-def test_matrix_arithmetic_and_hermiticity_match_oracle(M, s):
+@given(square_matrices())
+def test_matrix_arithmetic_and_hermiticity_match_oracle(M):
     assert M.conjugate_transpose().rows == oracle_conjugate_transpose(M.rows)
     assert is_hermitian(M) == oracle_is_hermitian(M.rows)
     assert (M + M).rows == tuple(tuple(_dot([a], [GaussInt(2)]) for a in r) for r in M.rows)
     assert (M - M).is_zero()
-    assert (M * s).rows == tuple(tuple(_dot([a], [s]) for a in r) for r in M.rows)
 
 
 @settings(max_examples=80, deadline=None)

@@ -14,7 +14,7 @@ from hamca.dynamics import evolve
 from hamca.gaussian import GaussVector
 from hamca.models import basis_state, build_hamiltonian, make_cyclic_model
 from hamca.ontology import find_period, scan_ontological_pairs
-from hamca.serialization import write_trajectory
+from oracles import write_trajectory
 
 
 @pytest.fixture

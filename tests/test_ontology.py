@@ -15,7 +15,7 @@ from hamca.ontology import (
 )
 from hamca.conservation import link_counts
 from hamca.dynamics import evolve, stream_states
-from oracles import find_period_reference
+from oracles import find_period_reference, gauss_matrix
 
 E = GaussVector.of
 H2 = build_hamiltonian(make_cyclic_model(2))
@@ -51,7 +51,7 @@ class TestFindPeriod:
 
     def test_constant_orbit_has_period_one(self):
         v = E((2, 1), 3)
-        rep = find_period(v, v, GaussMatrix.identity(2) * 0, 10)
+        rep = find_period(v, v, gauss_matrix([[0, 0], [0, 0]]), 10)
         assert rep.period == 1
 
     def test_two_state_measured_period(self):

@@ -13,7 +13,8 @@ from hamca.cli import EXIT_OK, EXIT_VALIDATION, main
 from hamca.dynamics import evolve
 from hamca.gaussian import GaussVector
 from hamca.models import make_cyclic_model
-from hamca.serialization import TrajectoryWriter, output_file, write_trajectory
+from hamca.serialization import TrajectoryWriter, output_file
+from oracles import write_trajectory
 
 E = GaussVector.of
 RUN = ["run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1"]

@@ -21,7 +21,7 @@ from hamca.gaussian import (
 )
 from hamca.models import HamiltonianSpec, build_hamiltonian
 from hamca.ontology import classify_state
-from oracles import conj, gauss_matrix, step_xp
+from oracles import conj, gauss_matrix, scaled, step_xp
 
 small_ints = st.integers(min_value=-9, max_value=9)
 tiny_ints = st.integers(min_value=-3, max_value=3)
@@ -118,11 +118,11 @@ def test_evolution_is_linear(bundle, n_steps):
     H = build_hamiltonian(spec)
     a = GaussInt(2, -1)
     b = GaussInt(0, 3)
-    lhs = evolve(psi0 * a + phi0 * b, psi1 * a + phi1 * b, H, n_steps)
+    lhs = evolve(scaled(psi0, a) + scaled(phi0, b), scaled(psi1, a) + scaled(phi1, b), H, n_steps)
     t1 = evolve(psi0, psi1, H, n_steps)
     t2 = evolve(phi0, phi1, H, n_steps)
     for n in range(n_steps + 2):
-        assert lhs[n] == t1[n] * a + t2[n] * b
+        assert lhs[n] == scaled(t1[n], a) + scaled(t2[n], b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,4 +162,4 @@ def test_classify_round_trips_scaled_basis_states(data):
     phase = data.draw(gauss_scalars.filter(bool))
     from hamca.models import basis_state
 
-    assert classify_state(basis_state(dim, k) * phase) == (k, phase)
+    assert classify_state(scaled(basis_state(dim, k), phase)) == (k, phase)

@@ -21,12 +21,10 @@ from hamca.serialization import (
     parse_gauss,
     parse_gauss_vector,
     read_trajectory_stream,
-    save_model,
     write_conservation_csv,
     write_cycle_csv,
-    write_trajectory,
 )
-from oracles import load_trajectory
+from oracles import load_trajectory, save_model, write_trajectory
 
 E = GaussVector.of
 
