@@ -39,7 +39,8 @@ from .errors import (
 )
 from .gaussian import GaussMatrix, GaussVector, _AnyDigits
 from .models import HamiltonianSpec, _canonical_int, build_hamiltonian, resolve_builtin
-from .ontology import default_scan_budget, find_period, neighbour_pair_period, scan_ontological_pairs
+from .ontology import _neighbour_pairs, default_scan_budget, find_period, neighbour_pair_period
+from .ontology import scan_ontological_pairs
 from .serialization import (
     ConservationCsvWriter,
     TrajectoryWriter,
@@ -187,7 +188,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
         k = _canonical_int(args.pair[2:])
         if k is None:
             raise ValueError(f"pair: cannot parse {args.pair!r}")
-        if not 1 <= k <= spec.dim - 1:
+        if k not in _neighbour_pairs(spec.dim):
             raise ValueError(f"pair: k must be in 1..{spec.dim - 1}")
         reports = [neighbour_pair_period(spec, k, budget)]
     else:

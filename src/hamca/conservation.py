@@ -58,17 +58,15 @@ class LinkReport(NamedTuple):
         """None exactly when total = 0, a regime with no continuum limit;
         otherwise each weight L_a / L, possibly outside [0, 1], as the int
         pair (num, den) in lowest terms with den > 0 that Fraction(L_a, L) holds."""
-        den = self.total
-        if den == 0:
-            return None
-        per = self.per_alpha
-        if den < 0:
-            den, per = -den, [-la for la in per]
-        reduced = []
-        for la in per:
-            g = gcd(la, den)
-            reduced.append((la // g, den // g))
-        return tuple(reduced)
+        return tuple(_reduced(la, self.total) for la in self.per_alpha) if self.total else None
+
+
+def _reduced(la: int, total: int) -> tuple[int, int]:
+    """L_a / L for L != 0 as (num, den) in lowest terms with den > 0."""
+    if total < 0:
+        la, total = -la, -total
+    g = gcd(la, total)
+    return la // g, total // g
 
 
 def link_counts(psi_n: GaussVector, psi_next: GaussVector) -> LinkReport:
@@ -77,8 +75,8 @@ def link_counts(psi_n: GaussVector, psi_next: GaussVector) -> LinkReport:
     L_a = x_{n+1} x_n + p_{n+1} p_n per slot a (plain integer products);
     the total equals q1 / 2 identically.
     """
-    if len(psi_n) != len(psi_next):
-        raise DimensionMismatch(f"state lengths differ: {len(psi_n)} vs {len(psi_next)}")
+    if len(psi_n.re) != len(psi_next.re):
+        raise DimensionMismatch(f"state lengths differ: {len(psi_n.re)} vs {len(psi_next.re)}")
     per = tuple(map(add, map(mul, psi_next.re, psi_n.re), map(mul, psi_next.im, psi_n.im)))
     return LinkReport(per_alpha=per, total=sum(per))
 

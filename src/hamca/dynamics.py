@@ -32,10 +32,10 @@ def model_matrix(model: ModelLike) -> GaussMatrix:
 
 def step_forward(prev: GaussVector, curr: GaussVector, H: GaussMatrix) -> GaussVector:
     """psi_{n+1} = psi_{n-1} - i*H*psi_n, one call of H's compiled step."""
-    if len(curr) != len(H.re[0]):
-        raise DimensionMismatch(f"matrix {H.shape} cannot act on length-{len(curr)} vector")
-    if len(prev) != len(H.re):
-        raise DimensionMismatch(f"vector lengths differ: {len(prev)} vs {len(H.re)}")
+    if len(curr.re) != len(H.re[0]):
+        raise DimensionMismatch(f"matrix {H.shape} cannot act on length-{len(curr.re)} vector")
+    if len(prev.re) != len(H.re):
+        raise DimensionMismatch(f"vector lengths differ: {len(prev.re)} vs {len(H.re)}")
     return GaussVector(*_step_kernel(H)(curr.re, curr.im, prev.re, prev.im))
 
 

@@ -22,13 +22,16 @@ from .models import basis_state
 def classify_state(psi: GaussVector) -> tuple[int, GaussInt] | None:
     """(1-based slot index, scalar factor) for a single-component state,
     None for a superposed one.  The zero vector is rejected: a permutation
-    ontology has no 'nothing' state."""
-    hits = [i for i, (x, p) in enumerate(zip(psi.re, psi.im)) if x or p]
-    if not hits:
+    ontology has no 'nothing' state.  Each part is judged by its count of
+    zeros; a part with one nonzero value sums to it, which finds its slot."""
+    x, p, m = psi.re, psi.im, len(psi.re)
+    zx, zp = x.count(0), p.count(0)
+    if zx == zp == m:
         raise DegenerateStateError("zero vector has no component to classify")
-    if len(hits) != 1:
+    if min(zx, zp) < m - 1:
         return None
-    return hits[0] + 1, psi[hits[0]]
+    k = x.index(sum(x)) if zx < m else p.index(sum(p))
+    return (k + 1, GaussInt(x[k], p[k])) if zp == m or p[k] else None  # None: x, p in two slots
 
 
 class Visit(NamedTuple):
@@ -121,11 +124,16 @@ def neighbour_pair_period(model: ModelLike, k: int, max_steps: int) -> CycleRepo
     return report._replace(pair_index=k, expected_period=4 * m)
 
 
+def _neighbour_pairs(m: int) -> range:
+    """The pair indices k = 1..m-1 of an m-state model, which needs two states."""
+    if m < 2:
+        raise ValueError("a 1-state model has no neighbour pair")
+    return range(1, m)
+
+
 def scan_ontological_pairs(model: ModelLike, max_steps: int | None = None) -> list[CycleReport]:
     """neighbour_pair_period for every k = 1..m-1, with H built once."""
     H = model_matrix(model)
     m = H.shape[0]
-    if m < 2:
-        raise ValueError("a 1-state model has no neighbour pair")
     budget = default_scan_budget(m) if max_steps is None else max_steps
-    return [neighbour_pair_period(H, k, budget) for k in range(1, m)]
+    return [neighbour_pair_period(H, k, budget) for k in _neighbour_pairs(m)]

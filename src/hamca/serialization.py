@@ -27,6 +27,7 @@ import stat
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
+from .conservation import _reduced
 from .errors import ModelValidationError
 from .gaussian import GaussInt, GaussVector, _AnyDigits, as_gauss
 from .models import HamiltonianSpec
@@ -171,10 +172,18 @@ def _state_record(n: int, psi: GaussVector) -> str:
     """The canonical line json.dumps(sort_keys=True, separators=(",", ":"))
     gives {"n": n, "re": [...], "im": [...]} with decimal-string parts,
     joined directly: decimal digits need no JSON escaping."""
-    with _AnyDigits():
-        im = '","'.join(map(str, psi.im))
-        re_ = '","'.join(map(str, psi.re))
+    im = '","'.join(_decimal(str, psi.im))
+    re_ = '","'.join(_decimal(str, psi.re))
     return f'{{"im":["{im}"],"n":{n},"re":["{re_}"]}}'
+
+
+def _decimal(convert, parts) -> list:
+    """`convert` (int or str) over the parts, with the digit limit lifted only for a part past it."""
+    try:
+        return list(map(convert, parts))
+    except ValueError:  # a part past the caller's int <-> str digit limit
+        with _AnyDigits():
+            return list(map(convert, parts))
 
 
 # The one grammar state lines are read by: the line above and "\n", byte for byte.
@@ -251,8 +260,7 @@ def _parse_state(line: str, n: int, dim: int, path) -> GaussVector:
     res, ims = re_text.split('","'), im_text.split('","')
     if len(res) != dim or len(ims) != dim:
         raise ValueError(f"{path}: state record {n} has wrong length")
-    with _AnyDigits():
-        return GaussVector(tuple(map(int, res)), tuple(map(int, ims)))
+    return GaussVector(tuple(_decimal(int, res)), tuple(_decimal(int, ims)))
 
 
 def read_trajectory_stream(path: str | Path):
@@ -299,6 +307,7 @@ class ConservationCsvWriter(_AnyDigits):
         super().__init__()
         self._w = csv_writer(fh)
         self._no_weights = [""] * dim
+        self._cells = _WeightCells(0)
         self._w.writerow(
             ["n", "q_re", "q_im", "L"]
             + [f"L_{a}" for a in range(1, dim + 1)]
@@ -306,13 +315,27 @@ class ConservationCsvWriter(_AnyDigits):
         )
 
     def append(self, st) -> None:
-        links = st.links
-        weights = links.reduced_weights()
-        self._w.writerow(
-            [st.n, st.q.re, st.q.im, links.total, *links.per_alpha]
-            # str(Fraction(num, den)) for the reduced pair
-            + ([num if den == 1 else f"{num}/{den}" for num, den in weights] if weights else self._no_weights)
-        )
+        total, per = st.links.total, st.links.per_alpha
+        if total != self._cells.total or len(self._cells) > _WEIGHT_CELLS:  # a new L, or too many cells
+            self._cells = _WeightCells(total)
+        weights = map(self._cells.__getitem__, per) if total else self._no_weights
+        self._w.writerow([st.n, st.q.re, st.q.im, total, *per, *weights])
+
+
+_WEIGHT_CELLS = 256  # cells a report keeps for one L: the L_a of a growing orbit never repeat
+
+
+class _WeightCells(dict):
+    """The weight cells str(Fraction(L_a, L)) of a report for one L != 0,
+    keyed by L_a and made from the reduced pair on first use."""
+
+    def __init__(self, total: int) -> None:
+        self.total = total
+
+    def __missing__(self, la: int) -> str:
+        num, den = _reduced(la, self.total)
+        cell = self[la] = str(num) if den == 1 else f"{num}/{den}"
+        return cell
 
 
 def write_conservation_csv(fh: IO[str], dim: int, stats: Iterable) -> None:

@@ -162,6 +162,14 @@ def conservation_csv_reference(dim: int, stats) -> str:
     return out.getvalue()
 
 
+def classify_reference(psi):
+    """(1-based slot, entry) of a state with exactly one nonzero entry,
+    None for any other state, the zero state included: the slots are found
+    one GaussInt at a time."""
+    slots = [k for k, z in enumerate(psi, 1) if z != GaussInt(0, 0)]
+    return (slots[0], psi[slots[0] - 1]) if len(slots) == 1 else None
+
+
 def find_period_reference(psi0, psi1, model, max_steps: int) -> CycleReport:
     """find_period as a store-then-classify search: every state is kept, the
     recurrence is looked up among the stored states, and the visited ones
@@ -176,11 +184,10 @@ def find_period_reference(psi0, psi1, model, max_steps: int) -> CycleReport:
         if n >= 2 and states[n - 1] == psi0 and psi == psi1:
             period = n - 1
             break
-    visits = []
-    for n, psi in enumerate(states[:period] if period is not None else states):
-        slots = [k for k, z in enumerate(psi, 1) if z != GaussInt(0, 0)]
-        single = len(slots) == 1
-        visits.append(Visit(n, slots[0] if single else None, psi[slots[0] - 1] if single else None))
+    visits = [
+        Visit(n, *(classify_reference(psi) or (None, None)))
+        for n, psi in enumerate(states[:period] if period is not None else states)
+    ]
     return CycleReport(
         period=period,
         visits=tuple(visits),

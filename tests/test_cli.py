@@ -802,6 +802,14 @@ class TestInputChecksExit3:
         assert capsys.readouterr() == ("", "error: a 1-state model has no neighbour pair\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("k", ["1", "0", "2"])
+    def test_cycle_one_pair_of_a_1_state_model(self, tmp_path, capsys, k):
+        # not "k must be in 1..0": the range is empty, so the model is named
+        path = tmp_path / "one.json"
+        save_model(HamiltonianSpec(1, [[1]], [[0]], "one"), path)
+        assert run_cli("cycle", "--model", str(path), "--pair", f"k={k}") == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: a 1-state model has no neighbour pair\n")
+
     @pytest.mark.parametrize("mode, option, value, message", [
         ("born", "--l-values", "nan", "l_values must be finite positive numbers, got [nan]"),
         ("born", "--l-values", "0.2,inf", "l_values must be finite positive numbers, got [0.2, inf]"),

@@ -1,6 +1,9 @@
 import io
+import os
 import sys
+import tracemalloc
 from fractions import Fraction
+from operator import neg
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from hamca.conservation import (
     verify_stream,
     verify_trajectory,
 )
-from hamca.dynamics import Trajectory, evolve
+from hamca.dynamics import Trajectory, evolve, stream_states
 from hamca.errors import NonCommutingError
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
@@ -27,6 +30,7 @@ H2 = build_hamiltonian(make_cyclic_model(2))
 H3 = build_hamiltonian(make_cyclic_model(3))
 SIGMA3 = gauss_matrix([[1, 0], [0, -1]])
 EYE2 = GaussMatrix.identity(2)
+EYE4 = GaussMatrix.identity(4)
 
 
 class TestQG:
@@ -298,6 +302,79 @@ class TestReducedWeights:
         assert links.reduced_weights() == tuple((f.numerator, f.denominator) for f in fractions)
         assert cells == [str(f) for f in fractions]
         assert sum(Fraction(*w) for w in links.reduced_weights()) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_of_one_l(self, data):
+        # link counts drawn from a small pool, so most cells are made once and read again
+        dim = data.draw(st.integers(2, 5))
+        total = data.draw(LINK.filter(bool))
+        pool = data.draw(st.lists(LINK, min_size=1, max_size=4))
+        rows = []
+        for n in range(data.draw(st.integers(1, 8))):
+            per = data.draw(st.lists(st.sampled_from(pool), min_size=dim - 1, max_size=dim - 1))
+            per.append(total - sum(per))
+            rows.append(PairStats(n, GaussInt(2 * total), LinkReport(tuple(per), total)))
+        assert report_text(dim, rows) == conservation_csv_reference(dim, rows)
+
+    def test_rows_past_the_cells_kept(self):
+        # more distinct L_a under one L than the report keeps cells for, twice over
+        total = 7 * 2**100
+        counts = [*range(-2**99, -2**99 + 700), *range(300)] * 2
+        rows = [
+            PairStats(n, GaussInt(2 * total), LinkReport((la, total - la), total)) for n, la in enumerate(counts)
+        ]
+        assert report_text(2, rows) == conservation_csv_reference(2, rows)
+
+    @pytest.mark.parametrize("corrupt", [neg, lambda v: scaled(v, 2)], ids=["negated", "doubled"])
+    def test_l_changes_mid_stream(self, corrupt):
+        # a corrupted state puts another L on the two pairs it is in, and the
+        # cells made under one L must not be read under the next
+        H = build_hamiltonian(make_cyclic_model(4))
+        states = list(evolve(E(3, (1, -2), 0, (0, 5)), E((2, 2), -1, 4, 0), H, 40))
+        states[20] = corrupt(states[20])
+        rows, out = [], io.StringIO()
+        assert not verify_stream(states, H, H, rows).ok
+        totals = [r.links.total for r in rows]
+        assert totals[0] != 0 and totals[19] == totals[20] != totals[0] == totals[21]
+        with ConservationCsvWriter(out, 4) as report:
+            verify_stream(states, H, H, report)
+        assert out.getvalue() == conservation_csv_reference(4, rows)
+
+
+def report_text(dim: int, rows) -> str:
+    """The conservation report a ConservationCsvWriter writes for `rows`."""
+    out = io.StringIO()
+    with ConservationCsvWriter(out, dim) as w:
+        for st_ in rows:
+            w.append(st_)
+    return out.getvalue()
+
+
+class TestReportMemory:
+    def test_weight_cells_are_bounded(self):
+        """A growing orbit's L_a never repeat: the report's peak memory at
+        2000 rows stays within 2 MiB of its peak at 500 (about 0.6 MB more
+        on CPython 3.11), where keeping every cell would add about 10 MB
+        (tridiag(1, 2, 1), m = 4: parts grow by about 1.9 bits a step)."""
+        m = 4
+        H = GaussMatrix(
+            tuple(tuple(2 if i == j else int(abs(i - j) == 1) for j in range(m)) for i in range(m)),
+            ((0,) * m,) * m,
+        )
+        psi = basis_state(m, 2)
+
+        def peak(n_rows: int) -> int:
+            with open(os.devnull, "w") as fh, ConservationCsvWriter(fh, m) as rows:
+                tracemalloc.start()
+                try:
+                    assert verify_stream(stream_states(psi, psi, H, n_rows - 1), H, EYE4, rows).ok
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        small, big = peak(500), peak(2000)
+        assert big - small < 2 * 2**20
 
 
 @st.composite

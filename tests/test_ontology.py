@@ -15,11 +15,39 @@ from hamca.ontology import (
 )
 from hamca.conservation import link_counts
 from hamca.dynamics import evolve, stream_states
-from oracles import find_period_reference, gauss_matrix
+from oracles import classify_reference, find_period_reference, gauss_matrix
 
 E = GaussVector.of
 H2 = build_hamiltonian(make_cyclic_model(2))
 H3 = build_hamiltonian(make_cyclic_model(3))
+
+
+NONZERO = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80)).filter(bool)
+
+
+@st.composite
+def sparse_states(draw) -> GaussVector:
+    """States of 1 to 6 slots in the shapes classify_state tells apart: zero,
+    one slot with re only, im only or both, re and im in different slots,
+    one part with a nonzero value in two slots, or any parts at all."""
+    m = draw(st.integers(1, 6))
+    x, p = [0] * m, [0] * m
+    k = draw(st.integers(0, m - 1))
+    j = (k + draw(st.integers(1, m - 1))) % m if m > 1 else k  # another slot, if there is one
+    shape = draw(st.sampled_from(["zero", "re", "im", "both", "split", "twice", "any"]))
+    if shape in ("re", "both"):
+        x[k] = draw(NONZERO)
+    if shape in ("im", "both"):
+        p[k] = draw(NONZERO)
+    if shape == "split":
+        x[k], p[j] = draw(NONZERO), draw(NONZERO)
+    if shape == "twice":
+        part = draw(st.sampled_from([x, p]))
+        part[k] = part[j] = draw(NONZERO)
+    if shape == "any":
+        parts = st.lists(st.one_of(st.just(0), NONZERO), min_size=m, max_size=m)
+        x, p = draw(parts), draw(parts)
+    return GaussVector(tuple(x), tuple(p))
 
 
 class TestClassifyState:
@@ -39,6 +67,16 @@ class TestClassifyState:
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateStateError):
             classify_state(E(0, 0, 0))
+
+    @settings(max_examples=400, deadline=None)
+    @given(psi=sparse_states())
+    def test_matches_slot_by_slot_oracle(self, psi):
+        if not any(psi.re + psi.im):
+            with pytest.raises(DegenerateStateError):
+                classify_state(psi)
+        else:
+            assert classify_state(psi) == classify_reference(psi)
+
 
 
 class TestFindPeriod:
