@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import closing, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from pathlib import Path
 
 from . import continuum as ct
@@ -64,6 +64,25 @@ EXIT_ONTOLOGICAL = 7
 EXIT_INSTABILITY = 8
 EXIT_INTERNAL = 9
 
+#: the exit code of each exception type `main` reports, first match first:
+#: SingularSpectrumError is also a ValueError; any other type exits 9
+_EXIT_CODES = (
+    (SingularSpectrumError, EXIT_SINGULAR),
+    (OntologicalRegimeError, EXIT_ONTOLOGICAL),
+    (InstabilityError, EXIT_INSTABILITY),
+    ((SpectralFailure, ValueError, OSError), EXIT_VALIDATION),  # validation errors, unusable paths
+)
+
+
+@contextmanager
+def _argument(name: str):
+    """The scope in which the value of argument `name` is read: a ValueError
+    or OSError raised in it comes out as ValueError("<name>: <message>")."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
 
 def _load_model_arg(label_or_path: str) -> HamiltonianSpec:
     builtin = resolve_builtin(label_or_path)
@@ -72,20 +91,13 @@ def _load_model_arg(label_or_path: str) -> HamiltonianSpec:
     path = Path(label_or_path)
     if not path.exists():
         raise ValueError(f"model: no built-in named {label_or_path!r} and no such file")
-    try:
+    with _argument("model"):
         return load_model(path)
-    except ValueError as exc:
-        raise ValueError(f"model: {exc}")
 
 
 def _load_vector_arg(name: str, text: str, dim: int) -> GaussVector:
-    try:
-        if text.startswith("@"):
-            vec = load_gauss_vector(text[1:])
-        else:
-            vec = parse_gauss_vector(text)
-    except (ValueError, OSError) as exc:
-        raise ValueError(f"{name}: {exc}")
+    with _argument(name):
+        vec = load_gauss_vector(text[1:]) if text.startswith("@") else parse_gauss_vector(text)
     if len(vec) != dim:
         raise ValueError(f"{name}: has {len(vec)} components, model needs {dim}")
     return vec
@@ -100,10 +112,8 @@ def _g_matrix_arg(H: GaussMatrix, text: str) -> GaussMatrix:
     path = Path(text)
     if not path.exists():
         raise ValueError(f"G: expected 'identity', 'hamiltonian' or a model file, got {text!r}")
-    try:
+    with _argument("G"):
         gspec = load_model(path)
-    except ValueError as exc:
-        raise ValueError(f"G: {exc}")
     if gspec.dim != dim:
         raise ValueError(f"G: dimension {gspec.dim} does not match model dimension {dim}")
     return build_hamiltonian(gspec)
@@ -152,14 +162,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        model, l, stream = read_trajectory_stream(args.trajectory)
-    except (ValueError, OSError) as exc:
-        raise ValueError(f"trajectory: {exc}")
-    with closing(stream):  # on every exit: a bad --g or --report, a violation
+    with _argument("trajectory"):
+        model, l, states = read_trajectory_stream(args.trajectory)
+    with closing(states):  # on every exit: a bad --g or --report, a violation
         H = build_hamiltonian(model)
         G = _g_matrix_arg(H, args.g)
-        states = (psi for _, psi in stream)
         if args.report:
             # rows go out as they are verified; a record that fails to parse
             # leaves an existing report as it was
@@ -227,19 +234,21 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 
 def _cmd_continuum(args: argparse.Namespace) -> int:
     spec = _load_model_arg(args.model)
-    modes = {
-        "closedform": _continuum_closedform,
-        "sinh": _continuum_sinh,
-        "q1": _continuum_q1,
-        "born": _continuum_born,
-    }
-    return modes[args.mode](args, spec, ct.as_matrix(build_hamiltonian(spec)))
-
-
-def _write_float_report(path: str | None, header: list[str], rows: list[tuple]) -> None:
-    if path:
-        with output_file(path) as fh:
+    mode = {"closedform": _continuum_closedform, "sinh": _continuum_sinh, "q1": _continuum_q1,
+            "born": _continuum_born}[args.mode]
+    # each mode returns its report (header, rows), its printed lines and its verdict
+    header, rows, lines, ok = mode(args, spec, ct.as_matrix(build_hamiltonian(spec)))
+    if args.out:
+        with output_file(args.out) as fh:
             write_float_csv(fh, header, rows)
+    for line in lines:
+        print(line)
+    return EXIT_OK if ok else EXIT_TOLERANCE
+
+
+def _converged(values: list[float]) -> bool:
+    """Each value is below the one before it, or is an exact 0: that has converged."""
+    return all(a > b or b == 0 for a, b in zip(values, values[1:]))
 
 
 def _random_state(rng: ct.np.random.Generator, dim: int) -> ct.np.ndarray:
@@ -277,14 +286,13 @@ def _tolerance(args) -> float:
     return args.tol
 
 
-def _continuum_closedform(args, spec, H) -> int:
+def _continuum_closedform(args, spec, H) -> tuple:
     if args.pairs < 0:
         raise ValueError(f"pairs must be >= 0, got {args.pairs}")
     tol = _tolerance(args)
     rng = ct.np.random.default_rng(args.seed)
     solver = ct.ClosedFormSolver(H, degenerate="error" if args.strict_band else "confluent")
     rows = []
-    worst = 0.0
     for pair in range(args.pairs):
         psi0 = _random_state(rng, spec.dim)
         psi1 = _random_state(rng, spec.dim)
@@ -292,10 +300,9 @@ def _continuum_closedform(args, spec, H) -> int:
         scale = max(float(ct.np.abs(states).max()), 1.0)
         dev = float(ct.np.max(ct.np.abs(solver.states_upto(psi0, psi1, args.nmax + 1) - states))) / scale
         rows.append((pair, dev))
-        worst = max(worst, dev)
-    _write_float_report(args.out, ["pair", "max_rel_dev"], rows)
-    print(f"closedform: worst relative deviation {format_float(worst)} over {args.pairs} pairs")
-    return EXIT_OK if worst <= tol else EXIT_TOLERANCE
+    worst = max([0.0, *(dev for _, dev in rows)])
+    line = f"closedform: worst relative deviation {format_float(worst)} over {args.pairs} pairs"
+    return ["pair", "max_rel_dev"], rows, [line], worst <= tol
 
 
 def _ascii(kind: type):
@@ -325,41 +332,34 @@ def _complex_state(option: str, text: str, dim: int) -> list[complex]:
     return values
 
 
-def _continuum_sinh(args, spec, H) -> int:
+def _continuum_sinh(args, spec, H) -> tuple:
     windows = _number_list("windows", args.windows, int)
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError(f"windows: must be strictly increasing, got {args.windows!r}")
     states = _smooth_trajectory(args, spec, H)
     rows = []
-    means = []
     for W in windows:
         sig = ct.BandlimitedSignal(states, l=args.l, window=W)
         ts = _sample_times(args, len(states), W) + 0.37 * args.l
         res = ct.sinh_residual(sig, H, ts)
-        mean = float(ct.np.mean(res))
-        rows.append((W, mean, float(ct.np.max(res))))
-        means.append(mean)
-    _write_float_report(args.out, ["window", "mean_residual", "max_residual"], rows)
-    decreasing = all(a > b or b == 0 for a, b in zip(means, means[1:]))  # an exact 0 has converged
-    for W, mean, mx in rows:
-        print(f"sinh: W={W} mean residual {format_float(mean)} max {format_float(mx)}")
-    return EXIT_OK if decreasing else EXIT_TOLERANCE
+        rows.append((W, float(ct.np.mean(res)), float(ct.np.max(res))))
+    lines = [f"sinh: W={W} mean residual {format_float(mean)} max {format_float(mx)}" for W, mean, mx in rows]
+    return ["window", "mean_residual", "max_residual"], rows, lines, _converged([mean for _, mean, _ in rows])
 
 
-def _continuum_q1(args, spec, H) -> int:
+def _continuum_q1(args, spec, H) -> tuple:
     tol = _tolerance(args)
     states = _smooth_trajectory(args, spec, H)
     sig = ct.BandlimitedSignal(states, l=args.l, window=args.window)
     ts = [float(t) for t in _sample_times(args, len(states), args.window)]
     results, spread = ct.q1_constancy(sig, ts, args.convention)
     rows = [(t, r.value, r.expansion, r.remainder) for t, r in zip(ts, results)]
-    _write_float_report(args.out, ["t", "value", "expansion", "remainder"], rows)
     scale = max(abs(r.value) for r in results) + 1e-30
-    print(f"q1: value {format_float(results[0].value)} spread {format_float(spread)}")
-    return EXIT_OK if spread <= tol * scale else EXIT_TOLERANCE
+    line = f"q1: value {format_float(results[0].value)} spread {format_float(spread)}"
+    return ["t", "value", "expansion", "remainder"], rows, [line], spread <= tol * scale
 
 
-def _continuum_born(args, spec, H) -> int:
+def _continuum_born(args, spec, H) -> tuple:
     ls = _number_list("l-values", args.l_values, float)
     if args.psi:
         psi0 = _complex_state("psi", args.psi, spec.dim)
@@ -370,12 +370,8 @@ def _continuum_born(args, spec, H) -> int:
     psi1 = _complex_state("psi1", args.psi1, spec.dim) if args.psi1 else None
     report = ct.born_convergence(H, psi0, ls, horizon=args.horizon, psi1=psi1)
     rows = [(e.l, e.steps, e.link_total, e.max_error) for e in report.entries]
-    _write_float_report(args.out, ["l", "steps", "link_total", "max_error"], rows)
-    for e in report.entries:
-        print(f"born: l={format_float(e.l)} max|w-p|={format_float(e.max_error)}")
-    errs = report.errors
-    decreasing = all(a > b or b == 0 for a, b in zip(errs, errs[1:]))  # an exact 0 has converged
-    return EXIT_OK if decreasing else EXIT_TOLERANCE
+    lines = [f"born: l={format_float(e.l)} max|w-p|={format_float(e.max_error)}" for e in report.entries]
+    return ["l", "steps", "link_total", "max_error"], rows, lines, _converged(report.errors)
 
 
 # ---------------------------------------------------------------------------
@@ -443,21 +439,12 @@ def main(argv: list[str] | None = None) -> int:
         # q1 of a 5000-digit literal (the library scopes its own conversions)
         with _AnyDigits():
             return args.func(args)
-    except SingularSpectrumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except OntologicalRegimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ONTOLOGICAL
-    except InstabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSTABILITY
-    except (SpectralFailure, ValueError, OSError) as exc:  # validation errors, unusable paths
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except Exception as exc:  # a bug, not a verdict: never exit 1, "tolerance not met"
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        code = next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), EXIT_INTERNAL)
+        # a bug, not a verdict: never exit 1, "tolerance not met"
+        message = f"internal error: {type(exc).__name__}: {exc}" if code == EXIT_INTERNAL else exc
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -85,8 +85,8 @@ def as_state(psi: StateLike, dim: int | None = None) -> np.ndarray:
 
 def as_matrix(H: MatrixLike) -> np.ndarray:
     arr = _finite_array(H, "matrix")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not arr.size:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {arr.shape}")
     return arr
 
 
@@ -111,7 +111,7 @@ def spectral_decompose(H: MatrixLike) -> SpectralForm:
     and positive, making repeated runs byte-reproducible on one platform.
     """
     A = as_matrix(H)
-    herm = np.max(np.abs(A - A.conj().T)) if A.size else 0.0
+    herm = np.max(np.abs(A - A.conj().T))
     if herm > 1e-12:
         raise SpectralFailure(f"matrix is not Hermitian (max asymmetry {herm:.3e})")
     evals, vecs = np.linalg.eigh(A)
@@ -120,7 +120,7 @@ def spectral_decompose(H: MatrixLike) -> SpectralForm:
         ref = vecs[pivot, k]
         if abs(ref) > 0:
             vecs[:, k] *= ref.conjugate() / abs(ref)
-    resid = float(np.max(np.abs(A @ vecs - vecs * evals))) if A.size else 0.0
+    resid = float(np.max(np.abs(A @ vecs - vecs * evals)))
     if resid > _RESIDUAL_BOUND:
         raise SpectralFailure(f"eigen residual {resid:.3e} exceeds bound {_RESIDUAL_BOUND:.3e}")
     unit = float(np.max(np.abs(vecs.conj().T @ vecs - np.eye(A.shape[0]))))
@@ -244,10 +244,12 @@ class BandlimitedSignal(_Frozen):
     """Trajectory samples viewed as a bandlimited function of time.
 
     samples has shape (N, m); l is the sample spacing; window is the
-    truncation half-width W of the sinc sum (at least 8).
+    truncation half-width W of the sinc sum (at least 8).  It holds a
+    mutable array, so it is not a value: == and hash are by identity.
     """
 
     __slots__ = _fields = ("samples", "l", "window")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, samples: np.ndarray, l: float, window: int = 32) -> None:
         samples = np.asarray(samples, dtype=np.complex128)
@@ -443,8 +445,8 @@ class BornReport(NamedTuple):
 
     @property
     def ratios(self) -> list[float]:
-        errs = self.errors
-        return [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
+        errs = self.errors  # a step to an exact 0 has converged: its ratio is inf
+        return [a / b if b else math.inf for a, b in zip(errs, errs[1:])]
 
 
 def born_convergence(

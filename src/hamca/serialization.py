@@ -84,12 +84,8 @@ def parse_gauss_vector(text: str) -> GaussVector:
 
 def load_gauss_vector(path: str | Path) -> GaussVector:
     """State vector file: JSON array of component literals or [re, im] pairs."""
-    text = Path(path).read_text()
     with _AnyDigits():  # exact ints of any size, in the file and in the messages that quote them
-        try:
-            data = json.loads(text)
-        except RecursionError as exc:  # nested past the interpreter's limit
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        data = _json_file(path, ValueError)
         if not isinstance(data, list) or not data:
             raise ValueError(f"{path}: expected a non-empty JSON array of components")
         comps = []
@@ -151,13 +147,17 @@ def output_file(path: str | Path) -> Iterator[IO[str]]:
 # ---------------------------------------------------------------------------
 
 
+def _json_file(path: str | Path, error: type[ValueError]):
+    """The JSON document in file `path`; one that does not parse raises `error`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested past the interpreter's limit
+        raise error(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_model(path: str | Path) -> HamiltonianSpec:
-    text = Path(path).read_text()
     with _AnyDigits():  # exact ints of any size, in the file and in the messages that quote them
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested past the interpreter's limit
-            raise ModelValidationError(f"{path}: not valid JSON ({exc})") from exc
+        data = _json_file(path, ModelValidationError)
         if not isinstance(data, dict):
             raise ModelValidationError(f"{path}: model document must be a JSON object")
         return HamiltonianSpec.from_dict(data)
@@ -266,7 +266,7 @@ def _parse_state(line: str, n: int, dim: int, path) -> GaussVector:
 def read_trajectory_stream(path: str | Path):
     """Open a trajectory file for streaming.
 
-    Returns (model, l, iterator of (n, GaussVector)).  The iterator keeps
+    Returns (model, l, iterator of GaussVector states).  The iterator keeps
     the file open until it is exhausted or closed, and raises ValueError on
     the first line that is not the record the writer emits at that position.
     """
@@ -278,7 +278,7 @@ def read_trajectory_stream(path: str | Path):
                 model, l = _parse_header(fh.readline(), path)
                 yield model, l
                 for n, line in enumerate(fh):
-                    yield n, _parse_state(line, n, model.dim, path)
+                    yield _parse_state(line, n, model.dim, path)
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 

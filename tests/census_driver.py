@@ -29,14 +29,16 @@ _H2 = '{"A":[[0,0],[0,0]],"S":[[0,1],[1,0]],"dim":2,"label":"H2"}'
 
 #: the files the commands read: a model file (the 3-state ring, S as a flat
 #: list), a diagonal 3-state model that does not commute with it, a 1-state
-#: model, a vector file, a model whose entries overflow the float stepper,
-#: and a trajectory whose third state breaks the update rule
+#: model, a vector file, a vector file that is not JSON, a model whose
+#: entries overflow the float stepper, and a trajectory whose third state
+#: breaks the update rule
 INPUTS = {
     "ring3.json": '{"dim": 3, "label": "ring3", "S": [0, 0, 1, 0, 0, 0, 1, 0, 0],'
     ' "A": [[0, -1, 0], [1, 0, -1], [0, 1, 0]]}\n',
     "diag3.json": '{"dim": 3, "S": [[1, 0, 0], [0, 2, 0], [0, 0, 3]], "A": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}\n',
     "one.json": '{"dim": 1, "S": [[1]], "A": [[0]]}\n',
     "psi.json": '["1-i", 0, [2, 1]]\n',
+    "text.json": "not JSON\n",
     "wide.json": f'{{"dim": 2, "S": [[0, {10**200}], [{10**200}, 0]], "A": [[0, 0], [0, 0]]}}\n',
     "broken.jsonl": f'{{"format":"hamca-trajectory","l":"1","model":{_H2},"version":1}}\n'
     '{"im":["0","0"],"n":0,"re":["1","0"]}\n'
@@ -67,7 +69,10 @@ COMMANDS = [
     (3, ["run", "--model", "nosuch", "--psi0", "1", "--psi1", "0", "--steps", "1"]),
     (3, ["run", "--model", "H2", "--psi0", "1 2i,0", "--psi1", "0,1", "--steps", "1"]),
     (3, ["run", "--model", "H2", "--psi0", "\u0661,0", "--psi1", "0,1", "--steps", "1"]),
+    (3, ["run", "--model", "H2", "--psi0", "@text.json", "--psi1", "0,1", "--steps", "1"]),
+    (3, ["run", "--model", ".", "--psi0", "1", "--psi1", "0", "--steps", "1"]),
     (3, ["check", "traj.jsonl", "--g", "nosuch"]),
+    (3, ["check", "traj.jsonl", "--g", "."]),
     (3, ["check", "traj.jsonl", "--g", "diag3.json"]),
     (3, ["cycle", "--model", "Hm:05"]),
     (3, ["cycle", "--model", "H4", "--pair", "k=01"]),

@@ -217,7 +217,7 @@ def load_trajectory(path) -> Trajectory:
     """A trajectory file read whole through read_trajectory_stream, the
     reader `hamca check` streams with."""
     model, l, states = read_trajectory_stream(path)
-    return Trajectory(model=model, states=tuple(psi for _, psi in states), l=l)
+    return Trajectory(model=model, states=tuple(states), l=l)
 
 
 # ---------------------------------------------------------------------------

@@ -479,18 +479,29 @@ class TestCycleMerged:
 
 
 class TestFileErrors:
-    @pytest.mark.parametrize("argv", [
-        ["run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "3",
-         "--out", "{missing}/t.jsonl"],
-        ["run", "--model", "{dir}", "--psi0", "1,0", "--psi1", "0,1", "--steps", "3"],
-        ["cycle", "--model", "H3", "--out", "{missing}/c.csv"],
-        ["continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--out", "{missing}/b.csv"],
-    ], ids=["run-out", "run-model-dir", "cycle-out", "born-out"])
-    def test_unusable_path_is_a_validation_error(self, tmp_path, capsys, argv):
+    """A file that cannot be read or written exits 3; one read for an
+    argument is named by the argument, and by its path when it is opened."""
+
+    NO_FILE = "[Errno 2] No such file or directory: "
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "3",
+          "--out", "{missing}/t.jsonl"], NO_FILE),
+        (["run", "--model", "{dir}", "--psi0", "1,0", "--psi1", "0,1", "--steps", "3"],
+         "model: [Errno 21] Is a directory: "),
+        (["cycle", "--model", "H3", "--out", "{missing}/c.csv"], NO_FILE),
+        (["continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--out", "{missing}/b.csv"], NO_FILE),
+        (["check", "{dir}/t.jsonl", "--g", "{dir}"], "G: [Errno 21] Is a directory: "),
+        (["run", "--model", "H2", "--psi0", "@{dir}/v.json", "--psi1", "0,1", "--steps", "3", "--probe"],
+         "psi0: {dir}/v.json: not valid JSON (Expecting value: line 1 column 1 (char 0))\n"),
+    ], ids=["run-out", "run-model-dir", "cycle-out", "born-out", "check-g-dir", "run-psi0-not-json"])
+    def test_unusable_path_is_a_validation_error(self, tmp_path, capsys, argv, message):
+        write_trajectory(evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 3), tmp_path / "t.jsonl")
+        (tmp_path / "v.json").write_text("not JSON\n")
         argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
         assert run_cli(*argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: " + message.format(dir=tmp_path))
         assert "Traceback" not in err
 
 

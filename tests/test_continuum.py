@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import hamca.continuum as ct
 from hamca.dynamics import evolve
 from hamca.errors import (
+    DimensionMismatch,
     InstabilityError,
     OntologicalRegimeError,
     SignalRangeError,
@@ -55,6 +56,10 @@ class TestSpectralDecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ct.SpectralFailure):
             ct.spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(DimensionMismatch, match=r"^expected a non-empty square matrix, got shape \(0, 0\)$"):
+            ct.spectral_decompose(np.zeros((0, 0)))
 
 
 class TestInputBoundary:
@@ -217,6 +222,12 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             ct.BandlimitedSignal(np.zeros((10, 2), dtype=complex), l=1.0, window=4)
 
+    def test_equality_and_hash_by_identity(self):
+        # it wraps a mutable array, so two signals on equal samples are two objects
+        a, b = (ct.BandlimitedSignal(np.ones((10, 2)), l=1.0, window=8) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestSinhResidual:
     def test_zero_at_sample_points(self):
@@ -305,6 +316,12 @@ class TestBornConvergence:
         assert errs[0] > errs[1] > errs[2]
         for r in report.ratios:
             assert 2.5 <= r <= 6.0
+
+    def test_exact_zero_errors_have_infinite_ratios(self):
+        # [1, 1] is an eigenvector of H2: every error is exactly 0, which has converged
+        report = ct.born_convergence(H2, [1, 1], [0.2, 0.1, 0.05])
+        assert report.errors == [0.0, 0.0, 0.0]
+        assert report.ratios == [float("inf"), float("inf")]
 
     def test_eigenvector_exact_at_every_scale(self):
         sf = ct.spectral_decompose(H2)

@@ -197,7 +197,7 @@ class TestTrajectoryFile:
         model, l, stream = read_trajectory_stream(path)
         assert model == traj.model
         count = 0
-        for n, psi in stream:
+        for n, psi in enumerate(stream):
             assert psi == traj[n]
             count += 1
         assert count == len(traj)
@@ -350,7 +350,7 @@ def scratch(tmp_path_factory):
 
 def read_states(path):
     _, _, states = read_trajectory_stream(path)
-    return [psi for _, psi in states]
+    return list(states)
 
 
 @st.composite
