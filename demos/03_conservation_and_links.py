@@ -19,8 +19,8 @@ from hamca import (
     q_G,
     step_backward,
     step_forward,
-    verify_trajectory,
 )
+from hamca.conservation import verify_stream
 from hamca.models import HamiltonianSpec
 
 spec = make_cyclic_model(4)
@@ -29,13 +29,13 @@ psi0 = GaussVector.of((3, -1), (0, 2), 1, (2, 2))
 psi1 = GaussVector.of(1, (1, 1), (4, 0), (0, -3))
 
 traj = evolve(psi0, psi1, H, 2000)
-report = verify_trajectory(traj, H)
+report = verify_stream(traj, H, H)
 print(f"q_H over 2001 pairs: constant = {report.q_value} (ok={report.ok})")
-report1 = verify_trajectory(traj, GaussMatrix.identity(4))
+report1 = verify_stream(traj, H, GaussMatrix.identity(4))
 print(f"q_1 over 2001 pairs: constant = {report1.q_value}")
 
 print("\nlink counts for the first few pairs (L_a can be negative):")
-for n, a, b in list(traj.pairs())[:4]:
+for n, (a, b) in enumerate(zip(traj[:4], traj[1:])):
     rep = link_counts(a, b)
     weights = rep.reduced_weights()
     ws = [str(num) if den == 1 else f"{num}/{den}" for num, den in weights] if weights else ["-"]

@@ -51,6 +51,6 @@ for l in (0.25, 0.125, 0.0625):
     count = int(60.0 / l) + 200
     t = np.arange(count) * l
     samples = (sf.eigenvectors @ (np.exp(-1j * np.outer(sf.eigenvalues, t)) * c0[:, None])).T
-    r = ct.q1_continuum(ct.BandlimitedSignal(samples, l=l, window=16), 60.0)
+    (r,), _ = ct.q1_constancy(ct.BandlimitedSignal(samples, l=l, window=16), [60.0])
     print(f"  l = {l:7.4f}: remainder {abs(r.remainder):.3e}")
 print("  (each halving of l divides the remainder by ~16: fourth order)")

@@ -21,10 +21,8 @@ from .models import (
     build_hamiltonian,
     make_cyclic_model,
     resolve_builtin,
-    spec_from_matrix,
 )
 from .dynamics import (
-    Trajectory,
     evolve,
     step_backward,
     step_forward,
@@ -38,7 +36,6 @@ from .conservation import (
     link_counts,
     q1,
     q_G,
-    verify_trajectory,
 )
 from .ontology import (
     CycleReport,
@@ -57,7 +54,6 @@ from .continuum import (
     born_convergence,
     evolve_float,
     q1_constancy,
-    q1_continuum,
     reconstruct,
     sinh_residual,
     sinh_residual_bound,

@@ -88,10 +88,10 @@ def _load_model_arg(label_or_path: str) -> HamiltonianSpec:
     builtin = resolve_builtin(label_or_path)
     if builtin is not None:
         return builtin
-    path = Path(label_or_path)
-    if not path.exists():
-        raise ValueError(f"model: no built-in named {label_or_path!r} and no such file")
     with _argument("model"):
+        path = Path(label_or_path)
+        if not path.exists():
+            raise ValueError(f"no built-in named {label_or_path!r} and no such file")
         return load_model(path)
 
 
@@ -109,10 +109,10 @@ def _g_matrix_arg(H: GaussMatrix, text: str) -> GaussMatrix:
         return GaussMatrix.identity(dim)
     if text == "hamiltonian":
         return H
-    path = Path(text)
-    if not path.exists():
-        raise ValueError(f"G: expected 'identity', 'hamiltonian' or a model file, got {text!r}")
     with _argument("G"):
+        path = Path(text)
+        if not path.exists():
+            raise ValueError(f"expected 'identity', 'hamiltonian' or a model file, got {text!r}")
         gspec = load_model(path)
     if gspec.dim != dim:
         raise ValueError(f"G: dimension {gspec.dim} does not match model dimension {dim}")

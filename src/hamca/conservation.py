@@ -16,11 +16,9 @@ from math import gcd
 from operator import add, mul
 from typing import Iterable, NamedTuple
 
-from .dynamics import Trajectory
 from .errors import DimensionMismatch, NonCommutingError
 from .gaussian import GaussInt, GaussMatrix, GaussVector, _step_kernel, full_digit_repr
 from .gaussian import inner_product, is_hermitian, mat_vec
-from .models import build_hamiltonian
 
 
 def q_G(psi_n: GaussVector, psi_next: GaussVector, G: GaussMatrix) -> GaussInt:
@@ -162,8 +160,3 @@ def verify_stream(
     return ConservationReport(
         ok=first is None, q_value=value, pairs_checked=n, first_violation=first, message=message
     )
-
-
-def verify_trajectory(traj: Trajectory, G: GaussMatrix) -> ConservationReport:
-    """verify_stream over a stored trajectory and its model Hamiltonian."""
-    return verify_stream(traj, build_hamiltonian(traj.model), G)

@@ -418,12 +418,6 @@ def q1_constancy(
     return [Q1Result(v, convention, n, e, r) for v, n, e, r in terms], max(values) - min(values)
 
 
-def q1_continuum(
-    signal: BandlimitedSignal, t: float, convention: Q1Convention = "pairwise"
-) -> Q1Result:
-    return q1_constancy(signal, [t], convention)[0][0]
-
-
 # ---------------------------------------------------------------------------
 # link fractions vs squared amplitudes
 # ---------------------------------------------------------------------------

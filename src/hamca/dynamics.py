@@ -9,13 +9,12 @@ amplitude magnitude.  `stream_states` is the one stepping loop: `evolve`,
 
 from __future__ import annotations
 
-import math
 from itertools import count, islice
 from typing import Iterator, Union
 
 from .errors import DimensionMismatch
-from .gaussian import GaussMatrix, GaussVector, _Frozen, _step_kernel, is_hermitian
-from .models import HamiltonianSpec, basis_state, build_hamiltonian, spec_from_matrix
+from .gaussian import GaussMatrix, GaussVector, _step_kernel, is_hermitian
+from .models import HamiltonianSpec, basis_state, build_hamiltonian
 
 ModelLike = Union[HamiltonianSpec, GaussMatrix]
 
@@ -44,54 +43,11 @@ def step_backward(curr: GaussVector, nxt: GaussVector, H: GaussMatrix) -> GaussV
     return step_forward(nxt, -curr, H)
 
 
-class Trajectory(_Frozen):
-    """An evolved state sequence plus the model that produced it.
-
-    `l` is the discreteness scale separating successive states; the exact
-    layer carries it as metadata only (the continuum layer gives it teeth).
-    """
-
-    __slots__ = _fields = ("model", "states", "l")
-
-    def __init__(self, model: HamiltonianSpec, states: tuple[GaussVector, ...], l: float = 1.0) -> None:
-        if not (math.isfinite(l) and l > 0):
-            raise ValueError(f"discreteness scale must be a finite positive number, got {l}")
-        if len(states) < 2:
-            raise ValueError("a trajectory needs at least the two initial states")
-        for s in states:
-            if len(s) != model.dim:
-                raise DimensionMismatch(f"state of length {len(s)} in a dim-{model.dim} trajectory")
-        for name, value in zip(self._fields, (model, states, l)):
-            object.__setattr__(self, name, value)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __getitem__(self, n: int) -> GaussVector:
-        return self.states[n]
-
-    def __iter__(self) -> Iterator[GaussVector]:
-        return iter(self.states)
-
-    def pairs(self) -> Iterator[tuple[int, GaussVector, GaussVector]]:
-        """Yield (n, psi_n, psi_{n+1}) for every consecutive pair."""
-        for n in range(len(self.states) - 1):
-            yield n, self.states[n], self.states[n + 1]
-
-
-def evolve(
-    psi0: GaussVector,
-    psi1: GaussVector,
-    model: ModelLike,
-    n_steps: int,
-    l: float = 1.0,
-) -> Trajectory:
-    """Run n_steps updates from the initial pair; result holds n_steps + 2 states."""
+def evolve(psi0: GaussVector, psi1: GaussVector, model: ModelLike, n_steps: int) -> tuple[GaussVector, ...]:
+    """The n_steps + 2 states psi_0 .. psi_{n_steps + 1} of the run from the initial pair."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    H = model_matrix(model)
-    spec = model if isinstance(model, HamiltonianSpec) else spec_from_matrix(H)
-    return Trajectory(model=spec, states=tuple(stream_states(psi0, psi1, H, n_steps)), l=l)
+    return tuple(stream_states(psi0, psi1, model_matrix(model), n_steps))
 
 
 def stream_states(

@@ -100,11 +100,6 @@ def build_hamiltonian(spec: HamiltonianSpec) -> GaussMatrix:
     return H
 
 
-def spec_from_matrix(H: GaussMatrix, label: str = "adhoc") -> HamiltonianSpec:
-    """Split a Hermitian matrix into its (S, A) parts; the spec's checks reject any other."""
-    return HamiltonianSpec(H.shape[0], H.re, H.im, label)
-
-
 def make_cyclic_model(m: int) -> HamiltonianSpec:
     """The cyclic m-state family: nearest-neighbour couplings -i above and
     +i below the diagonal, plus a real corner coupling closing the ring.

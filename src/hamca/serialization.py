@@ -127,7 +127,13 @@ def output_file(path: str | Path) -> Iterator[IO[str]]:
         return
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        fh = open(tmp, "w", newline="")
+    except OSError as exc:
+        if exc.filename == tmp:  # name the file the caller asked for, not its .tmp
+            exc.filename = path
+        raise
+    try:
+        with fh:
             yield fh
         if old is not None:
             os.chmod(tmp, stat.S_IMODE(old.st_mode))

@@ -14,7 +14,7 @@ import numpy as np
 
 from hamca.conservation import ConservationReport, PairStats, commutator, link_counts, q1
 from hamca.continuum import Q1Result, as_matrix, as_state
-from hamca.dynamics import Trajectory, model_matrix, stream_states
+from hamca.dynamics import model_matrix, stream_states
 from hamca.errors import DimensionMismatch, InstabilityError, NonCommutingError, SignalRangeError
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector, _AnyDigits, as_gauss, mat_vec
 from hamca.models import HamiltonianSpec
@@ -205,19 +205,19 @@ def save_model(spec: HamiltonianSpec, path) -> None:
         fh.write(doc + "\n")
 
 
-def write_trajectory(traj: Trajectory, path) -> None:
-    """A trajectory file of all of `traj`, through the writer `hamca run --out` streams to."""
+def write_trajectory(model: HamiltonianSpec, l: float, states, path) -> None:
+    """A trajectory file of `states`, through the writer `hamca run --out` streams to."""
     with output_file(path) as fh:
-        writer = TrajectoryWriter(fh, traj.model, traj.l)
-        for psi in traj:
+        writer = TrajectoryWriter(fh, model, l)
+        for psi in states:
             writer.write_state(psi)
 
 
-def load_trajectory(path) -> Trajectory:
-    """A trajectory file read whole through read_trajectory_stream, the
-    reader `hamca check` streams with."""
+def load_trajectory(path) -> tuple[HamiltonianSpec, float, tuple[GaussVector, ...]]:
+    """(model, l, states) of a trajectory file read whole through
+    read_trajectory_stream, the reader `hamca check` streams with."""
     model, l, states = read_trajectory_stream(path)
-    return Trajectory(model=model, states=tuple(states), l=l)
+    return model, l, tuple(states)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def report_oracle(traj):
+def write_swap_orbit(path):
+    """A trajectory file of the first five states of H2 from (1, 0), (0, 1)."""
+    H2 = make_cyclic_model(2)
+    write_trajectory(H2, 1.0, evolve(E(1, 0), E(0, 1), H2, 3), path)
+
+
+def report_oracle(states):
     """`check --report` of a trajectory with G = identity, weights from Fraction."""
-    m = traj.model.dim
+    m = len(states[0])
     lines = [",".join(["n", "q_re", "q_im", "L"] + [f"L_{a}" for a in range(1, m + 1)]
                       + [f"w_{a}" for a in range(1, m + 1)])]
-    for n, a, b in traj.pairs():
+    for n, (a, b) in enumerate(zip(states, states[1:])):
         per = [x1 * x0 + p1 * p0 for x0, p0, x1, p1 in zip(a.re, a.im, b.re, b.im)]
         total = sum(per)
         weights = [str(Fraction(la, total)) for la in per] if total else [""] * m
@@ -53,9 +59,8 @@ class TestRun:
             "--steps", "6", "--out", str(out),
         )
         assert code == EXIT_OK
-        traj = load_trajectory(out)
-        expected = evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 6)
-        assert list(traj) == list(expected)
+        _, _, traj = load_trajectory(out)
+        assert traj == evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 6)
         assert len(traj) == 8
 
     def test_zero_steps_writes_two_records(self, tmp_path):
@@ -76,7 +81,7 @@ class TestRun:
         out = tmp_path / "t.jsonl"
         assert run_cli("run", "--model", "Hm:5", "--psi0", "1,0,0,0,0",
                        "--psi1", "0,1,0,0,0", "--steps", "40", "--out", str(out)) == EXIT_OK
-        traj = load_trajectory(out)
+        _, _, traj = load_trajectory(out)
         assert traj[20] == traj[0]
         assert traj[21] == traj[1]
         # and no earlier pair recurrence
@@ -169,7 +174,7 @@ class TestCheck:
         spec = make_cyclic_model(4)
         traj = evolve(E(3, (1, -2), 0, (0, 5)), E((2, 2), -1, 4, 0), spec, 2000)
         path = tmp_path / "h4.jsonl"
-        write_trajectory(traj, path)
+        write_trajectory(spec, 1.0, traj, path)
         assert run_cli("check", str(path), "--g", "hamiltonian") == EXIT_OK
 
 
@@ -430,12 +435,13 @@ class TestCheckMerged:
         assert f"{path}: state record 2 has parts that are not canonical decimal integers" in err
 
     def test_report_rows_carry_exact_link_weights(self, tmp_path):
-        traj = evolve(E(1, (0, 2), 0), E((1, 1), 0, -1), make_cyclic_model(3), 6)
+        spec = make_cyclic_model(3)
+        traj = evolve(E(1, (0, 2), 0), E((1, 1), 0, -1), spec, 6)
         path, report = tmp_path / "t.jsonl", tmp_path / "r.csv"
-        write_trajectory(traj, path)
+        write_trajectory(spec, 1.0, traj, path)
         assert run_cli("check", str(path), "--report", str(report)) == EXIT_OK
         expected = ["n,q_re,q_im,L,L_1,L_2,L_3,w_1,w_2,w_3"]
-        for n, a, b in traj.pairs():
+        for n, (a, b) in enumerate(zip(traj, traj[1:])):
             per = [x1 * x0 + p1 * p0 for x0, p0, x1, p1 in zip(a.re, a.im, b.re, b.im)]
             total = sum(per)
             weights = [str(Fraction(la, total)) for la in per] if total else [""] * 3
@@ -445,10 +451,11 @@ class TestCheckMerged:
     def test_report_matches_the_fraction_oracle(self, tmp_path):
         """The weight cells, written from reduced int pairs, read as
         str(Fraction(L_a, L)); test_import_contract shows no Fraction is built."""
-        traj = evolve(E((1, 2), 0, 3, 0, (0, -1), 1), E(2, (1, 1), 1, 0, 1, -2), make_cyclic_model(6), 30)
+        spec = make_cyclic_model(6)
+        traj = evolve(E((1, 2), 0, 3, 0, (0, -1), 1), E(2, (1, 1), 1, 0, 1, -2), spec, 30)
         assert q_G(traj[0], traj[1], GaussMatrix.identity(6)) == GaussInt(6)  # L = 3
         path, report = tmp_path / "t.jsonl", tmp_path / "r.csv"
-        write_trajectory(traj, path)
+        write_trajectory(spec, 1.0, traj, path)
         assert run_cli("check", str(path), "--report", str(report)) == EXIT_OK
         assert report.read_text() == report_oracle(traj)
 
@@ -496,13 +503,24 @@ class TestFileErrors:
          "psi0: {dir}/v.json: not valid JSON (Expecting value: line 1 column 1 (char 0))\n"),
     ], ids=["run-out", "run-model-dir", "cycle-out", "born-out", "check-g-dir", "run-psi0-not-json"])
     def test_unusable_path_is_a_validation_error(self, tmp_path, capsys, argv, message):
-        write_trajectory(evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 3), tmp_path / "t.jsonl")
+        write_swap_orbit(tmp_path / "t.jsonl")
         (tmp_path / "v.json").write_text("not JSON\n")
         argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
         assert run_cli(*argv) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error: " + message.format(dir=tmp_path))
         assert "Traceback" not in err
+
+    def test_model_name_too_long_for_a_path_names_the_argument(self, capsys):
+        name = "m" * 5000
+        assert run_cli("run", "--model", name, "--psi0", "1,0", "--psi1", "0,1", "--steps", "3") == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: model: [Errno 36] File name too long: {name!r}\n"
+
+    def test_g_name_too_long_for_a_path_names_the_argument(self, tmp_path, capsys):
+        write_swap_orbit(tmp_path / "t.jsonl")
+        name = "g" * 5000
+        assert run_cli("check", str(tmp_path / "t.jsonl"), "--g", name) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: G: [Errno 36] File name too long: {name!r}\n"
 
 
 class TestStrictVectorFiles:
@@ -527,7 +545,7 @@ class TestStrictVectorFiles:
         out = tmp_path / "t.jsonl"
         assert run_cli("run", "--model", "H3", "--psi0", f"@{path}", "--psi1", "0,1,0",
                        "--steps", "2", "--out", str(out)) == EXIT_OK
-        assert load_trajectory(out)[0] == E((1, -1), (2, 3), 0)
+        assert load_trajectory(out)[2][0] == E((1, -1), (2, 3), 0)
 
 
 class TestDeeplyNestedJson:
@@ -686,14 +704,15 @@ class TestValuesPastTheDigitLimit:
 
     def grown_trajectory(self, tmp_path):
         big = 2**20_000 + 7
-        traj = evolve(E((big, -(3**40_000)), 1), E(0, (3, big)), make_cyclic_model(2), 4)
+        H2 = make_cyclic_model(2)
+        traj = evolve(E((big, -(3**40_000)), 1), E(0, (3, big)), H2, 4)
         path = tmp_path / "big.jsonl"
-        write_trajectory(traj, path)
+        write_trajectory(H2, 1.0, traj, path)
         return traj, path
 
     def test_check_prints_the_full_q_G(self, tmp_path, capsys, digit_limit):
         traj, path = self.grown_trajectory(tmp_path)
-        q = q_G(traj[0], traj[1], build_hamiltonian(traj.model))
+        q = q_G(traj[0], traj[1], build_hamiltonian(make_cyclic_model(2)))
         assert run_cli("check", str(path), "--g", "hamiltonian", "--report", str(tmp_path / "r.csv")) == EXIT_OK
         assert sys.get_int_max_str_digits() == digit_limit
         out = capsys.readouterr().out
@@ -767,7 +786,7 @@ class TestInputChecksExit3:
     @pytest.mark.parametrize("g", ["missing", "malformed", "wrong_dim"])
     def test_check_g_file(self, tmp_path, capsys, g):
         path = tmp_path / "t.jsonl"
-        write_trajectory(evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 3), path)
+        write_swap_orbit(path)
         gfile = tmp_path / "g.json"
         if g == "malformed":
             gfile.write_text("{not json")
@@ -850,6 +869,12 @@ class TestInputChecksExit3:
     def test_float_layer_scales_and_lists(self, capsys, mode, option, value, message):
         assert run_cli("continuum", mode, "--model", "H2", option, value) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("l", ["nan", "inf", "0"])
+    def test_run_scale_must_be_finite_and_positive(self, capsys, l):
+        assert run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "1",
+                       "--l", l, "--probe") == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: l must be a finite positive number, got {float(l)}\n"
 
     def test_run_negative_steps(self, capsys):
         assert run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "-1") == EXIT_VALIDATION

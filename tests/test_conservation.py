@@ -16,9 +16,8 @@ from hamca.conservation import (
     q1,
     q_G,
     verify_stream,
-    verify_trajectory,
 )
-from hamca.dynamics import Trajectory, evolve, stream_states
+from hamca.dynamics import evolve, stream_states
 from hamca.errors import NonCommutingError
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
@@ -120,7 +119,7 @@ class TestQGWithNonHermitianG:
         traj = evolve(E(1, (0, 2), -1), E(3, 0, (1, 1)), spec, 60)
         assert max(abs(v).bit_length() for v in traj[-1].re + traj[-1].im) > 64
         G = i_times_identity(3)
-        values = {q_G(a, b, G) for _, a, b in traj.pairs()}
+        values = {q_G(a, b, G) for a, b in zip(traj, traj[1:])}
         assert values == {oracle_q_G(traj[0], traj[1], G)}
         (value,) = values
         assert value.re == 0 and value.im != 0
@@ -172,30 +171,29 @@ class TestLinkCounts:
 
 class TestVerifyTrajectory:
     def test_two_state_orbit_constant_zero(self):
-        traj = evolve(E(1, 0), E(0, 1), H2, 6)
-        report = verify_trajectory(traj, EYE2)
+        report = verify_stream(evolve(E(1, 0), E(0, 1), H2, 6), H2, EYE2)
         assert report.ok
         assert report.q_value == GaussInt(0)
         assert report.pairs_checked == 7
 
     def test_constant_trajectory_gives_twice_norm(self):
         v = E((1, 2), (3, 0))
-        traj = evolve(v, v, gauss_matrix([[0, 0], [0, 0]]), 4)
-        report = verify_trajectory(traj, EYE2)
+        zero = gauss_matrix([[0, 0], [0, 0]])
+        report = verify_stream(evolve(v, v, zero, 4), zero, EYE2)
         assert report.ok
         assert report.q_value == GaussInt(2 * (1 + 4 + 9))
 
     def test_long_run_single_value(self):
         h4 = build_hamiltonian(make_cyclic_model(4))
         traj = evolve(E(3, (1, -2), 0, (0, 5)), E((2, 2), -1, 4, 0), h4, 300)
-        report = verify_trajectory(traj, h4)
+        report = verify_stream(traj, h4, h4)
         assert report.ok
         assert report.first_violation is None
 
     def test_noncommuting_g_rejected_with_witness(self):
         traj = evolve(E(1, 0), E(0, 1), H2, 4)
         with pytest.raises(NonCommutingError) as err:
-            verify_trajectory(traj, SIGMA3)
+            verify_stream(traj, H2, SIGMA3)
         assert err.value.witness is not None
         assert not err.value.witness.is_zero()
 
@@ -203,17 +201,16 @@ class TestVerifyTrajectory:
         # i*I commutes with every H, but its q_G is imaginary, not the real sum checked
         traj = evolve(E(1, 0), E(0, 1), H2, 4)
         with pytest.raises(ValueError, match="G is not Hermitian") as err:
-            verify_trajectory(traj, gauss_matrix([[(0, 1), 0], [0, (0, 1)]]))
+            verify_stream(traj, H2, gauss_matrix([[(0, 1), 0], [0, (0, 1)]]))
         assert not isinstance(err.value, NonCommutingError)
 
     def test_corrupted_trajectory_reports_step(self):
         # a start with nonzero q1, so scaling one state is visible
         traj = evolve(E(1, 0), E(1, 1), H2, 6)
-        assert verify_trajectory(traj, EYE2).q_value == GaussInt(2)
-        states = list(traj.states)
+        assert verify_stream(traj, H2, EYE2).q_value == GaussInt(2)
+        states = list(traj)
         states[5] = scaled(states[5], 2)
-        bad = Trajectory(model=traj.model, states=tuple(states), l=traj.l)
-        report = verify_trajectory(bad, EYE2)
+        report = verify_stream(states, H2, EYE2)
         assert not report.ok
         assert report.first_violation == 4
 
@@ -227,13 +224,12 @@ class TestVerifyTrajectory:
 
 class TestVerifyStream:
     def negated_swap_orbit(self):
-        traj = evolve(E(1, 0), E(0, 1), H2, 12)
-        states = list(traj.states)
+        states = list(evolve(E(1, 0), E(0, 1), H2, 12))
         states[4] = -states[4]
-        return Trajectory(model=traj.model, states=tuple(states), l=traj.l)
+        return tuple(states)
 
     def test_update_rule_break_with_constant_q(self):
-        report = verify_trajectory(self.negated_swap_orbit(), EYE2)
+        report = verify_stream(self.negated_swap_orbit(), H2, EYE2)
         assert not report.ok
         assert report.first_violation == 4
         assert report.q_value == GaussInt(0)
@@ -245,9 +241,10 @@ class TestVerifyStream:
         traj = self.negated_swap_orbit() if corrupt else evolve(E(1, 0), E(1, 1), H2, 12)
         rows = []
         streamed = verify_stream((psi for psi in traj), H2, G, rows)
-        assert streamed == verify_trajectory(traj, G)
+        assert streamed == verify_stream(traj, H2, G)
         assert streamed.ok is not corrupt
-        assert rows == [PairStats(n, q_G(a, b, G), link_counts(a, b)) for n, a, b in traj.pairs()]
+        pairs = enumerate(zip(traj, traj[1:]))
+        assert rows == [PairStats(n, q_G(a, b, G), link_counts(a, b)) for n, (a, b) in pairs]
 
     def test_needs_two_states(self):
         with pytest.raises(ValueError):

@@ -152,6 +152,14 @@ class TestClosedForm:
             dev = np.max(np.abs(solver.state_at(psi0, psi1, n) - states[n])) / scale
             assert dev <= 1e-8
 
+    def test_near_band_edge_is_not_taken_as_degenerate(self):
+        # lambda = 2 - 1e-11 has two distinct roots; treating it as the
+        # confluent case (a cutoff near 1e-9) drifts by 2.7e-7 over 400 steps
+        H = np.array([[2 - 1e-11]])
+        closed = ct.ClosedFormSolver(H).states_upto([1.0], [0.0], 400)
+        stepped = ct.evolve_float([1.0], [0.0], H, 399)
+        assert np.max(np.abs(closed - stepped)) / np.max(np.abs(stepped)) < 1e-9
+
     def test_strict_mode_rejects_band_edge(self):
         with pytest.raises(SingularSpectrumError):
             ct.ClosedFormSolver(H3, degenerate="error")
@@ -265,16 +273,16 @@ class TestQ1Continuum:
         expect = 2.0 * float(np.vdot(v, v).real)  # 10.5
         sig = ct.BandlimitedSignal(np.tile(v, (200, 1)), l=1.0, window=16)
         for t in (60.0, 90.0, 130.0):
-            res = ct.q1_continuum(sig, t)
+            (res,), _ = ct.q1_constancy(sig, [t])
             assert abs(res.value - expect) <= 1e-9
-        res_cosh = ct.q1_continuum(sig, 80.0, convention="cosh")
+        (res_cosh,), _ = ct.q1_constancy(sig, [80.0], convention="cosh")
         assert abs(res_cosh.value - expect / 2) <= 1e-9
 
     def test_sample_point_matches_exact_layer(self):
         traj = evolve(E((1, 1), 2, (0, -1)), E(0, (2, 1), 1), H3, 120)
         sig = ct.BandlimitedSignal([ct.as_state(s) for s in traj], l=1.0, window=24)
         for n in (40, 60, 83):
-            res = ct.q1_continuum(sig, float(n))
+            (res,), _ = ct.q1_constancy(sig, [float(n)])
             exact = q1(traj[n], traj[n + 1]) / 2 + q1(traj[n - 1], traj[n]) / 2
             assert abs(res.value - exact) <= 1e-9 * max(1.0, abs(exact))
             # conserved, so the two half-contributions agree
@@ -303,7 +311,7 @@ class TestQ1Continuum:
         for l in (0.25, 0.125, 0.0625):
             count = int(t_eval / l) + 200
             sig = ct.BandlimitedSignal(sample(l, count), l=l, window=16)
-            res = ct.q1_continuum(sig, t_eval)
+            (res,), _ = ct.q1_constancy(sig, [t_eval])
             rems.append(abs(res.remainder))
         assert 10.0 <= rems[0] / rems[1] <= 24.0
         assert 10.0 <= rems[1] / rems[2] <= 24.0

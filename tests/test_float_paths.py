@@ -235,7 +235,7 @@ def test_window_evaluations_match_per_point_sums(m):
         ref = window_sum(sig, lo, hi, u)
         assert np.max(np.abs(ct.reconstruct(sig, t) - ref)) <= TOL * max(1.0, np.abs(ref).max())
         assert close(ct.sinh_residual(sig, MODELS[m], t), sinh_residual_points(sig, MODELS[m], t))
-        res = ct.q1_continuum(sig, t)
+        (res,), _ = ct.q1_constancy(sig, [t])
         for got, want in zip((res.value, res.norm_term, res.expansion, res.remainder), q1_points(sig, t)):
             assert close(got, want)
 
@@ -262,7 +262,7 @@ def test_each_evaluation_makes_one_window_call(monkeypatch):
     ct.reconstruct(sig, 100.3)
     ct.reconstruct(sig, ts)
     ct.sinh_residual(sig, MODELS[3], ts)
-    ct.q1_continuum(sig, 100.3)
+    ct.q1_constancy(sig, [100.3])
     ct.q1_constancy(sig, ts)
     assert calls == [((), 1, 0), ((3,), 1, 0), ((3,), 3, 1), ((1,), 5, 0), ((3,), 5, 0)]
 
@@ -304,7 +304,7 @@ def test_scalar_times_keep_scalar_results():
     assert type(ct.sinh_residual(sig, MODELS[3], 100.3)) is float
     assert ct.sinh_residual(sig, MODELS[3], 100.3) == oracles.sinh_residual_point(sig, MODELS[3], 100.3)
     assert np.array_equal(ct.reconstruct(sig, 100.0), oracles.reconstruct_point(sig, 100.0))
-    assert ct.q1_continuum(sig, 100.3, "cosh") == oracles.q1_point(sig, 100.3, "cosh")
+    assert ct.q1_constancy(sig, [100.3], "cosh")[0] == [oracles.q1_point(sig, 100.3, "cosh")]
 
 
 def test_one_sinc_call_and_one_product_per_batch(monkeypatch):

@@ -247,7 +247,7 @@ def test_step_forward_matches_step_xp_over_a_full_period():
     psi1 = GaussVector(tuple((2 * k) % 5 - 2 for k in range(30)), tuple(k % 3 - 1 for k in range(30)))
     period = 4 * 30
     traj = evolve(psi0, psi1, spec, period)
-    for prev, curr, nxt in zip(traj, traj.states[1:], traj.states[2:]):
+    for prev, curr, nxt in zip(traj, traj[1:], traj[2:]):
         assert (nxt.re, nxt.im) == step_xp(prev.re, prev.im, curr.re, curr.im, spec)
     assert (traj[period], traj[period + 1]) == (psi0, psi1)
 
@@ -269,7 +269,7 @@ def test_step_forward_matches_step_xp_past_64_bits(e0, e1, n_steps):
     if all(v[1] == 0 and v[0] == GaussInt(-v[2].re, -v[2].im) for v in (e0, e1)):
         psi1 = GaussVector.of(1, 0, 0)
     traj = evolve(psi0, psi1, spec, n_steps)
-    for prev, curr, nxt in zip(traj, traj.states[1:], traj.states[2:]):
+    for prev, curr, nxt in zip(traj, traj[1:], traj[2:]):
         x, p = step_xp(prev.re, prev.im, curr.re, curr.im, spec)
         assert (nxt.re, nxt.im) == (x, p)
     last = traj[-1]

@@ -2,8 +2,8 @@
 
 `dynamics.model_matrix` builds H from a spec, or takes a GaussMatrix as
 given, and the entry points hand the matrix on instead of the model.  The
-counts below are of `build_hamiltonian` and `spec_from_matrix` calls made
-through the modules that call them.
+counts below are of `build_hamiltonian` calls made through the modules
+that call it.
 """
 
 import pytest
@@ -19,38 +19,36 @@ from oracles import write_trajectory
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count build_hamiltonian / spec_from_matrix calls in dynamics and cli."""
-    counts = {"build": 0, "spec": 0}
+    """Count build_hamiltonian calls in dynamics and cli."""
+    counts = {"build": 0}
 
-    def counted(key, fn):
+    def counted(fn):
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            counts["build"] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(dynamics, "build_hamiltonian", counted("build", dynamics.build_hamiltonian))
-    monkeypatch.setattr(dynamics, "spec_from_matrix", counted("spec", dynamics.spec_from_matrix))
-    monkeypatch.setattr(cli, "build_hamiltonian", counted("build", cli.build_hamiltonian))
+    monkeypatch.setattr(dynamics, "build_hamiltonian", counted(dynamics.build_hamiltonian))
+    monkeypatch.setattr(cli, "build_hamiltonian", counted(cli.build_hamiltonian))
     return counts
 
 
 def test_scan_builds_once(calls):
     reports = scan_ontological_pairs(make_cyclic_model(30))
     assert len(reports) == 29
-    assert calls == {"build": 1, "spec": 0}
+    assert calls == {"build": 1}
 
 
 def test_evolve_spec_builds_once(calls):
     evolve(basis_state(3, 1), basis_state(3, 2), make_cyclic_model(3), 10)
-    assert calls == {"build": 1, "spec": 0}
+    assert calls == {"build": 1}
 
 
-def test_evolve_matrix_converts_once_and_builds_nothing(calls):
+def test_evolve_matrix_builds_nothing(calls):
     H = build_hamiltonian(make_cyclic_model(3))
-    traj = evolve(basis_state(3, 1), basis_state(3, 2), H, 10)
-    assert traj.model.S == make_cyclic_model(3).S
-    assert calls == {"build": 0, "spec": 1}
+    assert len(evolve(basis_state(3, 1), basis_state(3, 2), H, 10)) == 12
+    assert calls == {"build": 0}
 
 
 def test_find_period_matrix_builds_nothing(calls):
@@ -62,7 +60,7 @@ def test_find_period_matrix_builds_nothing(calls):
 def test_check_hamiltonian_builds_once(tmp_path, calls):
     spec = make_cyclic_model(4)
     path = tmp_path / "traj.jsonl"
-    write_trajectory(evolve(basis_state(4, 1), GaussVector.of(0, 1, 1, 0), spec, 20), path)
-    calls.update(build=0, spec=0)
+    write_trajectory(spec, 1.0, evolve(basis_state(4, 1), GaussVector.of(0, 1, 1, 0), spec, 20), path)
+    calls.update(build=0)
     assert cli.main(["check", str(path), "--g", "hamiltonian"]) == cli.EXIT_OK
-    assert calls == {"build": 1, "spec": 0}
+    assert calls == {"build": 1}

@@ -10,7 +10,6 @@ from hamca.models import (
     build_hamiltonian,
     make_cyclic_model,
     resolve_builtin,
-    spec_from_matrix,
 )
 from oracles import gauss_matrix
 
@@ -92,17 +91,6 @@ def test_basis_state():
         basis_state(3, 0)
     with pytest.raises(ValueError):
         basis_state(3, 4)
-
-
-def test_spec_from_matrix_round_trip():
-    spec = make_cyclic_model(4)
-    H = build_hamiltonian(spec)
-    derived = spec_from_matrix(H, label=spec.label)
-    assert derived.S == spec.S
-    assert derived.A == spec.A
-    not_herm = gauss_matrix([[0, (0, 1)], [(0, 1), 0]])
-    with pytest.raises(ModelValidationError):
-        spec_from_matrix(not_herm)
 
 
 def test_resolve_builtin_labels():

@@ -159,7 +159,7 @@ class TestOntologyConservation:
         H = build_hamiltonian(spec)
         rep = find_period(basis_state(4, 1), basis_state(4, 2), spec, 100)
         traj = evolve(basis_state(4, 1), basis_state(4, 2), H, rep.period)
-        for n, a, b in traj.pairs():
+        for a, b in zip(traj, traj[1:]):
             assert link_counts(a, b).total == 0
 
     def test_phase_alphabet_of_cyclic_family(self):

@@ -30,11 +30,12 @@ def listing(directory):
 
 class TestHelper:
     def test_rewrite_gives_the_bytes_of_a_new_file(self, tmp_path):
-        traj = evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 9)
+        spec = make_cyclic_model(2)
+        traj = evolve(E(1, 0), E(0, 1), spec, 9)
         new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
         old.write_text("an older, longer file\n" * 100)
-        write_trajectory(traj, new)
-        write_trajectory(traj, old)
+        write_trajectory(spec, 1.0, traj, new)
+        write_trajectory(spec, 1.0, traj, old)
         assert old.read_bytes() == new.read_bytes()
         assert listing(tmp_path) == ["new.jsonl", "old.jsonl"]
 
@@ -169,3 +170,14 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert listing(tmp_path) == ["t.jsonl"]
+
+    @pytest.mark.parametrize("argv", [
+        RUN + ["--steps", "3", "--out", "{out}"],
+        ["check", "{traj}", "--report", "{out}"],
+    ], ids=["run-out", "check-report"])
+    def test_a_failed_open_names_the_path_given(self, tmp_path, capsys, argv):
+        traj, out = tmp_path / "t.jsonl", tmp_path / "missing" / "x.out"
+        assert run_out(traj) == EXIT_OK
+        capsys.readouterr()
+        assert main([a.format(out=out, traj=traj) for a in argv]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"

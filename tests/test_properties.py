@@ -133,10 +133,10 @@ def test_q_conservation_for_identity_and_hamiltonian(bundle, n_steps):
     traj = evolve(psi0, psi1, H, n_steps)
     for G in (GaussMatrix.identity(spec.dim), H):
         assert commutator(G, H).is_zero()
-        values = {q_G(a, b, G) for _, a, b in traj.pairs()}
+        values = {q_G(a, b, G) for a, b in zip(traj, traj[1:])}
         assert len(values) == 1
     assert is_hermitian(H)
-    for _, a, b in traj.pairs():
+    for a, b in zip(traj, traj[1:]):
         assert q_G(a, b, H).im == 0
 
 

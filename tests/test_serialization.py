@@ -129,22 +129,19 @@ class TestModelFile:
 
 class TestTrajectoryFile:
     def test_round_trip_exact(self, tmp_path):
-        traj = evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 7, l=0.25)
+        spec = make_cyclic_model(2)
+        traj = evolve(E(1, 0), E(0, 1), spec, 7)
         path = tmp_path / "traj.jsonl"
-        write_trajectory(traj, path)
-        again = load_trajectory(path)
-        assert list(again) == list(traj)
-        assert again.model == traj.model
-        assert again.l == traj.l
+        write_trajectory(spec, 0.25, traj, path)
+        assert load_trajectory(path) == (spec, 0.25, traj)
 
     def test_huge_magnitudes_survive(self, tmp_path):
         big = 10**120 + 9
         spec = make_cyclic_model(2)
         traj = evolve(E((big, -big), 1), E(0, (3, big)), spec, 3)
         path = tmp_path / "big.jsonl"
-        write_trajectory(traj, path)
-        again = load_trajectory(path)
-        assert list(again) == list(traj)
+        write_trajectory(spec, 1.0, traj, path)
+        assert load_trajectory(path)[2] == traj
 
     @pytest.mark.parametrize("limit", [4300, 640])
     def test_parts_past_the_digit_limit_round_trip(self, tmp_path, limit):
@@ -158,11 +155,11 @@ class TestTrajectoryFile:
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(limit)
         try:
-            write_trajectory(traj, path)
+            write_trajectory(spec, 1.0, traj, path)
             assert sys.get_int_max_str_digits() == limit
-            again = load_trajectory(path)
+            _, _, again = load_trajectory(path)
             assert sys.get_int_max_str_digits() == limit
-            assert list(again) == list(traj)
+            assert again == traj
             assert max(abs(v).bit_length() for psi in again for v in psi.re) >= 63_000
 
             lines = path.read_text().splitlines()
@@ -176,26 +173,28 @@ class TestTrajectoryFile:
             sys.set_int_max_str_digits(previous)
 
     def test_integers_are_decimal_strings(self, tmp_path):
-        traj = evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 2)
+        spec = make_cyclic_model(2)
         path = tmp_path / "traj.jsonl"
-        write_trajectory(traj, path)
+        write_trajectory(spec, 1.0, evolve(E(1, 0), E(0, 1), spec, 2), path)
         lines = path.read_text().splitlines()
         rec = json.loads(lines[1])
         assert all(isinstance(v, str) for v in rec["re"] + rec["im"])
 
     def test_byte_identical_rewrites(self, tmp_path):
-        traj = evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 5)
+        spec = make_cyclic_model(2)
+        traj = evolve(E(1, 0), E(0, 1), spec, 5)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_trajectory(traj, p1)
-        write_trajectory(traj, p2)
+        write_trajectory(spec, 1.0, traj, p1)
+        write_trajectory(spec, 1.0, traj, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_streaming_reader(self, tmp_path):
-        traj = evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 9)
+        spec = make_cyclic_model(2)
+        traj = evolve(E(1, 0), E(0, 1), spec, 9)
         path = tmp_path / "traj.jsonl"
-        write_trajectory(traj, path)
+        write_trajectory(spec, 1.0, traj, path)
         model, l, stream = read_trajectory_stream(path)
-        assert model == traj.model
+        assert model == spec
         count = 0
         for n, psi in enumerate(stream):
             assert psi == traj[n]
@@ -216,9 +215,9 @@ class TestCsv:
         assert format_float(2.5e-11) == "2.5000000000000001e-11"
 
     def test_conservation_csv_columns(self, tmp_path):
-        traj = evolve(E(1, 0), E(1, 1), make_cyclic_model(2), 4)
+        H = build_hamiltonian(make_cyclic_model(2))
         stats = []
-        verify_stream(traj, build_hamiltonian(traj.model), GaussMatrix.identity(2), stats)
+        verify_stream(evolve(E(1, 0), E(1, 1), H, 4), H, GaussMatrix.identity(2), stats)
         path = tmp_path / "report.csv"
         with open(path, "w", newline="") as fh:
             write_conservation_csv(fh, 2, stats)
@@ -278,12 +277,11 @@ class TestInputsPastTheDigitLimit:
         spec = HamiltonianSpec(dim=1, S=[[self.BIG]], A=[[0]], label="big")
         traj = evolve(E(1), E(0), spec, 2)
         path = tmp_path / "big.jsonl"
-        write_trajectory(traj, path)
+        write_trajectory(spec, 1.0, traj, path)
         assert sys.get_int_max_str_digits() == digit_limit
         again = load_trajectory(path)
         assert sys.get_int_max_str_digits() == digit_limit
-        assert again.model == spec
-        assert list(again) == list(traj)
+        assert again == (spec, 1.0, traj)
 
     def test_literal_of_5000_digits(self, digit_limit):
         ones = (10**5000 - 1) // 9  # 5000 ones
