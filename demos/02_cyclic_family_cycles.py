@@ -8,11 +8,10 @@ model is the documented exception: its measured period is 12, not 8, and
 its factors leave the unit set (see demo 01).
 """
 
-from hamca import make_cyclic_model, scan_ontological_pairs
+from hamca import build_hamiltonian, make_cyclic_model, scan_ontological_pairs
 
 for m in (2, 3, 4, 5, 6, 8):
-    spec = make_cyclic_model(m)
-    reports = scan_ontological_pairs(spec)
+    reports = scan_ontological_pairs(build_hamiltonian(make_cyclic_model(m)))
     print(f"m = {m} (expected period 4m = {4 * m}):")
     for rep in reports:
         phases = sorted({str(v.phase) for v in rep.visits})
@@ -24,9 +23,9 @@ for m in (2, 3, 4, 5, 6, 8):
     print()
 
 print("Repeated-state starts behave differently: superpositions form at once.")
-spec = make_cyclic_model(4)
+H = build_hamiltonian(make_cyclic_model(4))
 from hamca import basis_state, find_period
 
-rep = find_period(basis_state(4, 1), basis_state(4, 1), spec, 64)
+rep = find_period(basis_state(4, 1), basis_state(4, 1), H, 64)
 print(f"pair (e1, e1): ontological={rep.ontological}, L={rep.link_number} "
       f"(a 'template' start: L > 0)")

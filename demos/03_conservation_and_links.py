@@ -16,7 +16,6 @@ from hamca import (
     make_cyclic_model,
     build_hamiltonian,
     q1,
-    q_G,
     step_backward,
     step_forward,
 )

@@ -188,22 +188,25 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_cycle(args: argparse.Namespace) -> int:
     spec = _load_model_arg(args.model)
+    H = build_hamiltonian(spec)
     budget = args.budget if args.budget is not None else default_scan_budget(spec.dim)
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if args.pair == "all":
-        reports = scan_ontological_pairs(spec, budget)
+        reports = scan_ontological_pairs(H, budget)
     elif args.pair.startswith("k="):
         k = _canonical_int(args.pair[2:])
         if k is None:
             raise ValueError(f"pair: cannot parse {args.pair!r}")
         if k not in _neighbour_pairs(spec.dim):
             raise ValueError(f"pair: k must be in 1..{spec.dim - 1}")
-        reports = [neighbour_pair_period(spec, k, budget)]
+        reports = [neighbour_pair_period(H, k, budget)]
     else:
         if not args.psi1:
             raise ValueError("pair: use 'all', 'k=<index>', or pass --psi1 with an explicit pair")
         psi0 = _load_vector_arg("pair/psi0", args.pair, spec.dim)
         psi1 = _load_vector_arg("psi1", args.psi1, spec.dim)
-        reports = [find_period(psi0, psi1, spec, budget)]
+        reports = [find_period(psi0, psi1, H, budget)]
     if args.out:
         with output_file(args.out) as fh:
             write_cycle_csv(fh, reports)
@@ -237,7 +240,7 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
     mode = {"closedform": _continuum_closedform, "sinh": _continuum_sinh, "q1": _continuum_q1,
             "born": _continuum_born}[args.mode]
     # each mode returns its report (header, rows), its printed lines and its verdict
-    header, rows, lines, ok = mode(args, spec, ct.as_matrix(build_hamiltonian(spec)))
+    header, rows, lines, ok = mode(args, ct.as_matrix(build_hamiltonian(spec)))
     if args.out:
         with output_file(args.out) as fh:
             write_float_csv(fh, header, rows)
@@ -268,9 +271,9 @@ def _sample_times(args, n_states: int, window: int) -> ct.np.ndarray:
     return ct.np.linspace(lo, hi, args.points)
 
 
-def _smooth_trajectory(args, spec, H) -> ct.np.ndarray:
+def _smooth_trajectory(args, H) -> ct.np.ndarray:
     """Float trajectory from a seeded random state and its smooth-branch partner."""
-    psi0 = _random_state(ct.np.random.default_rng(args.seed), spec.dim)
+    psi0 = _random_state(ct.np.random.default_rng(args.seed), len(H))
     try:
         psi1 = ct.smooth_partner(H, psi0)
     except SingularSpectrumError:
@@ -286,7 +289,7 @@ def _tolerance(args) -> float:
     return args.tol
 
 
-def _continuum_closedform(args, spec, H) -> tuple:
+def _continuum_closedform(args, H) -> tuple:
     if args.pairs < 0:
         raise ValueError(f"pairs must be >= 0, got {args.pairs}")
     tol = _tolerance(args)
@@ -294,8 +297,8 @@ def _continuum_closedform(args, spec, H) -> tuple:
     solver = ct.ClosedFormSolver(H, degenerate="error" if args.strict_band else "confluent")
     rows = []
     for pair in range(args.pairs):
-        psi0 = _random_state(rng, spec.dim)
-        psi1 = _random_state(rng, spec.dim)
+        psi0 = _random_state(rng, len(H))
+        psi1 = _random_state(rng, len(H))
         states = ct.evolve_float(psi0, psi1, H, args.nmax)
         scale = max(float(ct.np.abs(states).max()), 1.0)
         dev = float(ct.np.max(ct.np.abs(solver.states_upto(psi0, psi1, args.nmax + 1) - states))) / scale
@@ -332,11 +335,11 @@ def _complex_state(option: str, text: str, dim: int) -> list[complex]:
     return values
 
 
-def _continuum_sinh(args, spec, H) -> tuple:
+def _continuum_sinh(args, H) -> tuple:
     windows = _number_list("windows", args.windows, int)
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError(f"windows: must be strictly increasing, got {args.windows!r}")
-    states = _smooth_trajectory(args, spec, H)
+    states = _smooth_trajectory(args, H)
     rows = []
     for W in windows:
         sig = ct.BandlimitedSignal(states, l=args.l, window=W)
@@ -347,9 +350,9 @@ def _continuum_sinh(args, spec, H) -> tuple:
     return ["window", "mean_residual", "max_residual"], rows, lines, _converged([mean for _, mean, _ in rows])
 
 
-def _continuum_q1(args, spec, H) -> tuple:
+def _continuum_q1(args, H) -> tuple:
     tol = _tolerance(args)
-    states = _smooth_trajectory(args, spec, H)
+    states = _smooth_trajectory(args, H)
     sig = ct.BandlimitedSignal(states, l=args.l, window=args.window)
     ts = [float(t) for t in _sample_times(args, len(states), args.window)]
     results, spread = ct.q1_constancy(sig, ts, args.convention)
@@ -359,15 +362,15 @@ def _continuum_q1(args, spec, H) -> tuple:
     return ["t", "value", "expansion", "remainder"], rows, [line], spread <= tol * scale
 
 
-def _continuum_born(args, spec, H) -> tuple:
+def _continuum_born(args, H) -> tuple:
     ls = _number_list("l-values", args.l_values, float)
     if args.psi:
-        psi0 = _complex_state("psi", args.psi, spec.dim)
+        psi0 = _complex_state("psi", args.psi, len(H))
         if not any(psi0):
             raise ValueError(f"psi: must be a nonzero state, got {args.psi!r}")
     else:
-        psi0 = _random_state(ct.np.random.default_rng(args.seed), spec.dim)
-    psi1 = _complex_state("psi1", args.psi1, spec.dim) if args.psi1 else None
+        psi0 = _random_state(ct.np.random.default_rng(args.seed), len(H))
+    psi1 = _complex_state("psi1", args.psi1, len(H)) if args.psi1 else None
     report = ct.born_convergence(H, psi0, ls, horizon=args.horizon, psi1=psi1)
     rows = [(e.l, e.steps, e.link_total, e.max_error) for e in report.entries]
     lines = [f"born: l={format_float(e.l)} max|w-p|={format_float(e.max_error)}" for e in report.entries]

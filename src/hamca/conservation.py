@@ -121,8 +121,8 @@ def verify_stream(
     violation; when `rows` is given (anything with an `append`: a list, or a
     serialization.ConservationCsvWriter), the PairStats of every pair are
     appended to it as the pair is checked.  Raises NonCommutingError (with
-    the commutator as witness) when [G, H] != 0, and ValueError when G is
-    not Hermitian or the sequence has fewer than two states.
+    the commutator as witness) when [G, H] != 0, and ValueError when G or H
+    is not Hermitian or the sequence has fewer than two states.
     """
     if G.shape != H.shape:
         raise DimensionMismatch(f"G has shape {G.shape}, model needs {H.shape}")
@@ -134,6 +134,8 @@ def verify_stream(
         )
     if not is_hermitian(G):
         raise ValueError("G is not Hermitian, so q_G is not the real 2 Re<psi_n, G psi_(n+1)> checked here")
+    if not is_hermitian(H):
+        raise ValueError("H is not Hermitian, so GH need not be and the update rule need not conserve q_G")
     m = len(G.re)
     h_step = _step_kernel(H)
     value = q = first = prev2 = prev = None

@@ -10,23 +10,11 @@ amplitude magnitude.  `stream_states` is the one stepping loop: `evolve`,
 from __future__ import annotations
 
 from itertools import count, islice
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import DimensionMismatch
 from .gaussian import GaussMatrix, GaussVector, _step_kernel, is_hermitian
-from .models import HamiltonianSpec, basis_state, build_hamiltonian
-
-ModelLike = Union[HamiltonianSpec, GaussMatrix]
-
-
-def model_matrix(model: ModelLike) -> GaussMatrix:
-    """H of a model: built from a spec, or a GaussMatrix taken as given.
-    Each entry point calls this once and hands the matrix on."""
-    if isinstance(model, HamiltonianSpec):
-        return build_hamiltonian(model)
-    if isinstance(model, GaussMatrix):
-        return model
-    raise TypeError(f"expected HamiltonianSpec or GaussMatrix, got {type(model).__name__}")
+from .models import basis_state
 
 
 def step_forward(prev: GaussVector, curr: GaussVector, H: GaussMatrix) -> GaussVector:
@@ -43,11 +31,9 @@ def step_backward(curr: GaussVector, nxt: GaussVector, H: GaussMatrix) -> GaussV
     return step_forward(nxt, -curr, H)
 
 
-def evolve(psi0: GaussVector, psi1: GaussVector, model: ModelLike, n_steps: int) -> tuple[GaussVector, ...]:
+def evolve(psi0: GaussVector, psi1: GaussVector, H: GaussMatrix, n_steps: int) -> tuple[GaussVector, ...]:
     """The n_steps + 2 states psi_0 .. psi_{n_steps + 1} of the run from the initial pair."""
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    return tuple(stream_states(psi0, psi1, model_matrix(model), n_steps))
+    return tuple(stream_states(psi0, psi1, H, n_steps))
 
 
 def stream_states(
@@ -62,6 +48,8 @@ def stream_states(
     option: a consumer that needs a pair keeps the previous state itself.
     n_steps = None streams forever.
     """
+    if n_steps is not None and n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     m = H.shape[0]
     if len(psi0) != m or len(psi1) != m:
         raise DimensionMismatch(f"initial states of length {len(psi0)}/{len(psi1)} for a dim-{m} model")

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DegenerateStateError
-from .gaussian import GaussInt, GaussVector, full_digit_repr
-from .dynamics import ModelLike, model_matrix, stream_states
+from .gaussian import GaussInt, GaussMatrix, GaussVector, full_digit_repr
+from .dynamics import stream_states
 from .conservation import link_counts
 from .models import basis_state
 
@@ -83,7 +83,7 @@ def _visit(n: int, psi: GaussVector) -> Visit:
     return Visit(n, *cls) if cls else Visit(n, None, None)
 
 
-def find_period(psi0: GaussVector, psi1: GaussVector, model: ModelLike, max_steps: int) -> CycleReport:
+def find_period(psi0: GaussVector, psi1: GaussVector, H: GaussMatrix, max_steps: int) -> CycleReport:
     """Smallest P <= max_steps with (psi_P, psi_{P+1}) = (psi_0, psi_1),
     comparing entries exactly.  Sequential search, so a found period is
     minimal by construction.  One pass over the stream: each state is
@@ -93,7 +93,7 @@ def find_period(psi0: GaussVector, psi1: GaussVector, model: ModelLike, max_step
     links = link_counts(psi0, psi1)
     visits: list[Visit] = []
     period = prev = None
-    for n, psi in enumerate(stream_states(psi0, psi1, model_matrix(model), max_steps)):
+    for n, psi in enumerate(stream_states(psi0, psi1, H, max_steps)):
         # the pair starting at step n - 1 is (prev, psi)
         if n >= 2 and prev == psi0 and psi == psi1:
             period = n - 1
@@ -115,10 +115,9 @@ def default_scan_budget(m: int) -> int:
     return 8 * m + 8
 
 
-def neighbour_pair_period(model: ModelLike, k: int, max_steps: int) -> CycleReport:
+def neighbour_pair_period(H: GaussMatrix, k: int, max_steps: int) -> CycleReport:
     """find_period for the basis pair (e_k, e_{k+1}), tagged as pair k with
     the expected 4m period of the cyclic family."""
-    H = model_matrix(model)
     m = H.shape[0]
     report = find_period(basis_state(m, k), basis_state(m, k + 1), H, max_steps)
     return report._replace(pair_index=k, expected_period=4 * m)
@@ -131,9 +130,8 @@ def _neighbour_pairs(m: int) -> range:
     return range(1, m)
 
 
-def scan_ontological_pairs(model: ModelLike, max_steps: int | None = None) -> list[CycleReport]:
-    """neighbour_pair_period for every k = 1..m-1, with H built once."""
-    H = model_matrix(model)
+def scan_ontological_pairs(H: GaussMatrix, max_steps: int | None = None) -> list[CycleReport]:
+    """neighbour_pair_period for every k = 1..m-1."""
     m = H.shape[0]
     budget = default_scan_budget(m) if max_steps is None else max_steps
     return [neighbour_pair_period(H, k, budget) for k in _neighbour_pairs(m)]

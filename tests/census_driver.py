@@ -1,29 +1,38 @@
-"""Run the commands, the demos and the README quick start under a profiler
-and record which functions of `src/hamca` they enter.
+"""Run the commands, the demos and the README quick start under a profiler,
+record which functions of `src/hamca` they enter, and digest what they print
+and write.
 
-    python tests/census_driver.py WORKDIR
+    python tests/census_driver.py WORKDIR [--record]
 
 The profiler is installed before `hamca` is first imported, so calls made
 at import time count.  WORKDIR receives the input files the commands read,
 written as plain text so that no library call makes them; each command then
-runs through `hamca.cli.main` with WORKDIR as the current directory and its
-output captured.  The result goes to WORKDIR/census.json: the exit code of
-each command, and (module, first line, name) of every code object entered
-in the package.  `tests/test_census.py` runs this in a fresh interpreter and
-reads that file.
+runs through `hamca.cli.main` with WORKDIR as the current directory, its
+stdout and stderr captured apart.  The result goes to WORKDIR/census.json:
+(module, first line, name) of every code object entered in the package, and
+the outputs: for each command its arguments, its exit code and the sha256
+of its stdout, of its stderr and of each file it created or changed, and
+for each demo the sha256 of its stdout.  `tests/test_census.py` runs this
+in a fresh interpreter, reads that file and compares the outputs with
+`tests/golden_census.json`.  `--record` also writes the outputs to that
+table: the one way to change it.
 """
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
 import re
 import runpy
+import shlex
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hamca"
+GOLDEN = ROOT / "tests" / "golden_census.json"
 
 _H2 = '{"A":[[0,0],[0,0]],"S":[[0,1],[1,0]],"dim":2,"label":"H2"}'
 
@@ -94,6 +103,40 @@ def quick_start() -> str:
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
 
 
+def sha256(text: str | bytes) -> str:
+    return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
+
+
+def digests(workdir: Path) -> dict[str, str]:
+    return {p.name: sha256(p.read_bytes()) for p in sorted(workdir.iterdir()) if p.is_file()}
+
+
+def run_command(argv: list[str], workdir: Path) -> dict:
+    """Run one command; its exit code and the digests of its stdout, its
+    stderr and each file it created or changed (None for a file it removed)."""
+    from hamca.cli import main
+
+    out, err, before = io.StringIO(), io.StringIO(), digests(workdir)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    after = digests(workdir)
+    names = sorted(before.keys() | after.keys())
+    written = {name: after.get(name) for name in names if before.get(name) != after.get(name)}
+    return {"command": shlex.join(argv), "exit": code, "stdout": sha256(out.getvalue()),
+            "stderr": sha256(err.getvalue()), "files": written}
+
+
+def run_demo(path: Path) -> str:
+    """The digest of what a demo prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return sha256(out.getvalue())
+
+
 def run_all(workdir: Path) -> dict:
     prefix = str(PACKAGE) + os.sep
     entered = set()
@@ -107,26 +150,24 @@ def run_all(workdir: Path) -> dict:
         (workdir / name).write_text(text)
     os.chdir(workdir)
     sys.path.insert(0, str(PACKAGE.parent))
-    codes = []
     sys.setprofile(profile)
     try:
-        from hamca.cli import main
-
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            for _, argv in COMMANDS:
-                try:
-                    codes.append(main(argv))
-                except SystemExit as exc:  # argparse's usage error
-                    codes.append(exc.code)
-            for path in DEMOS:
-                runpy.run_path(str(path), run_name="__main__")
+        commands = [run_command(argv, workdir) for _, argv in COMMANDS]
+        demos = {path.name: run_demo(path) for path in DEMOS}
+        with contextlib.redirect_stdout(io.StringIO()):
             exec(compile(quick_start(), "README.md quick start", "exec"), {})
     finally:
         sys.setprofile(None)
-    return {"exit_codes": codes, "entered": sorted(entered)}
+    return {"entered": sorted(entered), "outputs": {"commands": commands, "demos": demos}}
 
 
 if __name__ == "__main__":
-    workdir = Path(sys.argv[1]).resolve()
+    parser = argparse.ArgumentParser(description="run the census in WORKDIR")
+    parser.add_argument("workdir", type=Path)
+    parser.add_argument("--record", action="store_true", help=f"also write the outputs to {GOLDEN.name}")
+    cli_args = parser.parse_args()
+    workdir = cli_args.workdir.resolve()
     result = run_all(workdir)
     (workdir / "census.json").write_text(json.dumps(result))
+    if cli_args.record:
+        GOLDEN.write_text(json.dumps(result["outputs"], indent=1) + "\n")

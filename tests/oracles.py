@@ -14,7 +14,7 @@ import numpy as np
 
 from hamca.conservation import ConservationReport, PairStats, commutator, link_counts, q1
 from hamca.continuum import Q1Result, as_matrix, as_state
-from hamca.dynamics import model_matrix, stream_states
+from hamca.dynamics import stream_states
 from hamca.errors import DimensionMismatch, InstabilityError, NonCommutingError, SignalRangeError
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector, _AnyDigits, as_gauss, mat_vec
 from hamca.models import HamiltonianSpec
@@ -170,7 +170,7 @@ def classify_reference(psi):
     return (slots[0], psi[slots[0] - 1]) if len(slots) == 1 else None
 
 
-def find_period_reference(psi0, psi1, model, max_steps: int) -> CycleReport:
+def find_period_reference(psi0, psi1, H, max_steps: int) -> CycleReport:
     """find_period as a store-then-classify search: every state is kept, the
     recurrence is looked up among the stored states, and the visited ones
     are classified afterwards, one slot at a time."""
@@ -178,7 +178,7 @@ def find_period_reference(psi0, psi1, model, max_steps: int) -> CycleReport:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     states = []
     period = None
-    for n, psi in enumerate(stream_states(psi0, psi1, model_matrix(model), max_steps)):
+    for n, psi in enumerate(stream_states(psi0, psi1, H, max_steps)):
         states.append(psi)
         # the pair starting at step n - 1 is (states[n - 1], states[n])
         if n >= 2 and states[n - 1] == psi0 and psi == psi1:

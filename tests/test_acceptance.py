@@ -90,7 +90,7 @@ def test_cyclic_family_4m_periods():
     for m in (3, 4, 5, 6, 8):
         spec = make_cyclic_model(m)
         H = build_hamiltonian(spec)
-        for rep in scan_ontological_pairs(spec):
+        for rep in scan_ontological_pairs(build_hamiltonian(spec)):
             if rep.period != 4 * m or not rep.ontological or rep.link_number != 0:
                 ok = False
                 detail.append(f"m={m} pair {rep.pair_index}: period={rep.period}")

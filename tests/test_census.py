@@ -1,4 +1,5 @@
-"""Every function of the package is entered by something a user runs.
+"""Every function of the package is entered by something a user runs, and
+every command prints and writes the bytes it did when the table was recorded.
 
 `census_driver.py` runs the command list, the six demos and the README's
 library quick start in a fresh interpreter under `sys.setprofile` and
@@ -11,6 +12,13 @@ as a caller.  A function nothing enters is exempt only if the benchmark's
 tracer pins it in `TARGETS` or it is in the static census's `KEEP`: each
 operator earns its place on its own, and a name the README only mentions
 has no caller.
+
+The same run digests each command's exit code, stdout, stderr and written
+files, and each demo's stdout, and compares them with
+`tests/golden_census.json`.  Only `census_driver.py --record` writes that
+table; a change of output made on purpose records it again.  The continuum
+CSVs depend on numpy's eigensolver and BLAS, so the table holds for the
+platform it was recorded on.
 """
 
 import ast
@@ -76,7 +84,7 @@ def census(tmp_path_factory) -> dict:
 
 def test_each_command_exits_as_expected(census):
     # a command that fails early would cover less code without this
-    got = dict(enumerate(census["exit_codes"]))
+    got = dict(enumerate(c["exit"] for c in census["outputs"]["commands"]))
     expected = {i: code for i, (code, _) in enumerate(census_driver.COMMANDS)}
     assert got == expected, [census_driver.COMMANDS[i][1] for i in expected if got.get(i) != expected[i]]
 
@@ -85,6 +93,52 @@ def test_every_function_is_entered(census):
     package = {p.stem: p.read_text() for p in sorted(census_driver.PACKAGE.glob("*.py"))}
     entered = {tuple(key) for key in census["entered"]}
     assert never_entered(package, entered, tracer_targets(), KEEP) == []
+
+
+def first_difference(golden: dict, got: dict) -> str | None:
+    """Where the census outputs `got` first differ from the recorded
+    `golden`: the command or demo and the stream, or None if they agree."""
+    if [c["command"] for c in golden["commands"]] != [c["command"] for c in got["commands"]]:
+        return "the command list differs from the table's: record it again"
+    for want, have in zip(golden["commands"], got["commands"]):
+        for stream in ("exit", "stdout", "stderr"):
+            if want[stream] != have[stream]:
+                return f"{want['command']}: {stream}"
+        if want["files"] != have["files"]:
+            names = sorted(want["files"].keys() | have["files"].keys())
+            name = next(n for n in names if want["files"].get(n) != have["files"].get(n))
+            return f"{want['command']}: file {name}"
+    for name in sorted(golden["demos"].keys() | got["demos"].keys()):
+        if golden["demos"].get(name) != got["demos"].get(name):
+            return f"demo {name}: stdout"
+    return None
+
+
+def test_every_output_matches_the_table(census):
+    assert first_difference(json.loads(census_driver.GOLDEN.read_text()), census["outputs"]) is None
+
+
+def test_first_difference_names_the_command_and_stream():
+    command = {"command": "run x", "exit": 0, "stdout": "a", "stderr": "b", "files": {"t.csv": "c"}}
+    golden = {"commands": [command, {**command, "command": "check"}], "demos": {"01.py": "d"}}
+    assert first_difference(golden, golden) is None
+    changes = [
+        ({"exit": 3}, "run x: exit"),
+        ({"stdout": "A"}, "run x: stdout"),
+        ({"stderr": "B"}, "run x: stderr"),
+        ({"files": {"t.csv": "C"}}, "run x: file t.csv"),
+        ({"files": {"t.csv": "c", "u.csv": "e"}}, "run x: file u.csv"),
+        ({"files": {}}, "run x: file t.csv"),
+        ({"command": "run y"}, "the command list differs from the table's: record it again"),
+    ]
+    for change, where in changes:
+        got = {**golden, "commands": [{**command, **change}, golden["commands"][1]]}
+        assert first_difference(golden, got) == where
+    # the second command is named when only it differs, and the first stream in order
+    got = {**golden, "commands": [command, {**command, "command": "check", "stderr": "B", "exit": 4}]}
+    assert first_difference(golden, got) == "check: exit"
+    assert first_difference(golden, {**golden, "demos": {"01.py": "D"}}) == "demo 01.py: stdout"
+    assert first_difference(golden, {**golden, "demos": {"01.py": "d", "02.py": "e"}}) == "demo 02.py: stdout"
 
 
 PLANTED = '''

@@ -34,8 +34,8 @@ def run_cli(*argv):
 
 def write_swap_orbit(path):
     """A trajectory file of the first five states of H2 from (1, 0), (0, 1)."""
-    H2 = make_cyclic_model(2)
-    write_trajectory(H2, 1.0, evolve(E(1, 0), E(0, 1), H2, 3), path)
+    spec = make_cyclic_model(2)
+    write_trajectory(spec, 1.0, evolve(E(1, 0), E(0, 1), build_hamiltonian(spec), 3), path)
 
 
 def report_oracle(states):
@@ -60,7 +60,7 @@ class TestRun:
         )
         assert code == EXIT_OK
         _, _, traj = load_trajectory(out)
-        assert traj == evolve(E(1, 0), E(0, 1), make_cyclic_model(2), 6)
+        assert traj == evolve(E(1, 0), E(0, 1), build_hamiltonian(make_cyclic_model(2)), 6)
         assert len(traj) == 8
 
     def test_zero_steps_writes_two_records(self, tmp_path):
@@ -172,7 +172,7 @@ class TestCheck:
 
     def test_long_random_run_passes(self, tmp_path):
         spec = make_cyclic_model(4)
-        traj = evolve(E(3, (1, -2), 0, (0, 5)), E((2, 2), -1, 4, 0), spec, 2000)
+        traj = evolve(E(3, (1, -2), 0, (0, 5)), E((2, 2), -1, 4, 0), build_hamiltonian(spec), 2000)
         path = tmp_path / "h4.jsonl"
         write_trajectory(spec, 1.0, traj, path)
         assert run_cli("check", str(path), "--g", "hamiltonian") == EXIT_OK
@@ -436,7 +436,7 @@ class TestCheckMerged:
 
     def test_report_rows_carry_exact_link_weights(self, tmp_path):
         spec = make_cyclic_model(3)
-        traj = evolve(E(1, (0, 2), 0), E((1, 1), 0, -1), spec, 6)
+        traj = evolve(E(1, (0, 2), 0), E((1, 1), 0, -1), build_hamiltonian(spec), 6)
         path, report = tmp_path / "t.jsonl", tmp_path / "r.csv"
         write_trajectory(spec, 1.0, traj, path)
         assert run_cli("check", str(path), "--report", str(report)) == EXIT_OK
@@ -452,7 +452,7 @@ class TestCheckMerged:
         """The weight cells, written from reduced int pairs, read as
         str(Fraction(L_a, L)); test_import_contract shows no Fraction is built."""
         spec = make_cyclic_model(6)
-        traj = evolve(E((1, 2), 0, 3, 0, (0, -1), 1), E(2, (1, 1), 1, 0, 1, -2), spec, 30)
+        traj = evolve(E((1, 2), 0, 3, 0, (0, -1), 1), E(2, (1, 1), 1, 0, 1, -2), build_hamiltonian(spec), 30)
         assert q_G(traj[0], traj[1], GaussMatrix.identity(6)) == GaussInt(6)  # L = 3
         path, report = tmp_path / "t.jsonl", tmp_path / "r.csv"
         write_trajectory(spec, 1.0, traj, path)
@@ -605,6 +605,11 @@ class TestNumericOptionRange:
         assert code == EXIT_VALIDATION
         assert "pairs must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_cycle_budget_must_be_positive(self, capsys, budget):
+        assert run_cli("cycle", "--model", "H3", "--budget", budget) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: budget must be >= 1, got {budget}\n")
+
     def test_closedform_zero_pairs_still_runs(self):
         assert run_cli("continuum", "closedform", "--model", "H2", "--pairs", "0", "--nmax", "5") == EXIT_OK
 
@@ -704,10 +709,10 @@ class TestValuesPastTheDigitLimit:
 
     def grown_trajectory(self, tmp_path):
         big = 2**20_000 + 7
-        H2 = make_cyclic_model(2)
-        traj = evolve(E((big, -(3**40_000)), 1), E(0, (3, big)), H2, 4)
+        spec = make_cyclic_model(2)
+        traj = evolve(E((big, -(3**40_000)), 1), E(0, (3, big)), build_hamiltonian(spec), 4)
         path = tmp_path / "big.jsonl"
-        write_trajectory(H2, 1.0, traj, path)
+        write_trajectory(spec, 1.0, traj, path)
         return traj, path
 
     def test_check_prints_the_full_q_G(self, tmp_path, capsys, digit_limit):

@@ -116,7 +116,7 @@ class TestQGWithNonHermitianG:
         # tridiag(1, 2, 1) has spectrum outside (-2, 2): from small starts
         # the parts pass 2^64 well within the run
         spec = HamiltonianSpec(3, ((2, 1, 0), (1, 2, 1), (0, 1, 2)), ((0, 0, 0),) * 3)
-        traj = evolve(E(1, (0, 2), -1), E(3, 0, (1, 1)), spec, 60)
+        traj = evolve(E(1, (0, 2), -1), E(3, 0, (1, 1)), build_hamiltonian(spec), 60)
         assert max(abs(v).bit_length() for v in traj[-1].re + traj[-1].im) > 64
         G = i_times_identity(3)
         values = {q_G(a, b, G) for a, b in zip(traj, traj[1:])}
@@ -203,6 +203,15 @@ class TestVerifyTrajectory:
         with pytest.raises(ValueError, match="G is not Hermitian") as err:
             verify_stream(traj, H2, gauss_matrix([[(0, 1), 0], [0, (0, 1)]]))
         assert not isinstance(err.value, NonCommutingError)
+
+    def test_non_hermitian_h_rejected(self):
+        # the rule holds at every state, yet q_1 changes: the shortcut that
+        # carries q over pairs where the rule holds needs GH Hermitian
+        H = GaussMatrix(((1, 1), (0, 1)), ((0, 0), (0, 0)))
+        traj = evolve(E(1, 0), E(0, 1), H, 6)
+        assert [q_G(a, b, EYE2).re for a, b in zip(traj, traj[1:])] == [0, 0, -2, -2, -2, -4, -4]
+        with pytest.raises(ValueError, match="H is not Hermitian"):
+            verify_stream(traj, H, EYE2)
 
     def test_corrupted_trajectory_reports_step(self):
         # a start with nonzero q1, so scaling one state is visible

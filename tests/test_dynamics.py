@@ -106,10 +106,6 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(E(1, 0), E(0, 1), H2, -1)
 
-    def test_accepts_spec_or_matrix(self):
-        spec = make_cyclic_model(2)
-        assert evolve(E(1, 0), E(0, 1), spec, 4) == evolve(E(1, 0), E(0, 1), H2, 4)
-
     def test_verify_recursion_catches_corruption(self):
         states = list(evolve(E(1, 0), E(0, 1), H2, 6))
         states[4] = -states[4]
@@ -120,6 +116,10 @@ class TestStream:
     def test_matches_evolve(self):
         full = evolve(E(1, 0), E(0, 1), H2, 20)
         assert tuple(stream_states(E(1, 0), E(0, 1), H2, 20)) == full
+
+    def test_rejects_negative_steps(self):
+        with pytest.raises(ValueError, match="n_steps must be >= 0, got -3"):
+            list(stream_states(E(1, 0), E(0, 1), H2, -3))
 
     def test_unbounded_stream_is_lazy(self):
         gen = stream_states(E(1, 0), E(0, 1), H2)

@@ -1,9 +1,10 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package and no demo imports a name it never uses.
 
 The check needs only the standard library: each module except
-`__init__.py` (whose imports are the package's exports) is parsed with
-`ast`, and every name bound by a top-level import must appear somewhere in
-the module as an `ast.Name`.  `from __future__` imports bind nothing.
+`__init__.py` (whose imports are the package's exports) and each script in
+`demos/` is parsed with `ast`, and every name bound by an import at its
+top level must appear somewhere in the file as an `ast.Name`.
+`from __future__` imports bind nothing.
 """
 
 import ast
@@ -11,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hamca"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "hamca").glob("*.py") if p.name != "__init__.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +31,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 

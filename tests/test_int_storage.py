@@ -246,7 +246,7 @@ def test_step_forward_matches_step_xp_over_a_full_period():
     psi0 = GaussVector(tuple((3 * k) % 7 - 3 for k in range(30)), tuple((5 * k) % 7 - 3 for k in range(30)))
     psi1 = GaussVector(tuple((2 * k) % 5 - 2 for k in range(30)), tuple(k % 3 - 1 for k in range(30)))
     period = 4 * 30
-    traj = evolve(psi0, psi1, spec, period)
+    traj = evolve(psi0, psi1, build_hamiltonian(spec), period)
     for prev, curr, nxt in zip(traj, traj[1:], traj[2:]):
         assert (nxt.re, nxt.im) == step_xp(prev.re, prev.im, curr.re, curr.im, spec)
     assert (traj[period], traj[period + 1]) == (psi0, psi1)
@@ -268,7 +268,7 @@ def test_step_forward_matches_step_xp_past_64_bits(e0, e1, n_steps):
     # states (a, 0, -a) lie on the lambda = 2 eigenvector, which grows only linearly
     if all(v[1] == 0 and v[0] == GaussInt(-v[2].re, -v[2].im) for v in (e0, e1)):
         psi1 = GaussVector.of(1, 0, 0)
-    traj = evolve(psi0, psi1, spec, n_steps)
+    traj = evolve(psi0, psi1, build_hamiltonian(spec), n_steps)
     for prev, curr, nxt in zip(traj, traj[1:], traj[2:]):
         x, p = step_xp(prev.re, prev.im, curr.re, curr.im, spec)
         assert (nxt.re, nxt.im) == (x, p)
@@ -401,7 +401,7 @@ def test_check_applies_g_only_in_q_g_and_h_once_per_state(monkeypatch, g_is_h, c
     spec = make_cyclic_model(6)
     H = build_hamiltonian(spec)
     G = build_hamiltonian(spec) if g_is_h else GaussMatrix.identity(6)
-    states = list(evolve(GaussVector.of(1, 0, 2, 0, 0, -1), GaussVector.of(0, 1, 0, 0, 3, 0), spec, 40))
+    states = list(evolve(GaussVector.of(1, 0, 2, 0, 0, -1), GaussVector.of(0, 1, 0, 0, 3, 0), H, 40))
     broken = []
     if corrupt:
         # a slot of state 10 raised by 1 breaks the rule at 10, at 11 (through H) and at 12

@@ -26,7 +26,7 @@ def test_zero_model_is_frozen_dynamics():
     assert build_hamiltonian(spec).is_zero()
 
 
-def test_three_state_model_matrix():
+def test_three_state_hamiltonian():
     H = build_hamiltonian(make_cyclic_model(3))
     expected = gauss_matrix(
         [[0, (0, -1), 1], [(0, 1), 0, (0, -1)], [1, (0, 1), 0]]

@@ -132,7 +132,7 @@ class TestFindPeriod:
 
 class TestScan:
     def test_four_state_all_neighbour_pairs(self):
-        reports = scan_ontological_pairs(make_cyclic_model(4))
+        reports = scan_ontological_pairs(build_hamiltonian(make_cyclic_model(4)))
         assert len(reports) == 3
         for rep in reports:
             assert rep.period == 16
@@ -141,7 +141,7 @@ class TestScan:
             assert rep.matches_expected is True
 
     def test_two_state_flagged_against_expected(self):
-        reports = scan_ontological_pairs(make_cyclic_model(2))
+        reports = scan_ontological_pairs(build_hamiltonian(make_cyclic_model(2)))
         assert len(reports) == 1
         assert reports[0].period == 12
         assert reports[0].expected_period == 8
@@ -149,7 +149,7 @@ class TestScan:
 
     def test_default_budget(self):
         assert default_scan_budget(4) == 40
-        reports = scan_ontological_pairs(make_cyclic_model(6))
+        reports = scan_ontological_pairs(build_hamiltonian(make_cyclic_model(6)))
         assert all(r.max_steps == default_scan_budget(6) for r in reports)
 
 
@@ -157,7 +157,7 @@ class TestOntologyConservation:
     def test_linkless_throughout_period(self):
         spec = make_cyclic_model(4)
         H = build_hamiltonian(spec)
-        rep = find_period(basis_state(4, 1), basis_state(4, 2), spec, 100)
+        rep = find_period(basis_state(4, 1), basis_state(4, 2), H, 100)
         traj = evolve(basis_state(4, 1), basis_state(4, 2), H, rep.period)
         for a, b in zip(traj, traj[1:]):
             assert link_counts(a, b).total == 0
@@ -165,7 +165,7 @@ class TestOntologyConservation:
     def test_phase_alphabet_of_cyclic_family(self):
         allowed = {GaussInt(1), GaussInt(-1), GaussInt(0, 1), GaussInt(0, -1)}
         for m in (3, 5):
-            reports = scan_ontological_pairs(make_cyclic_model(m))
+            reports = scan_ontological_pairs(build_hamiltonian(make_cyclic_model(m)))
             for rep in reports:
                 assert {v.phase for v in rep.visits} <= allowed
 
@@ -179,14 +179,14 @@ class TestOntologyConservation:
 class TestNeighbourPair:
     @pytest.mark.parametrize("m", [3, 5, 9])
     def test_scan_is_one_call_per_pair(self, m):
-        spec = make_cyclic_model(m)
+        H = build_hamiltonian(make_cyclic_model(m))
         budget = default_scan_budget(m)
-        assert scan_ontological_pairs(spec) == [
-            neighbour_pair_period(spec, k, budget) for k in range(1, m)
+        assert scan_ontological_pairs(H) == [
+            neighbour_pair_period(H, k, budget) for k in range(1, m)
         ]
 
     def test_tagged_with_family_period(self):
-        rep = neighbour_pair_period(make_cyclic_model(6), 2, 100)
+        rep = neighbour_pair_period(build_hamiltonian(make_cyclic_model(6)), 2, 100)
         assert rep.pair_index == 2
         assert rep.expected_period == 24
         assert rep.matches_expected
@@ -254,11 +254,12 @@ class TestFindPeriodMatchesReference:
     @given(search=searches(), budget=st.integers(1, 40))
     def test_whole_reports_agree(self, search, budget):
         spec, psi0, psi1 = search
-        full = find_period_reference(psi0, psi1, spec, 60)
+        H = build_hamiltonian(spec)
+        full = find_period_reference(psi0, psi1, H, 60)
         # a budget below, at and above the period when there is one
         budgets = {budget} | ({full.period - 1, full.period, full.period + 1} - {0} if full.found else set())
         for b in sorted(budgets):
-            assert find_period(psi0, psi1, spec, b) == find_period_reference(psi0, psi1, spec, b)
+            assert find_period(psi0, psi1, H, b) == find_period_reference(psi0, psi1, H, b)
 
 
 def ring_blocks(*sizes: int) -> HamiltonianSpec:

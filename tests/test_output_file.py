@@ -12,7 +12,7 @@ import pytest
 from hamca.cli import EXIT_OK, EXIT_VALIDATION, main
 from hamca.dynamics import evolve
 from hamca.gaussian import GaussVector
-from hamca.models import make_cyclic_model
+from hamca.models import build_hamiltonian, make_cyclic_model
 from hamca.serialization import TrajectoryWriter, output_file
 from oracles import write_trajectory
 
@@ -31,7 +31,7 @@ def listing(directory):
 class TestHelper:
     def test_rewrite_gives_the_bytes_of_a_new_file(self, tmp_path):
         spec = make_cyclic_model(2)
-        traj = evolve(E(1, 0), E(0, 1), spec, 9)
+        traj = evolve(E(1, 0), E(0, 1), build_hamiltonian(spec), 9)
         new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
         old.write_text("an older, longer file\n" * 100)
         write_trajectory(spec, 1.0, traj, new)

@@ -130,7 +130,7 @@ class TestModelFile:
 class TestTrajectoryFile:
     def test_round_trip_exact(self, tmp_path):
         spec = make_cyclic_model(2)
-        traj = evolve(E(1, 0), E(0, 1), spec, 7)
+        traj = evolve(E(1, 0), E(0, 1), build_hamiltonian(spec), 7)
         path = tmp_path / "traj.jsonl"
         write_trajectory(spec, 0.25, traj, path)
         assert load_trajectory(path) == (spec, 0.25, traj)
@@ -138,7 +138,7 @@ class TestTrajectoryFile:
     def test_huge_magnitudes_survive(self, tmp_path):
         big = 10**120 + 9
         spec = make_cyclic_model(2)
-        traj = evolve(E((big, -big), 1), E(0, (3, big)), spec, 3)
+        traj = evolve(E((big, -big), 1), E(0, (3, big)), build_hamiltonian(spec), 3)
         path = tmp_path / "big.jsonl"
         write_trajectory(spec, 1.0, traj, path)
         assert load_trajectory(path)[2] == traj
@@ -150,7 +150,7 @@ class TestTrajectoryFile:
         restored after every call, including one that rejects a record."""
         big = 2**20_000 + 7  # 6021 digits
         spec = make_cyclic_model(2)
-        traj = evolve(E((big, -(3**40_000)), 1), E(0, (3, big)), spec, 3)
+        traj = evolve(E((big, -(3**40_000)), 1), E(0, (3, big)), build_hamiltonian(spec), 3)
         path = tmp_path / "big.jsonl"
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(limit)
@@ -175,14 +175,14 @@ class TestTrajectoryFile:
     def test_integers_are_decimal_strings(self, tmp_path):
         spec = make_cyclic_model(2)
         path = tmp_path / "traj.jsonl"
-        write_trajectory(spec, 1.0, evolve(E(1, 0), E(0, 1), spec, 2), path)
+        write_trajectory(spec, 1.0, evolve(E(1, 0), E(0, 1), build_hamiltonian(spec), 2), path)
         lines = path.read_text().splitlines()
         rec = json.loads(lines[1])
         assert all(isinstance(v, str) for v in rec["re"] + rec["im"])
 
     def test_byte_identical_rewrites(self, tmp_path):
         spec = make_cyclic_model(2)
-        traj = evolve(E(1, 0), E(0, 1), spec, 5)
+        traj = evolve(E(1, 0), E(0, 1), build_hamiltonian(spec), 5)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_trajectory(spec, 1.0, traj, p1)
         write_trajectory(spec, 1.0, traj, p2)
@@ -190,7 +190,7 @@ class TestTrajectoryFile:
 
     def test_streaming_reader(self, tmp_path):
         spec = make_cyclic_model(2)
-        traj = evolve(E(1, 0), E(0, 1), spec, 9)
+        traj = evolve(E(1, 0), E(0, 1), build_hamiltonian(spec), 9)
         path = tmp_path / "traj.jsonl"
         write_trajectory(spec, 1.0, traj, path)
         model, l, stream = read_trajectory_stream(path)
@@ -236,7 +236,7 @@ class TestCsv:
         from hamca.models import basis_state
 
         spec = make_cyclic_model(3)
-        rep = find_period(basis_state(3, 1), basis_state(3, 1), spec, 20)
+        rep = find_period(basis_state(3, 1), basis_state(3, 1), build_hamiltonian(spec), 20)
         path = tmp_path / "cycle.csv"
         with open(path, "w", newline="") as fh:
             write_cycle_csv(fh, [rep])
@@ -248,7 +248,7 @@ class TestCsv:
         from hamca.ontology import find_period
 
         big = E(10**5000, 0)
-        rep = find_period(big, big, make_cyclic_model(2), 20)
+        rep = find_period(big, big, build_hamiltonian(make_cyclic_model(2)), 20)
         path = tmp_path / "cycle.csv"
         with open(path, "w", newline="") as fh:
             write_cycle_csv(fh, [rep])
@@ -275,7 +275,7 @@ class TestInputsPastTheDigitLimit:
 
     def test_model_entry_round_trips_through_a_trajectory_header(self, tmp_path, digit_limit):
         spec = HamiltonianSpec(dim=1, S=[[self.BIG]], A=[[0]], label="big")
-        traj = evolve(E(1), E(0), spec, 2)
+        traj = evolve(E(1), E(0), build_hamiltonian(spec), 2)
         path = tmp_path / "big.jsonl"
         write_trajectory(spec, 1.0, traj, path)
         assert sys.get_int_max_str_digits() == digit_limit
@@ -334,7 +334,7 @@ class TestStateRecord:
 
 H2_SPEC = make_cyclic_model(2)
 HEADER = _header_record(H2_SPEC, 1.0) + "\n"
-SWAP = [_state_record(n, psi) + "\n" for n, psi in enumerate(evolve(E(1, 0), E(0, 1), H2_SPEC, 3))]
+SWAP = [_state_record(n, psi) + "\n" for n, psi in enumerate(evolve(E(1, 0), E(0, 1), build_hamiltonian(H2_SPEC), 3))]
 NOT_A_RECORD = "is not a canonical record line"
 NOT_CANONICAL = "has parts that are not canonical decimal integers"
 RECORD_CHARS = '{}[]",:nrei0123456789-+ \n\r\t\u0661x'
