@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import closing, contextmanager, nullcontext
 from pathlib import Path
@@ -103,6 +104,14 @@ def _load_vector_arg(name: str, text: str, dim: int) -> GaussVector:
     return vec
 
 
+def _non_negative(args: argparse.Namespace, *names: str) -> None:
+    """Each named option is >= 0, or a ValueError names the first that is not."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def _g_matrix_arg(H: GaussMatrix, text: str) -> GaussMatrix:
     dim = H.shape[0]
     if text == "identity":
@@ -124,28 +133,97 @@ def _g_matrix_arg(H: GaussMatrix, text: str) -> GaussMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _check_pairs(states, q_start: int | None, pairs: range, writer=None, parent: int | None = None) -> int | None:
+    """Consume `states`, write each to `writer` if given, and check q1 on each
+    pair in `pairs`: the first one whose q1 is not `q_start`, or None.  Pair
+    n - 1 is (psi_{n-1}, psi_n); after a drift no pair is checked.  A helper
+    passes its parent's pid and stops once that process is gone."""
+    first_drift = prev = None
+    for n, psi in enumerate(states):
+        if writer is not None:
+            writer.write_state(psi)
+        if n - 1 in pairs and first_drift is None and q1(prev, psi) != q_start:
+            first_drift = n - 1
+        if parent is not None and os.getppid() != parent:
+            raise RuntimeError("the probe's parent process is gone")
+        prev = psi
+    return first_drift
+
+
+def _with_helper(work, helper_work):
+    """Run `helper_work(parent pid)` in a forked helper process while this one
+    runs `work()`: their two results, or None, before `work` runs, if no
+    process can be forked.  The helper sends its result, an int or None,
+    through a pipe and leaves with `os._exit`; it is reaped here, and killed
+    and reaped if `work` raises.  A helper that fails or sends nothing is an
+    internal error, never a verdict."""
+    parent = os.getpid()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller does the work alone
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:  # the helper: it never returns into the caller
+        code = EXIT_INTERNAL
+        try:
+            os.close(read_end)
+            os.write(write_end, str(helper_work(parent)).encode())
+            code = EXIT_OK
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        try:
+            mine = work()
+            sent = pipe.read()  # up to EOF: the helper has exited
+        except BaseException:
+            import signal  # here, not at start-up: it costs every command about 1 ms
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not sent:
+        raise RuntimeError(f"probe helper exited with status {status}" if status else "probe helper sent no result")
+    return mine, None if sent == b"None" else int(sent)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load_model_arg(args.model)
     psi0 = _load_vector_arg("psi0", args.psi0, spec.dim)
     psi1 = _load_vector_arg("psi1", args.psi1, spec.dim)
-    if args.steps < 0:
-        raise ValueError(f"steps must be >= 0, got {args.steps}")
+    _non_negative(args, "steps")
     if not (math.isfinite(args.l) and args.l > 0):
         raise ValueError(f"l must be a finite positive number, got {args.l}")
+    H = build_hamiltonian(spec)
 
     # q1 alone: the link total L is the same sum, q1 / 2
     q_start = q1(psi0, psi1) if args.probe else None
-    first_drift = prev = writer = None
-    with output_file(args.out) if args.out else nullcontext() as fh:
-        if args.out:
-            writer = TrajectoryWriter(fh, spec, args.l)
-        for n, psi in enumerate(stream_states(psi0, psi1, build_hamiltonian(spec), args.steps)):
-            if writer is not None:
-                writer.write_state(psi)
-            # (psi_{n-1}, psi_n) is pair n - 1; after a drift no pair is checked
-            if args.probe and n and first_drift is None and q1(prev, psi) != q_start:
-                first_drift = n - 1
-            prev = psi
+    pairs = range(args.steps + 1 if args.probe else 0)
+
+    def write_and_check(checked: range) -> tuple:
+        with output_file(args.out) if args.out else nullcontext() as fh:
+            writer = TrajectoryWriter(fh, spec, args.l) if args.out else None
+            return _check_pairs(stream_states(psi0, psi1, H, args.steps), q_start, checked, writer), writer
+
+    # the pairs are independent: with a second CPU, a helper checks the odd
+    # ones while this process checks the even ones and writes --out
+    both = _with_helper(
+        lambda: write_and_check(pairs[::2]),
+        lambda parent: _check_pairs(stream_states(psi0, psi1, H, args.steps), q_start, pairs[1::2], parent=parent),
+    ) if len(pairs) > 1 and hasattr(os, "fork") and _cpus() > 1 else None
+    if both is None:
+        first_drift, writer = write_and_check(pairs)
+    else:
+        (first_drift, writer), helper_drift = both
+        first_drift = min((d for d in (first_drift, helper_drift) if d is not None), default=None)
     if args.probe:
         print(f"probe: q1 = {q_start}, L = {q_start // 2}, pairs checked = {args.steps + 1}")
         if first_drift is not None:
@@ -273,6 +351,7 @@ def _sample_times(args, n_states: int, window: int) -> ct.np.ndarray:
 
 def _smooth_trajectory(args, H) -> ct.np.ndarray:
     """Float trajectory from a seeded random state and its smooth-branch partner."""
+    _non_negative(args, "seed", "steps")
     psi0 = _random_state(ct.np.random.default_rng(args.seed), len(H))
     try:
         psi1 = ct.smooth_partner(H, psi0)
@@ -290,8 +369,7 @@ def _tolerance(args) -> float:
 
 
 def _continuum_closedform(args, H) -> tuple:
-    if args.pairs < 0:
-        raise ValueError(f"pairs must be >= 0, got {args.pairs}")
+    _non_negative(args, "pairs", "nmax", "seed")
     tol = _tolerance(args)
     rng = ct.np.random.default_rng(args.seed)
     solver = ct.ClosedFormSolver(H, degenerate="error" if args.strict_band else "confluent")
@@ -369,6 +447,7 @@ def _continuum_born(args, H) -> tuple:
         if not any(psi0):
             raise ValueError(f"psi: must be a nonzero state, got {args.psi!r}")
     else:
+        _non_negative(args, "seed")
         psi0 = _random_state(ct.np.random.default_rng(args.seed), len(H))
     psi1 = _complex_state("psi1", args.psi1, len(H)) if args.psi1 else None
     report = ct.born_convergence(H, psi0, ls, horizon=args.horizon, psi1=psi1)

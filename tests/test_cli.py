@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -605,6 +609,20 @@ class TestNumericOptionRange:
         assert code == EXIT_VALIDATION
         assert "pairs must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["closedform", "--seed", "-1"], "seed"),
+        (["sinh", "--seed", "-1"], "seed"),
+        (["q1", "--seed", "-1"], "seed"),
+        (["born", "--seed", "-1"], "seed"),
+        (["sinh", "--steps", "-1"], "steps"),
+        (["q1", "--steps", "-1"], "steps"),
+        (["closedform", "--nmax", "-1", "--pairs", "1"], "nmax"),
+        (["closedform", "--nmax", "-1", "--pairs", "0"], "nmax"),
+    ])
+    def test_continuum_range_errors_name_their_option(self, capsys, argv, option):
+        assert run_cli("continuum", argv[0], "--model", "H2", *argv[1:]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {option} must be >= 0, got -1\n")
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_cycle_budget_must_be_positive(self, capsys, budget):
         assert run_cli("cycle", "--model", "H3", "--budget", budget) == EXIT_VALIDATION
@@ -743,6 +761,41 @@ class TestValuesPastTheDigitLimit:
         assert f"q1 = {2 * ((10**5000 - 1) // 9) ** 2}," in capsys.readouterr().out
 
 
+def record_forks(monkeypatch, cpus: int) -> list[int]:
+    """Let the process run on `cpus` CPUs; the pid of each process it forks from now on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """`run --probe` forks no helper: it checks every pair itself."""
+    return record_forks(monkeypatch, 1)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """`run --probe` may fork a helper; the pid of each process forked."""
+    return record_forks(monkeypatch, 2)
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 class TestProbeDrift:
     def test_corrupted_state_is_named_and_exits_4(self, monkeypatch, capsys):
         import hamca.dynamics as dynamics
@@ -760,7 +813,7 @@ class TestProbeDrift:
         assert code == EXIT_VIOLATION
         assert capsys.readouterr().out.splitlines()[-1] == "probe: conservation drift first seen at pair 3"
 
-    def test_every_pair_is_checked(self, monkeypatch, capsys):
+    def test_every_pair_is_checked(self, monkeypatch, capsys, one_cpu):
         real = cli.q1
         calls = []
         monkeypatch.setattr(cli, "q1", lambda a, b: calls.append((a, b)) or real(a, b))
@@ -771,7 +824,7 @@ class TestProbeDrift:
 
     ARGS = ("run", "--model", "Hm:4", "--psi0", "1,0,i,0", "--psi1", "1,1-i,0,2", "--steps", "7", "--out", "t.jsonl")
 
-    def test_run_without_probe_computes_no_q1(self, monkeypatch, tmp_path, capsys):
+    def test_run_without_probe_computes_no_q1(self, monkeypatch, tmp_path, capsys, one_cpu):
         real = cli.q1
         calls = []
         monkeypatch.setattr(cli, "q1", lambda a, b: calls.append((a, b)) or real(a, b))
@@ -783,6 +836,113 @@ class TestProbeDrift:
         assert run_cli(*self.ARGS, "--probe") == EXIT_OK
         assert len(calls) == 1 + (7 + 1)
         assert capsys.readouterr().out == "probe: q1 = 2, L = 1, pairs checked = 8\nwrote 9 states to t.jsonl\n"
+
+
+class TestProbeHelper:
+    """`run --probe` with two CPUs forks a helper that checks the odd pairs;
+    the command prints, writes and exits as it does with one CPU, and leaves
+    no process behind."""
+
+    ARGS = ("run", "--model", "Hm:4", "--psi0", "1,0,i,0", "--psi1", "1,1-i,0,2", "--probe")
+    STATES = evolve(serialization.parse_gauss_vector(ARGS[4]), serialization.parse_gauss_vector(ARGS[6]),
+                    build_hamiltonian(make_cyclic_model(4)), 9)
+
+    def plant(self, monkeypatch, drifting):
+        """q1 is one too large on each pair in `drifting`, in this process
+        and in its helper (not pair 0, which also gives the starting value)."""
+        pairs = list(zip(self.STATES, self.STATES[1:]))
+        assert len(set(pairs)) == len(pairs)
+        bad = {pairs[k] for k in drifting}
+        real = cli.q1
+        monkeypatch.setattr(cli, "q1", lambda a, b: real(a, b) + ((a, b) in bad))
+
+    @pytest.mark.parametrize("drifting, first", [({4, 7}, 4), ({5, 8}, 5)], ids=["even", "odd"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_drift_is_named_by_either_process(self, monkeypatch, tmp_path, capsys, drifting, first, cpus):
+        self.plant(monkeypatch, drifting)
+        forked = record_forks(monkeypatch, cpus)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*self.ARGS, "--steps", "9", "--out", "t.jsonl") == EXIT_VIOLATION
+        assert len(forked) == cpus - 1
+        assert capsys.readouterr() == ("probe: q1 = 2, L = 1, pairs checked = 10\n"
+                                       f"probe: conservation drift first seen at pair {first}\n", "")
+        assert load_trajectory(tmp_path / "t.jsonl")[2] == self.STATES
+        assert no_child_left()
+
+    @pytest.mark.parametrize("steps, helpers", [("0", 0), ("1", 1), ("9", 1)])
+    def test_a_helper_for_two_pairs_or_more(self, two_cpus, capsys, steps, helpers):
+        assert run_cli(*self.ARGS, "--steps", steps) == EXIT_OK
+        assert len(two_cpus) == helpers
+        assert capsys.readouterr().out == f"probe: q1 = 2, L = 1, pairs checked = {int(steps) + 1}\n"
+        assert no_child_left()
+
+    def test_a_failed_fork_checks_every_pair_here(self, monkeypatch, capsys):
+        self.plant(monkeypatch, {5})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_cli(*self.ARGS, "--steps", "9") == EXIT_VIOLATION
+        assert capsys.readouterr().out.endswith("probe: conservation drift first seen at pair 5\n")
+
+    def test_unwritable_out_reaps_the_helper(self, two_cpus, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.jsonl"
+        assert run_cli(*self.ARGS, "--steps", "9", "--out", str(out)) == EXIT_VALIDATION
+        assert len(two_cpus) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert no_child_left()
+
+    def test_a_failing_helper_is_an_internal_error(self, two_cpus, monkeypatch, capsys):
+        parent, real = os.getpid(), cli.q1
+        monkeypatch.setattr(cli, "q1", lambda a, b: real(a, b) if os.getpid() == parent else 1 // 0)
+        assert run_cli(*self.ARGS, "--steps", "9") == EXIT_INTERNAL
+        assert capsys.readouterr() == (
+            "", f"error: internal error: RuntimeError: probe helper exited with status {EXIT_INTERNAL}\n")
+        assert no_child_left()
+
+    def test_a_helper_that_sends_nothing_is_an_internal_error(self, two_cpus, monkeypatch, capsys):
+        parent, real = os.getpid(), os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real(fd, data) if os.getpid() == parent else len(data))
+        assert run_cli(*self.ARGS, "--steps", "9") == EXIT_INTERNAL
+        assert capsys.readouterr() == ("", "error: internal error: RuntimeError: probe helper sent no result\n")
+        assert no_child_left()
+
+    def test_the_helper_dies_with_the_command(self, tmp_path):
+        """SIGKILL the command in the middle of a long probe: its helper is
+        gone, or a zombie, within 2 s."""
+        if not hasattr(os, "fork") or cli._cpus() < 2:
+            pytest.skip("no helper: fork is missing or the process may run on one CPU")
+        m = 8
+        model = tmp_path / "tridiag121.json"
+        S = [[2 if i == j else int(abs(i - j) == 1) for j in range(m)] for i in range(m)]
+        save_model(HamiltonianSpec(m, S, [[0] * m for _ in range(m)], "tridiag121"), model)
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        psi = ",".join(["1"] + ["0"] * (m - 1))
+        proc = subprocess.Popen([sys.executable, "-m", "hamca.cli", "run", "--model", str(model), "--psi0", psi,
+                                 "--psi1", psi, "--steps", "100000", "--probe"], env=env, stdout=subprocess.DEVNULL)
+        try:
+            children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+            deadline = time.monotonic() + 30
+            while not (helpers := children.read_text().split()):
+                assert proc.poll() is None and time.monotonic() < deadline, "no helper was forked"
+                time.sleep(0.01)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        stat = Path(f"/proc/{helpers[0]}/stat")
+        deadline = time.monotonic() + 2
+        while True:
+            try:
+                state = stat.read_text().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                break
+            if state == "Z":
+                break
+            assert time.monotonic() < deadline, f"helper {helpers[0]} still running (state {state})"
+            time.sleep(0.01)
 
 
 class TestInputChecksExit3:
