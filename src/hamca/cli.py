@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from contextlib import closing, contextmanager, nullcontext
 from pathlib import Path
@@ -133,76 +132,14 @@ def _g_matrix_arg(H: GaussMatrix, text: str) -> GaussMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _check_pairs(states, q_start: int | None, pairs: range, writer=None, parent: int | None = None) -> int | None:
-    """Consume `states`, write each to `writer` if given, and check q1 on each
-    pair in `pairs`: the first one whose q1 is not `q_start`, or None.  Pair
-    n - 1 is (psi_{n-1}, psi_n); after a drift no pair is checked.  A helper
-    passes its parent's pid and stops once that process is gone."""
-    first_drift = prev = None
-    for n, psi in enumerate(states):
-        if writer is not None:
-            writer.write_state(psi)
-        if n - 1 in pairs and first_drift is None and q1(prev, psi) != q_start:
-            first_drift = n - 1
-        if parent is not None and os.getppid() != parent:
-            raise RuntimeError("the probe's parent process is gone")
-        prev = psi
-    return first_drift
-
-
-def _with_helper(work, helper_work):
-    """Run `helper_work(parent pid)` in a forked helper process while this one
-    runs `work()`: their two results, or None, before `work` runs, if no
-    process can be forked.  The helper sends its result, an int or None,
-    through a pipe and leaves with `os._exit`; it is reaped here, and killed
-    and reaped if `work` raises.  A helper that fails or sends nothing is an
-    internal error, never a verdict."""
-    parent = os.getpid()
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the caller does the work alone
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:  # the helper: it never returns into the caller
-        code = EXIT_INTERNAL
-        try:
-            os.close(read_end)
-            os.write(write_end, str(helper_work(parent)).encode())
-            code = EXIT_OK
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    with open(read_end, "rb") as pipe:
-        try:
-            mine = work()
-            sent = pipe.read()  # up to EOF: the helper has exited
-        except BaseException:
-            import signal  # here, not at start-up: it costs every command about 1 ms
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0 or not sent:
-        raise RuntimeError(f"probe helper exited with status {status}" if status else "probe helper sent no result")
-    return mine, None if sent == b"None" else int(sent)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load_model_arg(args.model)
     psi0 = _load_vector_arg("psi0", args.psi0, spec.dim)
     psi1 = _load_vector_arg("psi1", args.psi1, spec.dim)
     _non_negative(args, "steps")
-    if not (math.isfinite(args.l) and args.l > 0):
-        raise ValueError(f"l must be a finite positive number, got {args.l}")
+    _scale(args)
     H = build_hamiltonian(spec)
+    from .probe import _check_pairs, _with_helper  # here, not at start-up: only run compiles them
 
     # q1 alone: the link total L is the same sum, q1 / 2
     q_start = q1(psi0, psi1) if args.probe else None
@@ -218,7 +155,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     both = _with_helper(
         lambda: write_and_check(pairs[::2]),
         lambda parent: _check_pairs(stream_states(psi0, psi1, H, args.steps), q_start, pairs[1::2], parent=parent),
-    ) if len(pairs) > 1 and hasattr(os, "fork") and _cpus() > 1 else None
+    ) if len(pairs) > 1 else None
     if both is None:
         first_drift, writer = write_and_check(pairs)
     else:
@@ -309,55 +246,22 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
 # continuum
 # ---------------------------------------------------------------------------
 
-# The float handlers read numpy as `ct.np`, which the continuum layer binds on
-# first use: run, check and cycle never import it.
-
 
 def _cmd_continuum(args: argparse.Namespace) -> int:
     spec = _load_model_arg(args.model)
-    mode = {"closedform": _continuum_closedform, "sinh": _continuum_sinh, "q1": _continuum_q1,
-            "born": _continuum_born}[args.mode]
-    # each mode returns its report (header, rows), its printed lines and its verdict
-    header, rows, lines, ok = mode(args, ct.as_matrix(build_hamiltonian(spec)))
+    # every option is checked before any float work; the report takes their values
+    options = {"closedform": _closedform_options, "sinh": _sinh_options, "q1": _q1_options,
+               "born": _born_options}[args.mode](args, spec.dim)
+    from . import float_reports as fr  # here, not at start-up: no exact command compiles it
+
+    report = {"closedform": fr.closedform, "sinh": fr.sinh, "q1": fr.q1, "born": fr.born}[args.mode]
+    header, rows, lines, ok = report(ct.as_matrix(build_hamiltonian(spec)), **options)
     if args.out:
         with output_file(args.out) as fh:
             write_float_csv(fh, header, rows)
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_TOLERANCE
-
-
-def _converged(values: list[float]) -> bool:
-    """Each value is below the one before it, or is an exact 0: that has converged."""
-    return all(a > b or b == 0 for a, b in zip(values, values[1:]))
-
-
-def _random_state(rng: ct.np.random.Generator, dim: int) -> ct.np.ndarray:
-    return rng.normal(size=dim) + 1j * rng.normal(size=dim)
-
-
-def _sample_times(args, n_states: int, window: int) -> ct.np.ndarray:
-    """The --points evaluation times for a window of half-width `window`:
-    evenly spaced where an anchored reconstruction, shifted by up to two
-    samples, stays inside the trajectory."""
-    if args.points < 1:
-        raise ValueError(f"points must be >= 1, got {args.points}")
-    lo = (window + 2) * args.l
-    hi = (n_states - 3 - window) * args.l
-    if hi <= lo:
-        raise ValueError(f"steps={args.steps} too short for window {window}")
-    return ct.np.linspace(lo, hi, args.points)
-
-
-def _smooth_trajectory(args, H) -> ct.np.ndarray:
-    """Float trajectory from a seeded random state and its smooth-branch partner."""
-    _non_negative(args, "seed", "steps")
-    psi0 = _random_state(ct.np.random.default_rng(args.seed), len(H))
-    try:
-        psi1 = ct.smooth_partner(H, psi0)
-    except SingularSpectrumError:
-        psi1 = psi0  # band-edge model: fall back to the repeated-state start
-    return ct.evolve_float(psi0, psi1, H, args.steps)
 
 
 def _tolerance(args) -> float:
@@ -368,22 +272,58 @@ def _tolerance(args) -> float:
     return args.tol
 
 
-def _continuum_closedform(args, H) -> tuple:
+def _scale(args) -> None:
+    if not (math.isfinite(args.l) and args.l > 0):
+        raise ValueError(f"l must be a finite positive number, got {args.l}")
+
+
+def _closedform_options(args, dim: int) -> dict:
     _non_negative(args, "pairs", "nmax", "seed")
+    return dict(pairs=args.pairs, nmax=args.nmax, seed=args.seed, strict_band=args.strict_band, tol=_tolerance(args))
+
+
+def _signal_options(args, option: str, windows: list[int]) -> dict:
+    """The options of a report on the smooth trajectory, with the span of the
+    --points evaluation times for each of the increasing half-widths `windows`:
+    where a reconstruction shifted by up to two samples stays in the states."""
+    _non_negative(args, "seed", "steps")
+    _scale(args)
+    if windows[0] < 8:  # the sinc sum's smallest half-width
+        raise ValueError(f"{option} must be >= 8, got {windows[0]}")
+    if args.points < 1:
+        raise ValueError(f"points must be >= 1, got {args.points}")
+    spans = {W: ((W + 2) * args.l, (args.steps - 1 - W) * args.l) for W in windows}
+    for W, (lo, hi) in spans.items():
+        if hi <= lo:
+            raise ValueError(f"steps={args.steps} too short for window {W}")
+    return dict(seed=args.seed, steps=args.steps, l=args.l, points=args.points, spans=spans)
+
+
+def _sinh_options(args, dim: int) -> dict:
+    windows = _number_list("windows", args.windows, int)
+    if any(b <= a for a, b in zip(windows, windows[1:])):
+        raise ValueError(f"windows: must be strictly increasing, got {args.windows!r}")
+    return _signal_options(args, "windows", windows)
+
+
+def _q1_options(args, dim: int) -> dict:
     tol = _tolerance(args)
-    rng = ct.np.random.default_rng(args.seed)
-    solver = ct.ClosedFormSolver(H, degenerate="error" if args.strict_band else "confluent")
-    rows = []
-    for pair in range(args.pairs):
-        psi0 = _random_state(rng, len(H))
-        psi1 = _random_state(rng, len(H))
-        states = ct.evolve_float(psi0, psi1, H, args.nmax)
-        scale = max(float(ct.np.abs(states).max()), 1.0)
-        dev = float(ct.np.max(ct.np.abs(solver.states_upto(psi0, psi1, args.nmax + 1) - states))) / scale
-        rows.append((pair, dev))
-    worst = max([0.0, *(dev for _, dev in rows)])
-    line = f"closedform: worst relative deviation {format_float(worst)} over {args.pairs} pairs"
-    return ["pair", "max_rel_dev"], rows, [line], worst <= tol
+    return dict(_signal_options(args, "window", [args.window]), convention=args.convention, tol=tol)
+
+
+def _born_options(args, dim: int) -> dict:
+    ls = _number_list("l-values", args.l_values, float)
+    if not all(math.isfinite(l) and l > 0 for l in ls):
+        raise ValueError(f"l-values: must be finite positive numbers, got {args.l_values!r}")
+    if any(b >= a for a, b in zip(ls, ls[1:])):
+        raise ValueError(f"l-values: must be strictly decreasing, got {args.l_values!r}")
+    psi = _complex_state("psi", args.psi, dim) if args.psi else None
+    if psi is None:
+        _non_negative(args, "seed")
+    elif not any(psi):
+        raise ValueError(f"psi: must be a nonzero state, got {args.psi!r}")
+    psi1 = _complex_state("psi1", args.psi1, dim) if args.psi1 else None
+    return dict(l_values=ls, horizon=args.horizon, psi=psi, seed=args.seed, psi1=psi1)
 
 
 def _ascii(kind: type):
@@ -411,49 +351,6 @@ def _complex_state(option: str, text: str, dim: int) -> list[complex]:
     if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
         raise ValueError(f"{option}: components must be finite, got {text!r}")
     return values
-
-
-def _continuum_sinh(args, H) -> tuple:
-    windows = _number_list("windows", args.windows, int)
-    if any(b <= a for a, b in zip(windows, windows[1:])):
-        raise ValueError(f"windows: must be strictly increasing, got {args.windows!r}")
-    states = _smooth_trajectory(args, H)
-    rows = []
-    for W in windows:
-        sig = ct.BandlimitedSignal(states, l=args.l, window=W)
-        ts = _sample_times(args, len(states), W) + 0.37 * args.l
-        res = ct.sinh_residual(sig, H, ts)
-        rows.append((W, float(ct.np.mean(res)), float(ct.np.max(res))))
-    lines = [f"sinh: W={W} mean residual {format_float(mean)} max {format_float(mx)}" for W, mean, mx in rows]
-    return ["window", "mean_residual", "max_residual"], rows, lines, _converged([mean for _, mean, _ in rows])
-
-
-def _continuum_q1(args, H) -> tuple:
-    tol = _tolerance(args)
-    states = _smooth_trajectory(args, H)
-    sig = ct.BandlimitedSignal(states, l=args.l, window=args.window)
-    ts = [float(t) for t in _sample_times(args, len(states), args.window)]
-    results, spread = ct.q1_constancy(sig, ts, args.convention)
-    rows = [(t, r.value, r.expansion, r.remainder) for t, r in zip(ts, results)]
-    scale = max(abs(r.value) for r in results) + 1e-30
-    line = f"q1: value {format_float(results[0].value)} spread {format_float(spread)}"
-    return ["t", "value", "expansion", "remainder"], rows, [line], spread <= tol * scale
-
-
-def _continuum_born(args, H) -> tuple:
-    ls = _number_list("l-values", args.l_values, float)
-    if args.psi:
-        psi0 = _complex_state("psi", args.psi, len(H))
-        if not any(psi0):
-            raise ValueError(f"psi: must be a nonzero state, got {args.psi!r}")
-    else:
-        _non_negative(args, "seed")
-        psi0 = _random_state(ct.np.random.default_rng(args.seed), len(H))
-    psi1 = _complex_state("psi1", args.psi1, len(H)) if args.psi1 else None
-    report = ct.born_convergence(H, psi0, ls, horizon=args.horizon, psi1=psi1)
-    rows = [(e.l, e.steps, e.link_total, e.max_error) for e in report.entries]
-    lines = [f"born: l={format_float(e.l)} max|w-p|={format_float(e.max_error)}" for e in report.entries]
-    return ["l", "steps", "link_total", "max_error"], rows, lines, _converged(report.errors)
 
 
 # ---------------------------------------------------------------------------

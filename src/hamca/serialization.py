@@ -18,8 +18,6 @@ inputs give identical files, and every file is written through
 from __future__ import annotations
 
 import contextlib
-import csv
-import json
 import math
 import os
 import re
@@ -155,6 +153,7 @@ def output_file(path: str | Path) -> Iterator[IO[str]]:
 
 def _json_file(path: str | Path, error: type[ValueError]):
     """The JSON document in file `path`; one that does not parse raises `error`."""
+    import json  # json and csv load where they are used: `cycle` on a built-in model needs neither
     try:
         return json.loads(Path(path).read_text())
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested past the interpreter's limit
@@ -199,6 +198,7 @@ _PARTS = re.compile(r'(?:0|-?[1-9][0-9]*)(?:","(?:0|-?[1-9][0-9]*))*')
 
 
 def _header_record(model: HamiltonianSpec, l: float) -> str:
+    import json
     head = {
         "format": TRAJECTORY_FORMAT,
         "version": TRAJECTORY_VERSION,
@@ -229,6 +229,7 @@ class TrajectoryWriter:
 def _parse_header(line: str, path) -> tuple[HamiltonianSpec, float]:
     if not line:
         raise ValueError(f"{path}: empty trajectory file")
+    import json
     try:
         with _AnyDigits():
             head = json.loads(line)
@@ -298,7 +299,8 @@ def read_trajectory_stream(path: str | Path):
 # ---------------------------------------------------------------------------
 
 
-def csv_writer(fh: IO[str]) -> csv.writer:
+def csv_writer(fh: IO[str]):
+    import csv
     return csv.writer(fh, lineterminator="\n")
 
 

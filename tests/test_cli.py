@@ -26,7 +26,7 @@ from hamca.conservation import q_G
 from hamca.dynamics import evolve
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector
 from hamca.models import HamiltonianSpec, build_hamiltonian, make_cyclic_model
-from hamca import serialization
+from hamca import probe, serialization
 from oracles import load_trajectory, save_model, scaled, write_trajectory
 
 E = GaussVector.of
@@ -623,6 +623,35 @@ class TestNumericOptionRange:
         assert run_cli("continuum", argv[0], "--model", "H2", *argv[1:]) == EXIT_VALIDATION
         assert capsys.readouterr() == ("", f"error: {option} must be >= 0, got -1\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sinh", "--model", "Hm:8", "--windows=-4,16", "--steps", "200000"], "windows must be >= 8, got -4"),
+        (["sinh", "--windows", "4,16"], "windows must be >= 8, got 4"),
+        (["q1", "--window", "4"], "window must be >= 8, got 4"),
+        (["sinh", "--points", "0"], "points must be >= 1, got 0"),
+        (["q1", "--points", "0"], "points must be >= 1, got 0"),
+        (["sinh", "--steps", "20"], "steps=20 too short for window 16"),
+        (["sinh", "--windows", "8,16", "--steps", "34"], "steps=34 too short for window 16"),
+        (["q1", "--steps", "60"], "steps=60 too short for window 32"),
+        (["sinh", "--l", "0"], "l must be a finite positive number, got 0.0"),
+        (["q1", "--l=-1"], "l must be a finite positive number, got -1.0"),
+        (["born", "--l-values=0.5,-0.1"], "l-values: must be finite positive numbers, got '0.5,-0.1'"),
+        (["born", "--l-values", "0.1,0.2"], "l-values: must be strictly decreasing, got '0.1,0.2'"),
+        (["born", "--l-values", "0.1,0.1"], "l-values: must be strictly decreasing, got '0.1,0.1'"),
+    ], ids=["sinh-negative-window", "sinh-small-window", "q1-small-window", "sinh-points", "q1-points",
+            "sinh-steps", "sinh-steps-second-window", "q1-steps", "sinh-l", "q1-l", "born-negative-l",
+            "born-increasing-l", "born-repeated-l"])
+    def test_continuum_option_errors_come_before_float_work(self, monkeypatch, capsys, argv, message):
+        """Each of these names its option and exits 3 before the report evolves anything."""
+        def no_float_work(*args, **kwargs):
+            raise AssertionError("float work ran before the options were checked")
+
+        monkeypatch.setattr(ct, "evolve_float", no_float_work)
+        monkeypatch.setattr(ct, "born_convergence", no_float_work)
+        if "--model" not in argv:
+            argv = [argv[0], "--model", "H2", *argv[1:]]
+        assert run_cli("continuum", *argv) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_cycle_budget_must_be_positive(self, capsys, budget):
         assert run_cli("cycle", "--model", "H3", "--budget", budget) == EXIT_VALIDATION
@@ -776,6 +805,12 @@ def record_forks(monkeypatch, cpus: int) -> list[int]:
     return pids
 
 
+def patch_q1(monkeypatch, fake) -> None:
+    """`run` calls `fake` for q1: for its starting value (in hamca.cli) and on each pair (in hamca.probe)."""
+    monkeypatch.setattr(cli, "q1", fake)
+    monkeypatch.setattr(probe, "q1", fake)
+
+
 @pytest.fixture
 def one_cpu(monkeypatch):
     """`run --probe` forks no helper: it checks every pair itself."""
@@ -816,7 +851,7 @@ class TestProbeDrift:
     def test_every_pair_is_checked(self, monkeypatch, capsys, one_cpu):
         real = cli.q1
         calls = []
-        monkeypatch.setattr(cli, "q1", lambda a, b: calls.append((a, b)) or real(a, b))
+        patch_q1(monkeypatch, lambda a, b: calls.append((a, b)) or real(a, b))
         assert run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "1,1", "--steps", "5", "--probe") == EXIT_OK
         # the starting value, then each of the steps + 1 pairs
         assert len(calls) == 1 + (5 + 1)
@@ -827,7 +862,7 @@ class TestProbeDrift:
     def test_run_without_probe_computes_no_q1(self, monkeypatch, tmp_path, capsys, one_cpu):
         real = cli.q1
         calls = []
-        monkeypatch.setattr(cli, "q1", lambda a, b: calls.append((a, b)) or real(a, b))
+        patch_q1(monkeypatch, lambda a, b: calls.append((a, b)) or real(a, b))
         monkeypatch.chdir(tmp_path)
         assert run_cli(*self.ARGS) == EXIT_OK
         assert calls == []
@@ -854,7 +889,7 @@ class TestProbeHelper:
         assert len(set(pairs)) == len(pairs)
         bad = {pairs[k] for k in drifting}
         real = cli.q1
-        monkeypatch.setattr(cli, "q1", lambda a, b: real(a, b) + ((a, b) in bad))
+        patch_q1(monkeypatch, lambda a, b: real(a, b) + ((a, b) in bad))
 
     @pytest.mark.parametrize("drifting, first", [({4, 7}, 4), ({5, 8}, 5)], ids=["even", "odd"])
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -896,7 +931,7 @@ class TestProbeHelper:
 
     def test_a_failing_helper_is_an_internal_error(self, two_cpus, monkeypatch, capsys):
         parent, real = os.getpid(), cli.q1
-        monkeypatch.setattr(cli, "q1", lambda a, b: real(a, b) if os.getpid() == parent else 1 // 0)
+        patch_q1(monkeypatch, lambda a, b: real(a, b) if os.getpid() == parent else 1 // 0)
         assert run_cli(*self.ARGS, "--steps", "9") == EXIT_INTERNAL
         assert capsys.readouterr() == (
             "", f"error: internal error: RuntimeError: probe helper exited with status {EXIT_INTERNAL}\n")
@@ -912,7 +947,7 @@ class TestProbeHelper:
     def test_the_helper_dies_with_the_command(self, tmp_path):
         """SIGKILL the command in the middle of a long probe: its helper is
         gone, or a zombie, within 2 s."""
-        if not hasattr(os, "fork") or cli._cpus() < 2:
+        if not hasattr(os, "fork") or probe._cpus() < 2:
             pytest.skip("no helper: fork is missing or the process may run on one CPU")
         m = 8
         model = tmp_path / "tridiag121.json"
@@ -1006,8 +1041,8 @@ class TestInputChecksExit3:
         assert capsys.readouterr() == ("", "error: a 1-state model has no neighbour pair\n")
 
     @pytest.mark.parametrize("mode, option, value, message", [
-        ("born", "--l-values", "nan", "l_values must be finite positive numbers, got [nan]"),
-        ("born", "--l-values", "0.2,inf", "l_values must be finite positive numbers, got [0.2, inf]"),
+        ("born", "--l-values", "nan", "l-values: must be finite positive numbers, got 'nan'"),
+        ("born", "--l-values", "0.2,inf", "l-values: must be finite positive numbers, got '0.2,inf'"),
         ("born", "--l-values", ",", "l-values: expected comma-separated float values, got ','"),
         ("sinh", "--l", "nan", "l must be a finite positive number, got nan"),
         ("sinh", "--l", "inf", "l must be a finite positive number, got inf"),

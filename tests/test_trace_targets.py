@@ -4,15 +4,26 @@
 `TARGETS` table by name; a rename in `src/` would otherwise surface only
 when a traced benchmark run fails.  The table is loaded by path, so the
 benchmark directory needs no package marker and is not edited.
+
+The tracer patches the modules that `import hamca.cli` loads.  A module that
+owns a target must load with it; a module that loads later, when its command
+runs, must bind the functions the tracer has already wrapped.  The traced
+commands below fail otherwise, as their spans then record no calls.
 """
 
+import collections
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -48,3 +59,19 @@ def test_max_bits_reads_a_step_forward_result():
 
     psi = step_forward(GaussVector.of(2**100, 0), GaussVector.zero(2), GaussMatrix.identity(2))
     assert _tracing().max_bits(psi) == 101
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["continuum", "sinh", "--model", "H2", "--windows", "8", "--steps", "40", "--points", "2"],
+     ["continuum.evolve_float", "continuum.sinh_residual"]),
+    (["run", "--model", "H2", "--psi0", "1,0", "--psi1", "1,1", "--steps", "20", "--probe"], ["conservation.q1"]),
+], ids=["continuum-sinh", "run-probe"])
+def test_traced_command_records_the_calls_of_lazily_loaded_code(tmp_path, argv, spans):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(TRACING), str(out), "guard", "--", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    document = json.loads(out.read_text())
+    calls = collections.Counter(document["names"][span[0]] for span in document["spans"])
+    assert [span for span in spans if calls[span] == 0] == []
