@@ -1,0 +1,139 @@
+"""Planted bugs: does tier-1 catch each one?
+
+Run from the repository root:
+
+    python mutation/mutate.py [NAME ...]
+
+Each mutant replaces one text in one file of ``src/hamca`` with another.
+For each, the repository (without ``.git``) is copied to a temporary
+directory, the mutant is applied to the copy, and tier-1 runs there with
+``-x`` and the copy's ``src`` first on PYTHONPATH.  A mutant is killed when
+tier-1 fails; the failing test is reported.  Nothing under the repository
+is written.  ``python -m pytest mutation`` checks that each old text occurs
+once in ``src`` and that every mutant is killed; it is kept out of tier-1.
+A change that rewrites a mutated line updates its mutant here, and a new
+fast path adds one.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hamca"
+TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+TIMEOUT_S = 300  # a mutant that hangs tier-1 this long counts as killed
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/hamca
+    old: str
+    new: str
+
+
+MUTANTS = [
+    Mutant("kernel: sign of the S term in the imaginary part", "gaussian.py",
+           'i.append(_term(-s, f"x{j}"))', 'i.append(_term(s, f"x{j}"))'),
+    Mutant("verify_stream skips the rule comparison", "conservation.py",
+           "elif n and h_step(prev.re, prev.im, prev2.re, prev2.im) != (psi.re, psi.im):", "elif False:"),
+    Mutant("q_G changed reported at n, not n - 1", "conservation.py",
+           'first, message = n - 1, f"q_G changed', 'first, message = n, f"q_G changed'),
+    Mutant("q1 drops the imaginary sum", "conservation.py",
+           "return 2 * (sum(map(mul, psi_next.re, psi_n.re)) + sum(map(mul, psi_next.im, psi_n.im)))",
+           "return 2 * sum(map(mul, psi_next.re, psi_n.re))"),
+    Mutant("classify_state accepts parts in two slots", "ontology.py",
+           "return (k + 1, GaussInt(x[k], p[k])) if zp == m or p[k] else None",
+           "return (k + 1, GaussInt(x[k], p[k]))"),
+    Mutant("find_period returns n, not n - 1", "ontology.py", "period = n - 1", "period = n"),
+    Mutant("the reader skips the record-order check", "serialization.py",
+           "if n_text != str(n):", "if False:"),
+    Mutant("weight cells kept across a change of L", "serialization.py",
+           "if total != self._cells.total or len(self._cells) > _WEIGHT_CELLS:",
+           "if len(self._cells) > _WEIGHT_CELLS:"),
+    Mutant("_decimal does not retry past the digit limit", "serialization.py",
+           "        with _AnyDigits():\n            return list(map(convert, parts))", "        raise"),
+    Mutant("_converged uses >=", "float_reports.py", "all(a > b or b == 0", "all(a >= b or b == 0"),
+    Mutant("SingularSpectrumError dropped from _EXIT_CODES", "cli.py",
+           "    (SingularSpectrumError, EXIT_SINGULAR),\n", ""),
+    Mutant("_canonical_int accepts leading zeros", "models.py",
+           'text.isdigit() and (text == "0" or text[0] != "0")', "text.isdigit()"),
+    Mutant("born midpoints at n, not n + 1/2", "continuum.py",
+           "np.r_[1.0, np.arange(steps) + 0.5]", "np.r_[1.0, np.arange(steps) + 0.0]"),
+    Mutant("default_scan_budget 8m + 2", "ontology.py", "return 8 * m + 8", "return 8 * m + 2"),
+    Mutant("_DEGENERATE_CUTOFF 1e-13 -> 1e-9", "continuum.py",
+           "_DEGENERATE_CUTOFF = 1e-13", "_DEGENERATE_CUTOFF = 1e-9"),
+    Mutant("the probe helper checks no pair", "probe.py", "pairs[1::2], parent=parent", "pairs[0:0], parent=parent"),
+    Mutant("the probe's parent checks no even pair", "probe.py",
+           "_check_pairs(states, q_start, pairs[::2], writer)", "_check_pairs(states, q_start, pairs[0:0], writer)"),
+]
+
+
+def occurrences(text: str) -> dict[str, int]:
+    """The count of `text` in each file of src/hamca that holds it."""
+    counts = {p.name: p.read_text().count(text) for p in sorted(SRC.glob("*.py"))}
+    return {name: n for name, n in counts.items() if n}
+
+
+class Outcome(NamedTuple):
+    killed: bool
+    test: str  # the first failing test, or a note
+    seconds: float
+
+
+def copy_repo(dest: Path) -> Path:
+    """The repository at `dest`, without `.git`, caches or benchmark output."""
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", "mutation", "__pycache__", ".pytest_cache", ".hypothesis", "out", ".work"))
+    return dest
+
+
+def tier1(root: Path) -> tuple[int | None, str]:
+    """Tier-1 with -x on the tree at `root`: its exit code (None on timeout) and output."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, ""
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def run_mutant(mutant: Mutant) -> Outcome:
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="hamca-mutant-") as tmp:
+        root = copy_repo(Path(tmp) / "repo")
+        path = root / "src" / "hamca" / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise ValueError(f"{mutant.name}: old text occurs {text.count(mutant.old)} times in {mutant.file}")
+        path.write_text(text.replace(mutant.old, mutant.new))
+        code, output = tier1(root)
+    seconds = time.monotonic() - start
+    if code is None:
+        return Outcome(True, f"timeout after {TIMEOUT_S} s", seconds)
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.M)
+    return Outcome(code == 1, failed.group(1) if failed else f"exit {code}", seconds)
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    survivors = 0
+    for mutant in chosen:
+        outcome = run_mutant(mutant)
+        survivors += not outcome.killed
+        verdict = "killed" if outcome.killed else "SURVIVED"
+        print(f"{verdict:8} {outcome.seconds:5.1f} s  {mutant.name}: {outcome.test}", flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -10,8 +10,8 @@ Exit codes (also listed in the README):
     0  success
     1  a mode-specific tolerance was not met
     2  command-line usage error (argparse)
-    3  validation or parse failure (models, vectors, files), or a path that
-       cannot be read or written
+    3  validation or parse failure (models, vectors, files), a path that
+       cannot be read or written, or a size past memory
     4  conservation or recursion violation found by `check`
     5  cycle budget exhausted before recurrence
     6  spectral singularity (strict band mode)
@@ -70,7 +70,7 @@ _EXIT_CODES = (
     (SingularSpectrumError, EXIT_SINGULAR),
     (OntologicalRegimeError, EXIT_ONTOLOGICAL),
     (InstabilityError, EXIT_INSTABILITY),
-    ((SpectralFailure, ValueError, OSError), EXIT_VALIDATION),  # validation errors, unusable paths
+    ((SpectralFailure, ValueError, OSError, MemoryError), EXIT_VALIDATION),  # bad inputs and paths, sizes past memory
 )
 
 
@@ -139,32 +139,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _non_negative(args, "steps")
     _scale(args)
     H = build_hamiltonian(spec)
-    from .probe import _check_pairs, _with_helper  # here, not at start-up: only run compiles them
+    from .probe import first_drift  # here, not at start-up: only run compiles it
 
     # q1 alone: the link total L is the same sum, q1 / 2
     q_start = q1(psi0, psi1) if args.probe else None
-    pairs = range(args.steps + 1 if args.probe else 0)
-
-    def write_and_check(checked: range) -> tuple:
-        with output_file(args.out) if args.out else nullcontext() as fh:
-            writer = TrajectoryWriter(fh, spec, args.l) if args.out else None
-            return _check_pairs(stream_states(psi0, psi1, H, args.steps), q_start, checked, writer), writer
-
-    # the pairs are independent: with a second CPU, a helper checks the odd
-    # ones while this process checks the even ones and writes --out
-    both = _with_helper(
-        lambda: write_and_check(pairs[::2]),
-        lambda parent: _check_pairs(stream_states(psi0, psi1, H, args.steps), q_start, pairs[1::2], parent=parent),
-    ) if len(pairs) > 1 else None
-    if both is None:
-        first_drift, writer = write_and_check(pairs)
-    else:
-        (first_drift, writer), helper_drift = both
-        first_drift = min((d for d in (first_drift, helper_drift) if d is not None), default=None)
+    n_pairs = args.steps + 1 if args.probe else 0
+    with output_file(args.out) if args.out else nullcontext() as fh:
+        writer = TrajectoryWriter(fh, spec, args.l) if args.out else None
+        drift = first_drift(stream_states(psi0, psi1, H, args.steps), q_start, n_pairs, writer)
     if args.probe:
         print(f"probe: q1 = {q_start}, L = {q_start // 2}, pairs checked = {args.steps + 1}")
-        if first_drift is not None:
-            print(f"probe: conservation drift first seen at pair {first_drift}")
+        if drift is not None:
+            print(f"probe: conservation drift first seen at pair {drift}")
             return EXIT_VIOLATION
     if args.out:
         print(f"wrote {writer.states_written} states to {args.out}")
@@ -323,6 +309,11 @@ def _born_options(args, dim: int) -> dict:
     elif not any(psi):
         raise ValueError(f"psi: must be a nonzero state, got {args.psi!r}")
     psi1 = _complex_state("psi1", args.psi1, dim) if args.psi1 else None
+    if not (math.isfinite(args.horizon) and args.horizon > 0):
+        raise ValueError(f"horizon must be a finite positive number, got {args.horizon}")
+    if not math.isfinite(args.horizon / ls[-1]):  # the smallest l runs the most steps
+        raise ValueError(f"horizon / l-values must be finite, got horizon = {args.horizon} and "
+                         f"l-values = {args.l_values!r}")
     return dict(l_values=ls, horizon=args.horizon, psi=psi, seed=args.seed, psi1=psi1)
 
 

@@ -1,5 +1,5 @@
-"""The pair checks of `hamca run` and the helper process that shares them;
-no other command compiles this module."""
+"""The pair checks of `hamca run --probe`, shared with a forked helper
+process; no other command compiles this module."""
 
 from __future__ import annotations
 
@@ -30,35 +30,39 @@ def _check_pairs(states, q_start: int | None, pairs: range, writer=None, parent:
     return first_drift
 
 
-def _with_helper(work, helper_work):
-    """Run `helper_work(parent pid)` in a forked helper process while this one
-    runs `work()`: their two results; or None, before `work` runs, if this
-    process may run on one CPU only or no process can be forked.  The helper
-    sends its result, an int or None, through a pipe and leaves with
-    `os._exit`; it is reaped here, and killed and reaped if `work` raises.  A
-    helper that fails or sends nothing is an internal error, never a verdict."""
-    if not hasattr(os, "fork") or _cpus() < 2:
-        return None
-    parent = os.getpid()
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the caller does the work alone
-        os.close(read_end)
-        os.close(write_end)
-        return None
+def first_drift(states, q_start: int | None, n_pairs: int, writer=None) -> int | None:
+    """Consume the unstarted generator `states`, writing each state to
+    `writer` if given: the first of its first `n_pairs` pairs whose q1 is
+    not `q_start`, or None.  With two pairs or more, `os.fork` and a second
+    CPU, a forked helper checks the odd pairs on its own copy of `states`
+    and this process the even ones.  The helper sends its result through a
+    pipe and leaves with `os._exit`, which never flushes the buffers it
+    inherits, such as `writer`'s; it is reaped here, or killed and reaped if
+    this process raises.  A helper that fails or sends nothing is an
+    internal error, never a verdict."""
+    pairs, pid = range(n_pairs), None
+    if n_pairs > 1 and hasattr(os, "fork") and _cpus() > 1:
+        parent = os.getpid()
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(read_end)
+            os.close(write_end)
+    if pid is None:
+        return _check_pairs(states, q_start, pairs, writer)
     if pid == 0:  # the helper: it never returns into the caller
         code = 9  # the helper raised: hamca's exit code for an internal error
         try:
             os.close(read_end)
-            os.write(write_end, str(helper_work(parent)).encode())
+            os.write(write_end, str(_check_pairs(states, q_start, pairs[1::2], parent=parent)).encode())
             code = 0
         finally:
             os._exit(code)
     os.close(write_end)
     with open(read_end, "rb") as pipe:
         try:
-            mine = work()
+            mine = _check_pairs(states, q_start, pairs[::2], writer)
             sent = pipe.read()  # up to EOF: the helper has exited
         except BaseException:
             import signal  # here, not at start-up: it costs every command about 1 ms
@@ -69,4 +73,5 @@ def _with_helper(work, helper_work):
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0 or not sent:
         raise RuntimeError(f"probe helper exited with status {status}" if status else "probe helper sent no result")
-    return mine, None if sent == b"None" else int(sent)
+    theirs = None if sent == b"None" else int(sent)
+    return min((d for d in (mine, theirs) if d is not None), default=None)

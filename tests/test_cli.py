@@ -922,11 +922,28 @@ class TestProbeHelper:
         assert run_cli(*self.ARGS, "--steps", "9") == EXIT_VIOLATION
         assert capsys.readouterr().out.endswith("probe: conservation drift first seen at pair 5\n")
 
-    def test_unwritable_out_reaps_the_helper(self, two_cpus, tmp_path, capsys):
+    def test_unwritable_out_forks_no_helper(self, two_cpus, tmp_path, capsys):
+        # the helper is forked only once --out is open
         out = tmp_path / "missing" / "x.jsonl"
         assert run_cli(*self.ARGS, "--steps", "9", "--out", str(out)) == EXIT_VALIDATION
-        assert len(two_cpus) == 1
+        assert two_cpus == []
         assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert no_child_left()
+
+    def test_out_is_the_same_with_a_helper(self, monkeypatch, tmp_path, capsys):
+        """The helper inherits the open file with the header in its buffer,
+        and never flushes it: the file is byte-identical with one CPU."""
+        monkeypatch.chdir(tmp_path)
+        written = []
+        for cpus in (1, 2):
+            forked = record_forks(monkeypatch, cpus)
+            assert run_cli(*self.ARGS, "--steps", "9", "--out", f"{cpus}.jsonl") == EXIT_OK
+            assert len(forked) == cpus - 1
+            written.append((tmp_path / f"{cpus}.jsonl").read_bytes())
+        assert written[0] == written[1]
+        assert load_trajectory(tmp_path / "2.jsonl")[2] == self.STATES
+        assert capsys.readouterr().out == "".join(
+            f"probe: q1 = 2, L = 1, pairs checked = 10\nwrote 11 states to {cpus}.jsonl\n" for cpus in (1, 2))
         assert no_child_left()
 
     def test_a_failing_helper_is_an_internal_error(self, two_cpus, monkeypatch, capsys):
@@ -1060,7 +1077,8 @@ class TestInputChecksExit3:
         ("born", "--psi", "nan,0", "psi: components must be finite, got 'nan,0'"),
         ("born", "--psi1", "inf,0", "psi1: components must be finite, got 'inf,0'"),
         ("born", "--psi", "0,0", "psi: must be a nonzero state, got '0,0'"),
-        ("born", "--l-values", "1e-320", "horizon / l must be finite, got horizon = 3.0 and l = 1e-320"),
+        ("born", "--l-values", "1e-320", "horizon / l-values must be finite, got horizon = 3.0 and "
+                                         "l-values = '1e-320'"),
     ], ids=["born-nan", "born-inf", "born-empty", "sinh-nan", "sinh-inf", "q1-inf", "sinh-empty-windows",
             "sinh-underscored-window", "sinh-decreasing-windows", "sinh-repeated-window", "born-underscored-l",
             "born-psi-malformed", "born-psi-underscored", "born-psi-length", "born-psi1-malformed",
@@ -1079,3 +1097,10 @@ class TestInputChecksExit3:
     def test_run_negative_steps(self, capsys):
         assert run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "-1") == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: steps must be >= 0")
+
+    def test_a_size_past_memory_exits_3(self, capsys):
+        # about 2.8 EiB of states, past any 64-bit address space: an input
+        # too large, not an internal error
+        assert run_cli("continuum", "closedform", "--model", "H2", "--pairs", "1",
+                       "--nmax", "100000000000000000") == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
