@@ -56,14 +56,25 @@ MUTANTS = [
     Mutant("find_period returns n, not n - 1", "ontology.py", "period = n - 1", "period = n"),
     Mutant("the reader skips the record-order check", "serialization.py",
            "if n_text != str(n):", "if False:"),
-    Mutant("weight cells kept across a change of L", "serialization.py",
-           "if total != self._cells.total or len(self._cells) > _WEIGHT_CELLS:",
-           "if len(self._cells) > _WEIGHT_CELLS:"),
+    Mutant("the report keys a row's link cells by L alone", "serialization.py",
+           "self._links.get(st.links) or _kept(self._links, st.links,",
+           "self._links.get(st.links.total) or _kept(self._links, st.links.total,"),
+    Mutant("the reader keys a record by its re text only", "serialization.py",
+           "texts = (im_text, re_text)", "texts = re_text"),
+    Mutant("the writer keys a state by its re parts only", "serialization.py",
+           "parts = (psi.re, psi.im)", "parts = psi.re"),
+    Mutant("verify_stream keys a pair by its second state only", "conservation.py",
+           "pair = (prev.re, prev.im, psi.re, psi.im)", "pair = (psi.re, psi.im)"),
+    Mutant("the memos take entries past their budget", "conservation.py",
+           "if len(memo) < _MEMO_ENTRIES:", "if True:"),
+    Mutant("the trajectory header accepts l = 0", "serialization.py",
+           'l > 0):\n        raise ValueError(f"{path}: header l', 'l >= 0):\n        raise ValueError(f"{path}: header l'),
     Mutant("_decimal does not retry past the digit limit", "serialization.py",
            "        with _AnyDigits():\n            return list(map(convert, parts))", "        raise"),
     Mutant("_converged uses >=", "float_reports.py", "all(a > b or b == 0", "all(a >= b or b == 0"),
     Mutant("SingularSpectrumError dropped from _EXIT_CODES", "cli.py",
            "    (SingularSpectrumError, EXIT_SINGULAR),\n", ""),
+    Mutant("born takes no horizon in (0, 1]", "cli.py", "args.horizon > 0", "args.horizon > 1"),
     Mutant("_canonical_int accepts leading zeros", "models.py",
            'text.isdigit() and (text == "0" or text[0] != "0")', "text.isdigit()"),
     Mutant("born midpoints at n, not n + 1/2", "continuum.py",

@@ -278,8 +278,11 @@ def _signal_options(args, option: str, windows: list[int]) -> dict:
         raise ValueError(f"{option} must be >= 8, got {windows[0]}")
     if args.points < 1:
         raise ValueError(f"points must be >= 1, got {args.points}")
-    spans = {W: ((W + 2) * args.l, (args.steps - 1 - W) * args.l) for W in windows}
-    for W, (lo, hi) in spans.items():
+    spans = {}
+    for W in windows:
+        if W >= args.steps:  # compared as ints: a window past float range stops here
+            raise ValueError(f"{option}: {W} is not below steps = {args.steps}")
+        spans[W] = lo, hi = (W + 2) * args.l, (args.steps - 1 - W) * args.l
         if hi <= lo:
             raise ValueError(f"steps={args.steps} too short for window {W}")
     return dict(seed=args.seed, steps=args.steps, l=args.l, points=args.points, spans=spans)

@@ -79,6 +79,16 @@ def link_counts(psi_n: GaussVector, psi_next: GaussVector) -> LinkReport:
     return LinkReport(per_alpha=per, total=sum(per))
 
 
+_MEMO_ENTRIES = 256  # entries a memo of states or pairs takes: a growing orbit never repeats one
+
+
+def _kept(memo: dict, key, value):
+    """`value`, kept in `memo` under `key` while the memo holds fewer than _MEMO_ENTRIES."""
+    if len(memo) < _MEMO_ENTRIES:
+        memo[key] = value
+    return value
+
+
 class PairStats(NamedTuple):
     """Per-pair snapshot used by trajectory verification and CSV export."""
 
@@ -120,7 +130,9 @@ def verify_stream(
     generator over a file.  The whole sequence is read even after a
     violation; when `rows` is given (anything with an `append`: a list, or a
     serialization.ConservationCsvWriter), the PairStats of every pair are
-    appended to it as the pair is checked.  Raises NonCommutingError (with
+    appended to it as the pair is checked; a pair met again, as a periodic
+    orbit meets its pairs, gets the LinkReport it got first (a bounded
+    number are kept).  Raises NonCommutingError (with
     the commutator as witness) when [G, H] != 0, and ValueError when G or H
     is not Hermitian or the sequence has fewer than two states.
     """
@@ -141,6 +153,7 @@ def verify_stream(
     value = q = first = prev2 = prev = None
     message = ""
     n = 0
+    links = {}  # the parts of a pair -> its LinkReport
     for n, psi in enumerate(states):
         if len(psi.re) != m:
             raise DimensionMismatch(f"matrix {G.shape} cannot act on length-{len(psi)} vector")
@@ -155,7 +168,8 @@ def verify_stream(
             elif first is None:
                 first, message = n, "update rule violated"
         if n and rows is not None:
-            rows.append(PairStats(n - 1, q, link_counts(prev, psi)))
+            pair = (prev.re, prev.im, psi.re, psi.im)
+            rows.append(PairStats(n - 1, q, links.get(pair) or _kept(links, pair, link_counts(prev, psi))))
         prev2, prev = prev, psi
     if n == 0:
         raise ValueError("a trajectory needs at least two states")

@@ -13,7 +13,7 @@ from itertools import count, islice
 from typing import Iterator
 
 from .errors import DimensionMismatch
-from .gaussian import GaussMatrix, GaussVector, _step_kernel, is_hermitian
+from .gaussian import GaussMatrix, GaussVector, _step_kernel, is_hermitian, is_int
 from .models import basis_state
 
 
@@ -32,7 +32,11 @@ def step_backward(curr: GaussVector, nxt: GaussVector, H: GaussMatrix) -> GaussV
 
 
 def evolve(psi0: GaussVector, psi1: GaussVector, H: GaussMatrix, n_steps: int) -> tuple[GaussVector, ...]:
-    """The n_steps + 2 states psi_0 .. psi_{n_steps + 1} of the run from the initial pair."""
+    """The n_steps + 2 states psi_0 .. psi_{n_steps + 1} of the run from the
+    initial pair.  n_steps must be an int: None, which streams for ever in
+    stream_states, would grow the tuple until memory runs out."""
+    if not is_int(n_steps):
+        raise TypeError(f"n_steps must be an int, got {n_steps!r}")
     return tuple(stream_states(psi0, psi1, H, n_steps))
 
 

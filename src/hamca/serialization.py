@@ -25,7 +25,7 @@ import stat
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .conservation import _reduced
+from .conservation import _kept
 from .errors import ModelValidationError
 from .gaussian import GaussInt, GaussVector, _AnyDigits, as_gauss
 from .models import HamiltonianSpec
@@ -177,9 +177,15 @@ def _state_record(n: int, psi: GaussVector) -> str:
     """The canonical line json.dumps(sort_keys=True, separators=(",", ":"))
     gives {"n": n, "re": [...], "im": [...]} with decimal-string parts,
     joined directly: decimal digits need no JSON escaping."""
+    head, tail = _record_texts(psi)
+    return f"{head}{n}{tail}"
+
+
+def _record_texts(psi: GaussVector) -> tuple[str, str]:
+    """The text of psi's record line before and after its n."""
     im = '","'.join(_decimal(str, psi.im))
     re_ = '","'.join(_decimal(str, psi.re))
-    return f'{{"im":["{im}"],"n":{n},"re":["{re_}"]}}'
+    return f'{{"im":["{im}"],"n":', f',"re":["{re_}"]}}'
 
 
 def _decimal(convert, parts) -> list:
@@ -210,15 +216,20 @@ def _header_record(model: HamiltonianSpec, l: float) -> str:
 
 
 class TrajectoryWriter:
-    """Streaming trajectory writer; one state per line after the header."""
+    """Streaming trajectory writer; one state per line after the header.
+    A state met again, as on a periodic orbit, reuses the record texts it
+    was formatted to first (a bounded number are kept)."""
 
     def __init__(self, fh: IO[str], model: HamiltonianSpec, l: float):
         self._fh = fh
         self._count = 0
+        self._texts = {}  # the parts of a state -> _record_texts of it
         fh.write(_header_record(model, l) + "\n")
 
     def write_state(self, psi: GaussVector) -> None:
-        self._fh.write(_state_record(self._count, psi) + "\n")
+        parts = (psi.re, psi.im)
+        head, tail = self._texts.get(parts) or _kept(self._texts, parts, _record_texts(psi))
+        self._fh.write(f"{head}{self._count}{tail}\n")
         self._count += 1
 
     @property
@@ -254,14 +265,21 @@ def _parse_header(line: str, path) -> tuple[HamiltonianSpec, float]:
     return HamiltonianSpec.from_dict(head["model"]), l
 
 
-def _parse_state(line: str, n: int, dim: int, path) -> GaussVector:
-    """State record n: exactly the line _state_record(n, psi) writes, with its newline."""
+def _parse_state(line: str, n: int, dim: int, path, seen: dict) -> GaussVector:
+    """State record n: exactly the line _state_record(n, psi) writes, with its
+    newline.  `seen` maps the part texts of records read before to their
+    states, so a record met again is not parsed again."""
     m = _STATE_LINE.fullmatch(line)
     if m is None:
         raise ValueError(f"{path}: state record {n} is not a canonical record line")
     im_text, n_text, re_text = m.groups()
     if n_text != str(n):
         raise ValueError(f"{path}: state records out of order at n = {n_text}")
+    texts = (im_text, re_text)
+    return seen.get(texts) or _kept(seen, texts, _parse_parts(im_text, re_text, n, dim, path))
+
+
+def _parse_parts(im_text: str, re_text: str, n: int, dim: int, path) -> GaussVector:
     if not (_PARTS.fullmatch(im_text) and _PARTS.fullmatch(re_text)):
         raise ValueError(f"{path}: state record {n} has parts that are not canonical decimal integers")
     res, ims = re_text.split('","'), im_text.split('","')
@@ -284,8 +302,9 @@ def read_trajectory_stream(path: str | Path):
             try:
                 model, l = _parse_header(fh.readline(), path)
                 yield model, l
+                seen = {}
                 for n, line in enumerate(fh):
-                    yield _parse_state(line, n, model.dim, path)
+                    yield _parse_state(line, n, model.dim, path, seen)
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
@@ -309,41 +328,30 @@ class ConservationCsvWriter(_AnyDigits):
     row per appended PairStats, so it can stand in for verify_stream's
     `rows` list.  Columns: n, q_re, q_im, L, L_1..L_m, w_1..w_m (weights
     blank at L=0).  Its `with` block is an _AnyDigits scope for the whole
-    file, so rows appended inside it print exact parts of any size."""
+    file, so rows appended inside it print exact parts of any size.  Every
+    cell is an int, an int fraction or blank, which CSV never quotes, so a
+    row is its cells joined by commas; the L, L_a and w_a cells of a
+    LinkReport met again, as on a periodic orbit, are joined once (a
+    bounded number are kept)."""
 
     def __init__(self, fh: IO[str], dim: int):
         super().__init__()
-        self._w = csv_writer(fh)
-        self._no_weights = [""] * dim
-        self._cells = _WeightCells(0)
-        self._w.writerow(
-            ["n", "q_re", "q_im", "L"]
-            + [f"L_{a}" for a in range(1, dim + 1)]
-            + [f"w_{a}" for a in range(1, dim + 1)]
-        )
+        self._fh = fh
+        self._links = {}  # LinkReport -> _link_cells of it
+        slots = range(1, dim + 1)
+        fh.write(",".join(["n", "q_re", "q_im", "L", *(f"L_{a}" for a in slots), *(f"w_{a}" for a in slots)]) + "\n")
 
     def append(self, st) -> None:
-        total, per = st.links.total, st.links.per_alpha
-        if total != self._cells.total or len(self._cells) > _WEIGHT_CELLS:  # a new L, or too many cells
-            self._cells = _WeightCells(total)
-        weights = map(self._cells.__getitem__, per) if total else self._no_weights
-        self._w.writerow([st.n, st.q.re, st.q.im, total, *per, *weights])
+        cells = self._links.get(st.links) or _kept(self._links, st.links, _link_cells(st.links))
+        self._fh.write(f"{st.n},{st.q.re},{st.q.im},{cells}\n")
 
 
-_WEIGHT_CELLS = 256  # cells a report keeps for one L: the L_a of a growing orbit never repeat
-
-
-class _WeightCells(dict):
-    """The weight cells str(Fraction(L_a, L)) of a report for one L != 0,
-    keyed by L_a and made from the reduced pair on first use."""
-
-    def __init__(self, total: int) -> None:
-        self.total = total
-
-    def __missing__(self, la: int) -> str:
-        num, den = _reduced(la, self.total)
-        cell = self[la] = str(num) if den == 1 else f"{num}/{den}"
-        return cell
+def _link_cells(links) -> str:
+    """The L, L_a and w_a cells of a report row, joined: each weight is
+    str(Fraction(L_a, L)) made from the reduced pair, and blank at L = 0."""
+    per, total = links
+    weights = (str(n) if d == 1 else f"{n}/{d}" for n, d in links.reduced_weights()) if total else [""] * len(per)
+    return ",".join(map(str, (total, *per, *weights)))
 
 
 def write_conservation_csv(fh: IO[str], dim: int, stats: Iterable) -> None:

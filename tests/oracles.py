@@ -213,6 +213,23 @@ def write_trajectory(model: HamiltonianSpec, l: float, states, path) -> None:
             writer.write_state(psi)
 
 
+def trajectory_text_reference(model: HamiltonianSpec, l: float, states) -> str:
+    """The trajectory file of `states` as the json module writes it, one
+    json.dumps per line and no memo: the header, then each state record."""
+    with _AnyDigits():
+        docs = [{"format": "hamca-trajectory", "l": format(l, ".17g"), "model": model.to_dict(), "version": 1}]
+        docs += ({"im": [str(p) for p in psi.im], "n": n, "re": [str(x) for x in psi.re]} for n, psi in enumerate(states))
+        return "".join(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" for doc in docs)
+
+
+def read_trajectory_reference(path) -> tuple[GaussVector, ...]:
+    """The states of a well-formed trajectory file, one json.loads per record and no memo."""
+    with _AnyDigits(), open(path) as fh:
+        fh.readline()
+        records = [json.loads(line) for line in fh]
+        return tuple(GaussVector(tuple(map(int, rec["re"])), tuple(map(int, rec["im"]))) for rec in records)
+
+
 def load_trajectory(path) -> tuple[HamiltonianSpec, float, tuple[GaussVector, ...]]:
     """(model, l, states) of a trajectory file read whole through
     read_trajectory_stream, the reader `hamca check` streams with."""

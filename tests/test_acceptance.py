@@ -97,6 +97,8 @@ def test_cyclic_family_4m_periods():
             if not {v.phase for v in rep.visits} <= allowed_phases:
                 ok = False
                 detail.append(f"m={m} pair {rep.pair_index}: phases escape +/-1,+/-i")
+            if rep.period is None:  # the period check above has failed; there is no period to walk
+                continue
             # zero links at every step along one full period
             traj = evolve(
                 basis_state(m, rep.pair_index),

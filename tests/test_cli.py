@@ -221,6 +221,15 @@ class TestCheckFileHandling:
         assert run_cli("check", str(path)) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: trajectory: {path}: {message}\n"
 
+    @pytest.mark.parametrize("l", [0, "0", -1.5], ids=["zero", "zero-string", "negative"])
+    def test_header_l_must_be_positive(self, tmp_path, capsys, l):
+        path = self.make_traj(tmp_path)
+        _rewrite_line(path, 0, lambda head: head.update(l=l))
+        capsys.readouterr()  # the output of the run that wrote the file
+        assert run_cli("check", str(path)) == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", f"error: trajectory: {path}: header l = {l!r} is not a finite positive number\n")
+
 
 class TestGrowingOrbit:
     def test_run_and_check_past_the_digit_limit(self, tmp_path, capsys):
@@ -604,6 +613,10 @@ class TestNumericOptionRange:
         assert code == EXIT_VALIDATION
         assert "horizon must be a finite positive number" in capsys.readouterr().err
 
+    def test_born_horizon_below_one_runs(self):
+        assert run_cli("continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--horizon", "0.5",
+                       "--l-values", "0.1") == EXIT_OK
+
     def test_closedform_negative_pairs_rejected(self, capsys):
         code = run_cli("continuum", "closedform", "--model", "H2", "--pairs", "-2", "--nmax", "5")
         assert code == EXIT_VALIDATION
@@ -632,13 +645,18 @@ class TestNumericOptionRange:
         (["sinh", "--steps", "20"], "steps=20 too short for window 16"),
         (["sinh", "--windows", "8,16", "--steps", "34"], "steps=34 too short for window 16"),
         (["q1", "--steps", "60"], "steps=60 too short for window 32"),
+        (["q1", "--window", "400"], "window: 400 is not below steps = 400"),
+        # windows past float range: (W + 2) * l would raise OverflowError, an internal error
+        (["sinh", "--windows", "8," + "9" * 400], f"windows: {'9' * 400} is not below steps = 400"),
+        (["q1", "--window", "9" * 310], f"window: {'9' * 310} is not below steps = 400"),
         (["sinh", "--l", "0"], "l must be a finite positive number, got 0.0"),
         (["q1", "--l=-1"], "l must be a finite positive number, got -1.0"),
         (["born", "--l-values=0.5,-0.1"], "l-values: must be finite positive numbers, got '0.5,-0.1'"),
         (["born", "--l-values", "0.1,0.2"], "l-values: must be strictly decreasing, got '0.1,0.2'"),
         (["born", "--l-values", "0.1,0.1"], "l-values: must be strictly decreasing, got '0.1,0.1'"),
     ], ids=["sinh-negative-window", "sinh-small-window", "q1-small-window", "sinh-points", "q1-points",
-            "sinh-steps", "sinh-steps-second-window", "q1-steps", "sinh-l", "q1-l", "born-negative-l",
+            "sinh-steps", "sinh-steps-second-window", "q1-steps", "q1-window-at-steps", "sinh-window-past-float-range",
+            "q1-window-past-float-range", "sinh-l", "q1-l", "born-negative-l",
             "born-increasing-l", "born-repeated-l"])
     def test_continuum_option_errors_come_before_float_work(self, monkeypatch, capsys, argv, message):
         """Each of these names its option and exits 3 before the report evolves anything."""

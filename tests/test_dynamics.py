@@ -106,6 +106,12 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(E(1, 0), E(0, 1), H2, -1)
 
+    @pytest.mark.parametrize("n_steps", [None, 3.0, True, "3"])
+    def test_rejects_steps_that_are_not_an_int(self, n_steps):
+        # None streams for ever, so a tuple of it would exhaust memory instead of failing
+        with pytest.raises(TypeError, match="n_steps must be an int, got"):
+            evolve(E(1, 0), E(0, 1), H2, n_steps)
+
     def test_verify_recursion_catches_corruption(self):
         states = list(evolve(E(1, 0), E(0, 1), H2, 6))
         states[4] = -states[4]
