@@ -7,9 +7,12 @@ Run from the repository root:
 Each mutant replaces one text in one file of ``src/hamca`` with another.
 For each, the repository (without ``.git``) is copied to a temporary
 directory, the mutant is applied to the copy, and tier-1 runs there with
-``-x`` and the copy's ``src`` first on PYTHONPATH.  A mutant is killed when
-tier-1 fails; the failing test is reported.  Nothing under the repository
-is written.  ``python -m pytest mutation`` checks that each old text occurs
+``-x`` and the copy's ``src`` first on PYTHONPATH.  The tier-1 process, and
+every process it starts, runs under an address-space and a CPU-time limit,
+so a mutant that allocates or loops without end fails the run instead of
+exhausting the machine.  A mutant is killed when tier-1 fails, times out or
+is ended by a signal (past a limit); the failing test is reported.  Nothing
+under the repository is written.  ``python -m pytest mutation`` checks that each old text occurs
 once in ``src`` and that every mutant is killed; it is kept out of tier-1.
 A change that rewrites a mutated line updates its mutant here, and a new
 fast path adds one.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -31,6 +35,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hamca"
 TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 TIMEOUT_S = 300  # a mutant that hangs tier-1 this long counts as killed
+#: per-process limits of the tier-1 child: unmutated, it needs under 600 MB
+#: of address space and about 20 s of CPU on a 2-core machine
+LIMITS = ((resource.RLIMIT_AS, 2 * 1024**3), (resource.RLIMIT_CPU, 120))
 
 
 class Mutant(NamedTuple):
@@ -38,6 +45,7 @@ class Mutant(NamedTuple):
     file: str  # under src/hamca
     old: str
     new: str
+    within_s: float | None = None  # if set, tier-1 must kill the mutant in fewer seconds
 
 
 MUTANTS = [
@@ -85,6 +93,11 @@ MUTANTS = [
     Mutant("the probe helper checks no pair", "probe.py", "pairs[1::2], parent=parent", "pairs[0:0], parent=parent"),
     Mutant("the probe's parent checks no even pair", "probe.py",
            "_check_pairs(states, q_start, pairs[::2], writer)", "_check_pairs(states, q_start, pairs[0:0], writer)"),
+    # these two once ran tier-1 out of memory: a pair with no period was evolved for ever
+    Mutant("basis_state puts the 1 in slot k - 1", "models.py", "int(i == k - 1)", "int(i == k - 2)", 30),
+    Mutant("find_period matches a pair whose second state differs", "ontology.py",
+           "prev == psi0 and psi == psi1", "prev == psi0 and psi != psi1", 30),
+    Mutant("entry does not freeze", "cli.py", "        gc.freeze()\n", "        pass\n"),
 ]
 
 
@@ -107,12 +120,21 @@ def copy_repo(dest: Path) -> Path:
     return dest
 
 
+def limit_child() -> None:
+    """Lower the child's soft limits to LIMITS before tier-1 starts; the
+    parent's own limits do not change."""
+    for kind, value in LIMITS:
+        hard = resource.getrlimit(kind)[1]
+        resource.setrlimit(kind, (value if hard == resource.RLIM_INFINITY else min(value, hard), hard))
+
+
 def tier1(root: Path) -> tuple[int | None, str]:
-    """Tier-1 with -x on the tree at `root`: its exit code (None on timeout) and output."""
+    """Tier-1 with -x on the tree at `root`, under LIMITS: its exit code
+    (None on timeout, -N when signal N ended it) and output."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     try:
         proc = subprocess.run([sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True,
-                              timeout=TIMEOUT_S)
+                              timeout=TIMEOUT_S, preexec_fn=limit_child)
     except subprocess.TimeoutExpired:
         return None, ""
     return proc.returncode, proc.stdout + proc.stderr
@@ -131,6 +153,8 @@ def run_mutant(mutant: Mutant) -> Outcome:
     seconds = time.monotonic() - start
     if code is None:
         return Outcome(True, f"timeout after {TIMEOUT_S} s", seconds)
+    if code < 0:
+        return Outcome(True, f"ended by signal {-code}", seconds)
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", output, re.M)
     return Outcome(code == 1, failed.group(1) if failed else f"exit {code}", seconds)
 

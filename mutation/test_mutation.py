@@ -8,6 +8,9 @@ them on two cores), so they are kept out of the default test path.
 from __future__ import annotations
 
 import hashlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -43,9 +46,21 @@ def test_the_unmutated_copy_passes(tmp_path):
     assert code == 0, output[-2000:]
 
 
+def test_the_child_runs_under_the_limits():
+    own = [resource.getrlimit(kind) for kind, _ in mutate.LIMITS]
+    probe = "import resource; print([resource.getrlimit(k)[0] for k in (resource.RLIMIT_AS, resource.RLIMIT_CPU)])"
+    out = subprocess.run([sys.executable, "-c", probe], preexec_fn=mutate.limit_child, capture_output=True,
+                         text=True, check=True).stdout
+    hard = [h for _, h in own]
+    assert out == f"{[v if h == resource.RLIM_INFINITY else min(v, h) for (_, v), h in zip(mutate.LIMITS, hard)]}\n"
+    assert [resource.getrlimit(kind) for kind, _ in mutate.LIMITS] == own  # this process keeps its own
+
+
 @pytest.mark.parametrize("mutant", mutate.MUTANTS, ids=IDS)
 def test_tier1_kills_the_mutant(mutant):
     before = tree_digest()
     outcome = mutate.run_mutant(mutant)
     assert tree_digest() == before
     assert outcome.killed, f"{mutant.name} survived tier-1 ({outcome.test})"
+    if mutant.within_s is not None:
+        assert outcome.seconds < mutant.within_s, f"{mutant.name} took {outcome.seconds:.1f} s ({outcome.test})"

@@ -23,7 +23,9 @@ Exit codes (also listed in the README):
 from __future__ import annotations
 
 import argparse
+import gc
 import math
+import os
 import sys
 from contextlib import closing, contextmanager, nullcontext
 from pathlib import Path
@@ -263,26 +265,49 @@ def _scale(args) -> None:
         raise ValueError(f"l must be a finite positive number, got {args.l}")
 
 
+def _memory_bytes() -> int:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no page count here: numpy's own limit
+        return sys.maxsize
+
+
+def _fits_memory(option: str, rows: int, dim: int) -> None:
+    """The `rows` float states of `dim` complex values that `option` asks a
+    continuum mode for fit in this machine's memory, or a ValueError names
+    the option.  Compared as ints: a size past float range stops here."""
+    need, have = rows * dim * 16, _memory_bytes()
+    if need > have:
+        raise ValueError(f"{option}: needs {need >> 20} MiB of float states, more than this machine's {have >> 20} MiB")
+
+
 def _closedform_options(args, dim: int) -> dict:
     _non_negative(args, "pairs", "nmax", "seed")
+    _fits_memory("nmax", args.nmax + 2, dim)
     return dict(pairs=args.pairs, nmax=args.nmax, seed=args.seed, strict_band=args.strict_band, tol=_tolerance(args))
 
 
-def _signal_options(args, option: str, windows: list[int]) -> dict:
-    """The options of a report on the smooth trajectory, with the span of the
-    --points evaluation times for each of the increasing half-widths `windows`:
-    where a reconstruction shifted by up to two samples stays in the states."""
+def _signal_options(args, option: str, windows: list[int], dim: int) -> dict:
+    """The options of a report on the smooth trajectory of a `dim`-state model,
+    with the span of the --points evaluation times for each of the increasing
+    half-widths `windows`: where a reconstruction shifted by up to two samples
+    stays in the states."""
     _non_negative(args, "seed", "steps")
+    _fits_memory("steps", args.steps + 2, dim)
     _scale(args)
     if windows[0] < 8:  # the sinc sum's smallest half-width
         raise ValueError(f"{option} must be >= 8, got {windows[0]}")
     if args.points < 1:
         raise ValueError(f"points must be >= 1, got {args.points}")
+    _fits_memory("points", args.points, dim)
     spans = {}
     for W in windows:
         if W >= args.steps:  # compared as ints: a window past float range stops here
             raise ValueError(f"{option}: {W} is not below steps = {args.steps}")
         spans[W] = lo, hi = (W + 2) * args.l, (args.steps - 1 - W) * args.l
+        if not math.isfinite(hi):
+            raise ValueError(f"l: the last evaluation time (steps - 1 - {W}) * l is past float range, with "
+                             f"steps = {args.steps} and l = {args.l}")
         if hi <= lo:
             raise ValueError(f"steps={args.steps} too short for window {W}")
     return dict(seed=args.seed, steps=args.steps, l=args.l, points=args.points, spans=spans)
@@ -292,12 +317,21 @@ def _sinh_options(args, dim: int) -> dict:
     windows = _number_list("windows", args.windows, int)
     if any(b <= a for a, b in zip(windows, windows[1:])):
         raise ValueError(f"windows: must be strictly increasing, got {args.windows!r}")
-    return _signal_options(args, "windows", windows)
+    return _signal_options(args, "windows", windows, dim)
+
+
+#: the scales l for which q1's second difference, divided by (2l)**2, is a
+#: normal float on both sides
+_Q1_SCALES = (math.sqrt(sys.float_info.min) / 2, math.sqrt(sys.float_info.max) / 2)
 
 
 def _q1_options(args, dim: int) -> dict:
     tol = _tolerance(args)
-    return dict(_signal_options(args, "window", [args.window]), convention=args.convention, tol=tol)
+    options = _signal_options(args, "window", [args.window], dim)
+    lo, hi = _Q1_SCALES
+    if not lo <= args.l <= hi:
+        raise ValueError(f"l must be between {lo:.3g} and {hi:.3g} for q1, which divides by (2l)**2, got {args.l}")
+    return dict(options, convention=args.convention, tol=tol)
 
 
 def _born_options(args, dim: int) -> dict:
@@ -317,6 +351,7 @@ def _born_options(args, dim: int) -> dict:
     if not math.isfinite(args.horizon / ls[-1]):  # the smallest l runs the most steps
         raise ValueError(f"horizon / l-values must be finite, got horizon = {args.horizon} and "
                          f"l-values = {args.l_values!r}")
+    _fits_memory("horizon", round(args.horizon / ls[-1]) + 2, dim)
     return dict(l_values=ls, horizon=args.horizon, psi=psi, seed=args.seed, psi1=psi1)
 
 
@@ -420,5 +455,16 @@ def main(argv: list[str] | None = None) -> int:
         return code
 
 
+def entry(argv: list[str] | None = None) -> int:
+    """`main` as the process runs it (the `hamca` script, `python -m
+    hamca.cli`): once main has returned, or argparse has exited, every
+    object alive is frozen, so the interpreter's final collections skip
+    them.  Every output file is closed by then; stdio is still flushed."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -7,12 +7,14 @@ and write.
 The profiler is installed before `hamca` is first imported, so calls made
 at import time count.  WORKDIR receives the input files the commands read,
 written as plain text so that no library call makes them; each command then
-runs through `hamca.cli.main` with WORKDIR as the current directory, its
-stdout and stderr captured apart.  The result goes to WORKDIR/census.json:
-(module, first line, name) of every code object entered in the package, and
-the outputs: for each command its arguments, its exit code and the sha256
-of its stdout, of its stderr and of each file it created or changed, and
-for each demo the sha256 of its stdout.  `tests/test_census.py` runs this
+runs through `hamca.cli.entry`, the function the `hamca` script and
+`python -m hamca.cli` call, with WORKDIR as the current directory, its
+stdout and stderr captured apart.  `entry` freezes the collector after each
+command, which changes nothing this process records.  The result goes to
+WORKDIR/census.json: (module, first line, name) of every code object
+entered in the package, and the outputs: for each command its arguments,
+its exit code and the sha256 of its stdout, of its stderr and of each file
+it created or changed, and for each demo the sha256 of its stdout.  `tests/test_census.py` runs this
 in a fresh interpreter, reads that file and compares the outputs with
 `tests/golden_census.json`.  `--record` also writes the outputs to that
 table: the one way to change it.
@@ -114,12 +116,12 @@ def digests(workdir: Path) -> dict[str, str]:
 def run_command(argv: list[str], workdir: Path) -> dict:
     """Run one command; its exit code and the digests of its stdout, its
     stderr and each file it created or changed (None for a file it removed)."""
-    from hamca.cli import main
+    from hamca.cli import entry
 
     out, err, before = io.StringIO(), io.StringIO(), digests(workdir)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = entry(argv)
         except SystemExit as exc:  # argparse's usage error
             code = exc.code
     after = digests(workdir)

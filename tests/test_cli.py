@@ -42,6 +42,13 @@ def write_swap_orbit(path):
     write_trajectory(spec, 1.0, evolve(E(1, 0), E(0, 1), build_hamiltonian(spec), 3), path)
 
 
+def past_memory(option, rows, dim=2):
+    """The message of a continuum size option that asks for `rows` float
+    states of `dim` complex values, more than this machine's memory."""
+    return (f"{option}: needs {rows * dim * 16 >> 20} MiB of float states, "
+            f"more than this machine's {cli._memory_bytes() >> 20} MiB")
+
+
 def report_oracle(states):
     """`check --report` of a trajectory with G = identity, weights from Fraction."""
     m = len(states[0])
@@ -649,6 +656,17 @@ class TestNumericOptionRange:
         # windows past float range: (W + 2) * l would raise OverflowError, an internal error
         (["sinh", "--windows", "8," + "9" * 400], f"windows: {'9' * 400} is not below steps = 400"),
         (["q1", "--window", "9" * 310], f"window: {'9' * 310} is not below steps = 400"),
+        # steps past float range: (steps - 1 - W) * l would raise OverflowError; memory stops them first
+        (["sinh", "--steps", "9" * 400], past_memory("steps", 10**400 + 1)),
+        (["q1", "--steps", "9" * 400], past_memory("steps", 10**400 + 1)),
+        (["sinh", "--points", str(10**17)], past_memory("points", 10**17)),
+        # (2l)**2 past float range would raise OverflowError, and below it divide by 0
+        (["q1", "--l", "1e300", "--steps", "100000"],
+         "l must be between 7.46e-155 and 6.7e+153 for q1, which divides by (2l)**2, got 1e+300"),
+        (["q1", "--l", "1e-320"],
+         "l must be between 7.46e-155 and 6.7e+153 for q1, which divides by (2l)**2, got 1e-320"),
+        (["sinh", "--l", "1e305", "--steps", "100000"],
+         "l: the last evaluation time (steps - 1 - 16) * l is past float range, with steps = 100000 and l = 1e+305"),
         (["sinh", "--l", "0"], "l must be a finite positive number, got 0.0"),
         (["q1", "--l=-1"], "l must be a finite positive number, got -1.0"),
         (["born", "--l-values=0.5,-0.1"], "l-values: must be finite positive numbers, got '0.5,-0.1'"),
@@ -656,7 +674,9 @@ class TestNumericOptionRange:
         (["born", "--l-values", "0.1,0.1"], "l-values: must be strictly decreasing, got '0.1,0.1'"),
     ], ids=["sinh-negative-window", "sinh-small-window", "q1-small-window", "sinh-points", "q1-points",
             "sinh-steps", "sinh-steps-second-window", "q1-steps", "q1-window-at-steps", "sinh-window-past-float-range",
-            "q1-window-past-float-range", "sinh-l", "q1-l", "born-negative-l",
+            "q1-window-past-float-range", "sinh-steps-past-float-range", "q1-steps-past-float-range",
+            "sinh-points-past-memory", "q1-l-square-past-float-range",
+            "q1-l-square-below-float-range", "sinh-time-past-float-range", "sinh-l", "q1-l", "born-negative-l",
             "born-increasing-l", "born-repeated-l"])
     def test_continuum_option_errors_come_before_float_work(self, monkeypatch, capsys, argv, message):
         """Each of these names its option and exits 3 before the report evolves anything."""
@@ -1117,8 +1137,11 @@ class TestInputChecksExit3:
         assert capsys.readouterr().err.startswith("error: steps must be >= 0")
 
     def test_a_size_past_memory_exits_3(self, capsys):
-        # about 2.8 EiB of states, past any 64-bit address space: an input
-        # too large, not an internal error
+        # about 2.8 EiB and 28 PiB of states, past any 64-bit address space:
+        # an input too large, not an internal error, and the message names it
         assert run_cli("continuum", "closedform", "--model", "H2", "--pairs", "1",
                        "--nmax", "100000000000000000") == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+        assert capsys.readouterr() == ("", f"error: {past_memory('nmax', 10**17 + 2)}\n")
+        assert run_cli("continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--horizon", "1e12",
+                       "--l-values", "1e-3") == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {past_memory('horizon', round(1e12 / 1e-3) + 2)}\n")
