@@ -79,6 +79,8 @@ MUTANTS = [
            'l > 0):\n        raise ValueError(f"{path}: header l', 'l >= 0):\n        raise ValueError(f"{path}: header l'),
     Mutant("_decimal does not retry past the digit limit", "serialization.py",
            "        with _AnyDigits():\n            return list(map(convert, parts))", "        raise"),
+    Mutant("_cell writes None as None", "serialization.py",
+           'else "" if value is None else str(value)', "else str(value)"),
     Mutant("_converged uses >=", "float_reports.py", "all(a > b or b == 0", "all(a >= b or b == 0"),
     Mutant("SingularSpectrumError dropped from _EXIT_CODES", "cli.py",
            "    (SingularSpectrumError, EXIT_SINGULAR),\n", ""),

@@ -7,8 +7,9 @@ Three formats, all documented in the README:
 * trajectory files: JSON Lines, a header object followed by one record per
   state, integer parts as decimal strings so magnitude is unbounded; a
   record is read back only as the exact line the writer emits;
-* reports: CSV with a header row, floats printed with 17 significant
-  digits, '\n' line endings.
+* reports: CSV with a header row and '\n' line endings, each row its cells
+  joined by commas (`_cell`: floats to 17 significant digits, None blank);
+  no cell needs quoting, so the package does not load `csv`.
 
 Writers emit canonical bytes (sorted keys, fixed separators) so identical
 inputs give identical files, and every file is written through
@@ -153,7 +154,7 @@ def output_file(path: str | Path) -> Iterator[IO[str]]:
 
 def _json_file(path: str | Path, error: type[ValueError]):
     """The JSON document in file `path`; one that does not parse raises `error`."""
-    import json  # json and csv load where they are used: `cycle` on a built-in model needs neither
+    import json  # loaded where it is used: `cycle` on a built-in model does not load it
     try:
         return json.loads(Path(path).read_text())
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested past the interpreter's limit
@@ -318,9 +319,11 @@ def read_trajectory_stream(path: str | Path):
 # ---------------------------------------------------------------------------
 
 
-def csv_writer(fh: IO[str]):
-    import csv
-    return csv.writer(fh, lineterminator="\n")
+def _cell(value) -> str:
+    """A report cell: a float in format_float's form, None blank, else its str.
+    Every report cell is an int, a float, None or a plain name, none of which
+    CSV quotes, so each report row is its cells joined by commas."""
+    return format_float(value) if isinstance(value, float) else "" if value is None else str(value)
 
 
 class ConservationCsvWriter(_AnyDigits):
@@ -328,11 +331,9 @@ class ConservationCsvWriter(_AnyDigits):
     row per appended PairStats, so it can stand in for verify_stream's
     `rows` list.  Columns: n, q_re, q_im, L, L_1..L_m, w_1..w_m (weights
     blank at L=0).  Its `with` block is an _AnyDigits scope for the whole
-    file, so rows appended inside it print exact parts of any size.  Every
-    cell is an int, an int fraction or blank, which CSV never quotes, so a
-    row is its cells joined by commas; the L, L_a and w_a cells of a
-    LinkReport met again, as on a periodic orbit, are joined once (a
-    bounded number are kept)."""
+    file, so rows appended inside it print exact parts of any size.  Rows
+    follow `_cell`'s rule; the L, L_a and w_a cells of a LinkReport met
+    again, as on a periodic orbit, are joined once (a bounded number are kept)."""
 
     def __init__(self, fh: IO[str], dim: int):
         super().__init__()
@@ -363,31 +364,18 @@ def write_conservation_csv(fh: IO[str], dim: int, stats: Iterable) -> None:
 
 def write_cycle_csv(fh: IO[str], reports: Iterable) -> None:
     """One row per visited state, with the per-orbit summary repeated on
-    each row: pair, period, ontological, link_number, n, k, phase_re, phase_im."""
-    w = csv_writer(fh)
-    w.writerow(["pair", "period", "ontological", "link_number", "n", "k", "phase_re", "phase_im"])
+    each row: pair, period, ontological, link_number, n, k, phase_re,
+    phase_im; k and the phase are blank for a superposed state."""
+    fh.write("pair,period,ontological,link_number,n,k,phase_re,phase_im\n")
     with _AnyDigits():
         for rep in reports:
-            period = rep.period if rep.period is not None else ""
-            pair = rep.pair_index if rep.pair_index is not None else ""
-            for v in rep.visits:
-                w.writerow(
-                    [
-                        pair,
-                        period,
-                        int(rep.ontological),
-                        rep.link_number,
-                        v.n,
-                        v.k if v.k is not None else "",
-                        v.phase.re if v.phase is not None else "",
-                        v.phase.im if v.phase is not None else "",
-                    ]
-                )
+            orbit = ",".join(map(_cell, (rep.pair_index, rep.period, int(rep.ontological), rep.link_number)))
+            for n, k, phase in rep.visits:
+                fh.write(f"{orbit},{n},,,\n" if k is None else f"{orbit},{n},{k},{phase.re},{phase.im}\n")
 
 
 def write_float_csv(fh: IO[str], header: list[str], rows: Iterable[Iterable]) -> None:
-    """Generic numeric report; floats go through format_float."""
-    w = csv_writer(fh)
-    w.writerow(header)
+    """Generic numeric report: the header, then each row, cells by `_cell`."""
+    fh.write(",".join(header) + "\n")
     for row in rows:
-        w.writerow([format_float(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(map(_cell, row)) + "\n")

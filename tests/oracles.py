@@ -19,7 +19,7 @@ from hamca.errors import DimensionMismatch, InstabilityError, NonCommutingError,
 from hamca.gaussian import GaussInt, GaussMatrix, GaussVector, _AnyDigits, as_gauss, mat_vec
 from hamca.models import HamiltonianSpec
 from hamca.ontology import CycleReport, Visit
-from hamca.serialization import TrajectoryWriter, output_file, read_trajectory_stream
+from hamca.serialization import TrajectoryWriter, format_float, output_file, read_trajectory_stream
 
 
 def _dot(row, col):
@@ -159,6 +159,28 @@ def conservation_csv_reference(dim: int, stats) -> str:
             total = st.links.total
             weights = [str(Fraction(la, total)) if total else "" for la in st.links.per_alpha]
             w.writerow([st.n, st.q.re, st.q.im, total, *st.links.per_alpha, *weights])
+    return out.getvalue()
+
+
+def cycle_csv_reference(reports) -> str:
+    """The cycle report of `reports` as csv.writer writes it, one row per visit."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["pair", "period", "ontological", "link_number", "n", "k", "phase_re", "phase_im"])
+    with _AnyDigits():
+        for rep in reports:
+            for v in rep.visits:
+                phase = ["", ""] if v.phase is None else [v.phase.re, v.phase.im]
+                w.writerow([rep.pair_index, rep.period, int(rep.ontological), rep.link_number, v.n, v.k, *phase])
+    return out.getvalue()
+
+
+def float_csv_reference(header, rows) -> str:
+    """A numeric report as csv.writer writes it, each float cell format_float's text."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([format_float(v) if isinstance(v, float) else v for v in row] for row in rows)
     return out.getvalue()
 
 

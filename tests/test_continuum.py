@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hamca.continuum as ct
-from hamca.dynamics import evolve
+from hamca.dynamics import evolve, stream_states
 from hamca.errors import (
     DimensionMismatch,
     InstabilityError,
@@ -13,7 +13,7 @@ from hamca.errors import (
 )
 from hamca.gaussian import GaussMatrix, GaussVector
 from hamca.conservation import q1
-from hamca.models import basis_state, build_hamiltonian, make_cyclic_model
+from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from oracles import gauss_matrix
 
 H2 = build_hamiltonian(make_cyclic_model(2))
@@ -127,6 +127,33 @@ class TestEvolveFloat:
         with pytest.raises(InstabilityError) as err:
             ct.evolve_float([1, 0], [0, 1], blow, 200)
         assert err.value.step > 2
+
+    @pytest.mark.parametrize("m", [8, 16, 30])
+    def test_equals_the_exact_stream_on_gaussian_integer_pairs(self, m):
+        """The exact layer checks the float stepper: from a Gaussian-integer
+        pair on Hm:m the parts stay a few dozen at most, so every float sum
+        and product is exact and the two streams agree bit for bit."""
+        rng = np.random.default_rng(m)
+        H = build_hamiltonian(make_cyclic_model(m))
+        psi0, psi1 = (GaussVector(*map(tuple, rng.integers(-3, 4, (2, m)).tolist())) for _ in range(2))
+        states = list(stream_states(psi0, psi1, H, 4000))
+        assert max(max(map(abs, psi.re + psi.im)) for psi in states) <= 64
+        exact = np.array([np.array(psi.re) + 1j * np.array(psi.im) for psi in states])
+        assert np.array_equal(ct.evolve_float(ct.as_state(psi0), ct.as_state(psi1), H, 4000), exact)
+
+
+def test_exact_growth_is_log2_of_the_largest_root():
+    """A generic exact orbit gains log2 rho_max bits a step, where
+    rho(lam) = (|lam| + sqrt(lam^2 - 4)) / 2 for |lam| > 2: tridiag(1, 2, 1),
+    m = 8, from (e_1, e_2), measured from the largest part's bit length."""
+    m = 8
+    S = [[2 if i == j else 1 if abs(i - j) == 1 else 0 for j in range(m)] for i in range(m)]
+    H = build_hamiltonian(HamiltonianSpec(dim=m, S=S, A=[[0] * m] * m, label="tridiag121"))
+    bits = [max(abs(v).bit_length() for v in psi.re + psi.im)
+            for psi in stream_states(basis_state(m, 1), basis_state(m, 2), H, 1500)]
+    lam = np.abs(np.linalg.eigvalsh(np.array(S, dtype=float)))
+    rho_max = max((lam + np.sqrt(np.maximum(lam**2 - 4, 0))) / 2)
+    assert (bits[1500] - bits[500]) / 1000 == pytest.approx(np.log2(rho_max), abs=0.01)
 
 
 class TestClosedForm:

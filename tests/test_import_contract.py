@@ -1,18 +1,20 @@
 """The exact layer never loads numpy; the float layer loads it on first use,
 and no continuum mode loads `numpy.ma`.  No command loads `fractions` (nor
 `decimal`, which it imports): the report writes each link weight from its
-reduced int pair.  No exact command loads `dataclasses` or the modules it
-pulls in (`inspect`, `ast`, `dis`, `tokenize`): the value types are plain
-slotted classes and the records NamedTuples, which start-up never compiles.
+reduced int pair.  No command loads `csv` either, with or without `--out`:
+every report row is its cells joined by commas.  No exact command loads
+`dataclasses` or the modules it pulls in (`inspect`, `ast`, `dis`,
+`tokenize`): the value types are plain slotted classes and the records
+NamedTuples, which start-up never compiles.
 
 Each check runs in a fresh interpreter, since the test process itself has
 numpy loaded.  `hamca.cli` must still import `hamca.continuum` (without
 numpy), so that tools which patch the loaded modules, such as the
 benchmark's tracer, find the float layer's functions there.  Code that one
 command alone runs loads when that command runs: `hamca.float_reports`
-(the continuum reports), `hamca.probe` (run's pair checks), `json` and
-`csv`.  Under `python -m hamca.cli` the command line runs as `__main__`,
-so a module that imported `hamca.cli` would compile it a second time.
+(the continuum reports), `hamca.probe` (run's pair checks) and `json`.
+Under `python -m hamca.cli` the command line runs as `__main__`, so a
+module that imported `hamca.cli` would compile it a second time.
 """
 
 import json
@@ -31,7 +33,7 @@ import sys
 seen = {}
 RATIONALS = ("fractions", "decimal")
 MACHINERY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
-LAZY = ("hamca.float_reports", "hamca.probe", "json", "csv")
+LAZY = ("hamca.float_reports", "hamca.probe", "json")
 import hamca
 seen["import hamca"] = "numpy" in sys.modules
 seen["ClosedFormSolver from the package"] = hamca.ClosedFormSolver is hamca.continuum.ClosedFormSolver
@@ -42,12 +44,13 @@ seen["import hamca.cli"] = "numpy" in sys.modules
 seen["import hamca.cli rationals"] = [m for m in RATIONALS if m in sys.modules]
 seen["import hamca.cli machinery"] = [m for m in MACHINERY if m in sys.modules]
 seen["import hamca.cli lazy"] = [m for m in LAZY if m in sys.modules]
+seen["import hamca.cli csv"] = "csv" in sys.modules
 
 commands = {
     # the pair has link total L = 2, so check's report rows carry weights such as 1/2
     "run": ["run", "--model", "Hm:4", "--psi0", "1,1,0,0", "--psi1", "1,1,1,0", "--steps", "20", "--out", "t.jsonl"],
     "check": ["check", "t.jsonl", "--g", "hamiltonian", "--report", "r.csv"],
-    "cycle": ["cycle", "--model", "Hm:5"],
+    "cycle": ["cycle", "--model", "Hm:5", "--out", "c.csv"],
 }
 for name, argv in commands.items():
     seen[name + " exit"] = hamca.cli.main(argv)
@@ -55,6 +58,7 @@ for name, argv in commands.items():
     seen[name + " rationals"] = [m for m in RATIONALS if m in sys.modules]
     seen[name + " machinery"] = [m for m in MACHINERY if m in sys.modules]
     seen[name + " float reports"] = "hamca.float_reports" in sys.modules
+    seen[name + " csv"] = "csv" in sys.modules
 
 continuum = {
     "closedform": ["--model", "H3", "--pairs", "2"],
@@ -63,9 +67,10 @@ continuum = {
     "born": ["--model", "H2", "--psi", "0.8,0.6"],
 }
 for mode, argv in continuum.items():
-    seen[mode + " exit"] = hamca.cli.main(["continuum", mode, *argv])
+    seen[mode + " exit"] = hamca.cli.main(["continuum", mode, *argv, "--out", mode + ".csv"])
     seen[mode] = "numpy" in sys.modules
     seen[mode + " numpy.ma"] = "numpy.ma" in sys.modules
+    seen[mode + " csv"] = "csv" in sys.modules
 import json  # here: the commands above must not find it loaded
 
 print(json.dumps(seen))
@@ -111,6 +116,14 @@ def test_exact_commands_load_no_dataclass_machinery(seen):
     for step in ["import hamca.cli", "run", "check", "cycle"]:
         assert seen[f"{step} machinery"] == [], f"{seen[step + ' machinery']} loaded by {step}"
     assert [seen[f"{c} exit"] for c in ["run", "check", "cycle"]] == [0, 0, 0]
+
+
+def test_no_command_loads_csv(seen):
+    """`cycle --out`, `check --report` and every continuum `--out` write CSV
+    without the stdlib module."""
+    steps = ["import hamca.cli", "run", "check", "cycle", "closedform", "sinh", "q1", "born"]
+    assert [seen[f"{step} exit"] for step in steps[1:]] == [0] * 7
+    assert [step for step in steps if seen[f"{step} csv"]] == []
 
 
 def test_continuum_modes_never_load_numpy_ma(seen):

@@ -1,8 +1,10 @@
 import json
+import math
 import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,8 +25,9 @@ from hamca.serialization import (
     read_trajectory_stream,
     write_conservation_csv,
     write_cycle_csv,
+    write_float_csv,
 )
-from oracles import load_trajectory, save_model, write_trajectory
+from oracles import cycle_csv_reference, float_csv_reference, load_trajectory, save_model, write_trajectory
 
 E = GaussVector.of
 
@@ -232,17 +235,31 @@ class TestCsv:
         assert first[4] == "1"
 
     def test_cycle_csv_blank_cells_for_superposed(self, tmp_path):
-        from hamca.ontology import find_period
+        from hamca.ontology import find_period, neighbour_pair_period
         from hamca.models import basis_state
 
         spec = make_cyclic_model(3)
-        rep = find_period(basis_state(3, 1), basis_state(3, 1), build_hamiltonian(spec), 20)
+        H = build_hamiltonian(spec)
+        superposed = find_period(basis_state(3, 1), basis_state(3, 1), H, 20)
+        unfound = find_period(basis_state(3, 1), basis_state(3, 1), H, 2)  # pair and period blank
+        assert unfound.pair_index is None and unfound.period is None
+        reports = [superposed, unfound, neighbour_pair_period(H, 1, 40)]
         path = tmp_path / "cycle.csv"
         with open(path, "w", newline="") as fh:
-            write_cycle_csv(fh, [rep])
+            write_cycle_csv(fh, reports)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("pair,period,ontological")
         assert any(",,," in line or line.endswith(",,") for line in lines[1:])
+        assert path.read_text() == cycle_csv_reference(reports)
+
+    def test_float_csv_is_what_csv_writer_wrote(self, tmp_path):
+        header = ["t", "value", "steps"]
+        rows = [(math.nan, math.inf, 3), (-math.inf, -0.0, 10**20), (5e-324, 0.1, -7), (np.float64(2.5), 1.0, 0)]
+        path = tmp_path / "float.csv"
+        with open(path, "w", newline="") as fh:
+            write_float_csv(fh, header, rows)
+        assert path.read_text() == float_csv_reference(header, rows)
+        assert path.read_text().splitlines()[1:3] == ["nan,inf,3", "-inf,-0,100000000000000000000"]
 
     def test_cycle_csv_past_the_digit_limit(self, tmp_path, digit_limit):
         from hamca.ontology import find_period
@@ -257,6 +274,8 @@ class TestCsv:
         assert len(rows) == rep.period == 12
         # L = |10^5000|^2, written in full on every row
         assert {row.split(",")[3] for row in rows} == {"1" + "0" * 10_000}
+        assert path.read_text() == cycle_csv_reference([rep])
+        assert sys.get_int_max_str_digits() == digit_limit
 
 
 class TestInputsPastTheDigitLimit:
