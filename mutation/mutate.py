@@ -77,10 +77,14 @@ MUTANTS = [
            "if len(memo) < _MEMO_ENTRIES:", "if True:"),
     Mutant("the trajectory header accepts l = 0", "serialization.py",
            'l > 0):\n        raise ValueError(f"{path}: header l', 'l >= 0):\n        raise ValueError(f"{path}: header l'),
-    Mutant("_decimal does not retry past the digit limit", "serialization.py",
-           "        with _AnyDigits():\n            return list(map(convert, parts))", "        raise"),
+    Mutant("the writer formats a record outside the digit scope", "serialization.py",
+           "    with _AnyDigits():\n        im = '\",\"'.join(map(str, psi.im))",
+           "    if True:\n        im = '\",\"'.join(map(str, psi.im))"),
     Mutant("_cell writes None as None", "serialization.py",
            'else "" if value is None else str(value)', "else str(value)"),
+    Mutant("q1_constancy takes any scale", "continuum.py", "    check_q1_scale(signal.l)\n", ""),
+    Mutant("neighbour_pair_period leaves k to basis_state", "ontology.py",
+           "    if k not in _neighbour_pairs(m):\n        raise", "    if False:\n        raise"),
     Mutant("_converged uses >=", "float_reports.py", "all(a > b or b == 0", "all(a >= b or b == 0"),
     Mutant("SingularSpectrumError dropped from _EXIT_CODES", "cli.py",
            "    (SingularSpectrumError, EXIT_SINGULAR),\n", ""),

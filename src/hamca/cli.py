@@ -320,17 +320,10 @@ def _sinh_options(args, dim: int) -> dict:
     return _signal_options(args, "windows", windows, dim)
 
 
-#: the scales l for which q1's second difference, divided by (2l)**2, is a
-#: normal float on both sides
-_Q1_SCALES = (math.sqrt(sys.float_info.min) / 2, math.sqrt(sys.float_info.max) / 2)
-
-
 def _q1_options(args, dim: int) -> dict:
     tol = _tolerance(args)
     options = _signal_options(args, "window", [args.window], dim)
-    lo, hi = _Q1_SCALES
-    if not lo <= args.l <= hi:
-        raise ValueError(f"l must be between {lo:.3g} and {hi:.3g} for q1, which divides by (2l)**2, got {args.l}")
+    ct.check_q1_scale(args.l)
     return dict(options, convention=args.convention, tol=tol)
 
 

@@ -14,6 +14,7 @@ so the package and the exact commands load without it.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Literal, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -117,9 +118,8 @@ def spectral_decompose(H: MatrixLike) -> SpectralForm:
     evals, vecs = np.linalg.eigh(A)
     for k in range(vecs.shape[1]):
         pivot = int(np.argmax(np.abs(vecs[:, k])))
-        ref = vecs[pivot, k]
-        if abs(ref) > 0:
-            vecs[:, k] *= ref.conjugate() / abs(ref)
+        ref = vecs[pivot, k]  # the largest entry of a unit vector: at least 1/sqrt(m) in magnitude
+        vecs[:, k] *= ref.conjugate() / abs(ref)
     resid = float(np.max(np.abs(A @ vecs - vecs * evals)))
     if resid > _RESIDUAL_BOUND:
         raise SpectralFailure(f"eigen residual {resid:.3e} exceeds bound {_RESIDUAL_BOUND:.3e}")
@@ -396,6 +396,14 @@ class Q1Result(NamedTuple):
     remainder: float
 
 
+def check_q1_scale(l: float) -> None:
+    """A ValueError naming l unless q1's second difference, divided by
+    (2l)**2, is a normal float on both sides."""
+    lo, hi = math.sqrt(sys.float_info.min) / 2, math.sqrt(sys.float_info.max) / 2
+    if not lo <= l <= hi:
+        raise ValueError(f"l must be between {lo:.3g} and {hi:.3g} for q1, which divides by (2l)**2, got {l}")
+
+
 def q1_constancy(
     signal: BandlimitedSignal, ts: Sequence[float], convention: Q1Convention = "pairwise"
 ) -> tuple[list[Q1Result], float]:
@@ -403,6 +411,7 @@ def q1_constancy(
     defect (pure truncation error for trajectory signals)."""
     if convention not in ("pairwise", "cosh"):
         raise ValueError(f"unknown convention {convention!r}")
+    check_q1_scale(signal.l)
     minus2, minus, centre, plus, plus2 = _windowed_eval(signal, np.ravel(ts), np.arange(-2.0, 3.0))
 
     def re_dot(a, b):  # Re <a[p], b[p]> for each p, by the BLAS dot np.vdot(a[p], b[p]) runs

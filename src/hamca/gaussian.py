@@ -165,7 +165,9 @@ def as_gauss(value) -> GaussInt:
 class GaussVector(_Frozen):
     """Fixed-length vector of Gaussian integers, stored as the int tuples
     re = x and im = p of psi = x + ip (user-facing indices are 1-based,
-    storage is 0-based)."""
+    storage is 0-based).  The raw (re, im) constructor is the hot path and
+    trusts its caller; `of`, `from_iter` and the readers reject a part that
+    is not an int when the vector is built."""
 
     __slots__ = _fields = ("re", "im")
 
@@ -219,7 +221,9 @@ IntRows = tuple[tuple[int, ...], ...]
 class GaussMatrix(_Frozen):
     """Matrix of Gaussian integers, stored as the int rows re = S and
     im = A of H = S + iA.  `_kernel`, its compiled step (`_step_kernel`),
-    is built on first use and takes no part in ==, hash, repr or pickling."""
+    is built on first use and takes no part in ==, hash, repr or pickling.
+    The raw (re, im) constructor trusts its caller, as GaussVector's does;
+    a model's entries are checked by HamiltonianSpec before it is built."""
 
     _fields = ("re", "im")
     __slots__ = _fields + ("_kernel",)

@@ -119,6 +119,8 @@ def neighbour_pair_period(H: GaussMatrix, k: int, max_steps: int) -> CycleReport
     """find_period for the basis pair (e_k, e_{k+1}), tagged as pair k with
     the expected 4m period of the cyclic family."""
     m = H.shape[0]
+    if k not in _neighbour_pairs(m):
+        raise ValueError(f"k must be in 1..{m - 1}")
     report = find_period(basis_state(m, k), basis_state(m, k + 1), H, max_steps)
     return report._replace(pair_index=k, expected_period=4 * m)
 

@@ -75,8 +75,8 @@ def parse_gauss(text: str) -> GaussInt:
 
 def parse_gauss_vector(text: str) -> GaussVector:
     """Comma-separated Gaussian-integer components, e.g. '1-i, 0, 2i'."""
-    parts = [p for p in text.split(",")]
-    if not parts or all(not p.strip() for p in parts):
+    parts = text.split(",")
+    if all(not p.strip() for p in parts):
         raise ValueError(f"cannot parse state vector from {text!r}")
     return GaussVector.from_iter(parse_gauss(p) for p in parts)
 
@@ -184,18 +184,10 @@ def _state_record(n: int, psi: GaussVector) -> str:
 
 def _record_texts(psi: GaussVector) -> tuple[str, str]:
     """The text of psi's record line before and after its n."""
-    im = '","'.join(_decimal(str, psi.im))
-    re_ = '","'.join(_decimal(str, psi.re))
+    with _AnyDigits():
+        im = '","'.join(map(str, psi.im))
+        re_ = '","'.join(map(str, psi.re))
     return f'{{"im":["{im}"],"n":', f',"re":["{re_}"]}}'
-
-
-def _decimal(convert, parts) -> list:
-    """`convert` (int or str) over the parts, with the digit limit lifted only for a part past it."""
-    try:
-        return list(map(convert, parts))
-    except ValueError:  # a part past the caller's int <-> str digit limit
-        with _AnyDigits():
-            return list(map(convert, parts))
 
 
 # The one grammar state lines are read by: the line above and "\n", byte for byte.
@@ -286,7 +278,8 @@ def _parse_parts(im_text: str, re_text: str, n: int, dim: int, path) -> GaussVec
     res, ims = re_text.split('","'), im_text.split('","')
     if len(res) != dim or len(ims) != dim:
         raise ValueError(f"{path}: state record {n} has wrong length")
-    return GaussVector(tuple(_decimal(int, res)), tuple(_decimal(int, ims)))
+    with _AnyDigits():
+        return GaussVector(tuple(map(int, res)), tuple(map(int, ims)))
 
 
 def read_trajectory_stream(path: str | Path):

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,7 @@ from hamca.errors import (
     SingularSpectrumError,
 )
 from hamca.gaussian import GaussMatrix, GaussVector
-from hamca.conservation import q1
+from hamca.conservation import link_counts, q1
 from hamca.models import HamiltonianSpec, basis_state, build_hamiltonian, make_cyclic_model
 from oracles import gauss_matrix
 
@@ -322,6 +325,15 @@ class TestQ1Continuum:
         scale = max(abs(r.value) for r in results)
         assert spread <= 1e-2 * max(scale, 1.0)
 
+    @pytest.mark.parametrize("l", [1e300, 1e-200])
+    def test_scale_outside_the_float_range_rejected(self, l):
+        # (2l)**2 overflows above the range and is 0 below it
+        sig = ct.BandlimitedSignal(np.ones((100, 2), dtype=complex), l=l, window=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^l must be between .* for q1, .* got {re.escape(str(l))}$"):
+                ct.q1_constancy(sig, [50 * l])
+
     def test_expansion_remainder_shrinks_sixteen_fold(self):
         # fixed underlying wave sampled at l, l/2, l/4: the two-term
         # small-l estimate must converge at fourth order
@@ -381,6 +393,14 @@ class TestBornConvergence:
         with pytest.raises(ValueError) as err:
             ct.born_convergence(H2, [0.8, 0.6], ls, horizon=horizon)
         assert str(err.value) == f"horizon / l must be finite, got horizon = {horizon} and l = {ls[-1]}"
+
+    def test_link_total_is_the_exact_link_count(self):
+        # psi0 is normalised before the float stepper runs, so its first link
+        # total is the exact link count of the integer pair over |psi0|
+        psi0, psi1 = E((3, 1), -2, (0, 1)), E(2, (2, -1), (2, 1))
+        report = ct.born_convergence(H3, psi0, [0.1], horizon=1.0, psi1=psi1)
+        assert link_counts(psi0, psi1).total == 3
+        assert report.entries[0].link_total * np.linalg.norm(ct.as_state(psi0)) == pytest.approx(3, rel=1e-12)
 
     def test_three_state_model_converges_too(self):
         psi = np.array([0.5, 0.5j, np.sqrt(0.5)])

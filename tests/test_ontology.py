@@ -185,6 +185,12 @@ class TestNeighbourPair:
             neighbour_pair_period(H, k, budget) for k in range(1, m)
         ]
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_pair_index_outside_the_model_rejected(self, k):
+        # names the k the caller passed, not the basis index k + 1
+        with pytest.raises(ValueError, match=r"^k must be in 1\.\.3$"):
+            neighbour_pair_period(build_hamiltonian(make_cyclic_model(4)), k, 40)
+
     def test_tagged_with_family_period(self):
         rep = neighbour_pair_period(build_hamiltonian(make_cyclic_model(6)), 2, 100)
         assert rep.pair_index == 2

@@ -175,6 +175,22 @@ class TestTrajectoryFile:
         finally:
             sys.set_int_max_str_digits(previous)
 
+    @pytest.mark.parametrize("limit", [4300, 640])
+    def test_small_parts_leave_the_callers_digit_limit(self, tmp_path, limit):
+        """Every record is formatted and parsed in a scope that restores the caller's limit."""
+        spec = make_cyclic_model(3)
+        traj = evolve(E((1, 1), 2, (0, -1)), E(0, (2, 1), 1), build_hamiltonian(spec), 30)
+        path = tmp_path / "small.jsonl"
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            write_trajectory(spec, 1.0, traj, path)
+            assert sys.get_int_max_str_digits() == limit
+            assert load_trajectory(path)[2] == traj
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(previous)
+
     def test_integers_are_decimal_strings(self, tmp_path):
         spec = make_cyclic_model(2)
         path = tmp_path / "traj.jsonl"
