@@ -85,6 +85,10 @@ MUTANTS = [
     Mutant("q1_constancy takes any scale", "continuum.py", "    check_q1_scale(signal.l)\n", ""),
     Mutant("neighbour_pair_period leaves k to basis_state", "ontology.py",
            "    if k not in _neighbour_pairs(m):\n        raise", "    if False:\n        raise"),
+    Mutant("a pair met with equal phases is reused", "ontology.py",
+           "v.phase == w.phase == GaussInt(1)", "v.phase == w.phase"),
+    Mutant("a met pair keeps the orbit's step numbers", "ontology.py",
+           "visits=tuple(Visit(n, *v[1:]) for n, v in enumerate(turned))", "visits=turned"),
     Mutant("_converged uses >=", "float_reports.py", "all(a > b or b == 0", "all(a >= b or b == 0"),
     Mutant("SingularSpectrumError dropped from _EXIT_CODES", "cli.py",
            "    (SingularSpectrumError, EXIT_SINGULAR),\n", ""),
@@ -103,6 +107,8 @@ MUTANTS = [
     Mutant("basis_state puts the 1 in slot k - 1", "models.py", "int(i == k - 1)", "int(i == k - 2)", 30),
     Mutant("find_period matches a pair whose second state differs", "ontology.py",
            "prev == psi0 and psi == psi1", "prev == psi0 and psi != psi1", 30),
+    Mutant("an output path opens outside its option's scope", "cli.py",
+           "        with _argument(name):\n            fh = stack", "        if True:\n            fh = stack"),
     Mutant("entry does not freeze", "cli.py", "        gc.freeze()\n", "        pass\n"),
 ]
 

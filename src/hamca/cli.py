@@ -27,7 +27,7 @@ import gc
 import math
 import os
 import sys
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import ExitStack, closing, contextmanager, nullcontext
 from pathlib import Path
 
 from . import continuum as ct
@@ -84,6 +84,16 @@ def _argument(name: str):
         yield
     except (ValueError, OSError) as exc:
         raise ValueError(f"{name}: {exc}") from None
+
+
+@contextmanager
+def _output_arg(name: str, path: str):
+    """output_file(path), opened in the scope of argument `name`; an error
+    raised later, in the block or as the file takes its name, keeps its message."""
+    with ExitStack() as stack:
+        with _argument(name):
+            fh = stack.enter_context(output_file(path))
+        yield fh
 
 
 def _load_model_arg(label_or_path: str) -> HamiltonianSpec:
@@ -146,7 +156,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # q1 alone: the link total L is the same sum, q1 / 2
     q_start = q1(psi0, psi1) if args.probe else None
     n_pairs = args.steps + 1 if args.probe else 0
-    with output_file(args.out) if args.out else nullcontext() as fh:
+    with _output_arg("out", args.out) if args.out else nullcontext() as fh:
         writer = TrajectoryWriter(fh, spec, args.l) if args.out else None
         drift = first_drift(stream_states(psi0, psi1, H, args.steps), q_start, n_pairs, writer)
     if args.probe:
@@ -173,7 +183,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.report:
             # rows go out as they are verified; a record that fails to parse
             # leaves an existing report as it was
-            with output_file(args.report) as fh, ConservationCsvWriter(fh, model.dim) as rows:
+            with _output_arg("report", args.report) as fh, ConservationCsvWriter(fh, model.dim) as rows:
                 report = verify_stream(states, H, G, rows)
         else:
             report = verify_stream(states, H, G)
@@ -211,7 +221,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
         psi1 = _load_vector_arg("psi1", args.psi1, spec.dim)
         reports = [find_period(psi0, psi1, H, budget)]
     if args.out:
-        with output_file(args.out) as fh:
+        with _output_arg("out", args.out) as fh:
             write_cycle_csv(fh, reports)
     status = EXIT_OK
     for rep in reports:
@@ -245,7 +255,7 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
     report = {"closedform": fr.closedform, "sinh": fr.sinh, "q1": fr.q1, "born": fr.born}[args.mode]
     header, rows, lines, ok = report(ct.as_matrix(build_hamiltonian(spec)), **options)
     if args.out:
-        with output_file(args.out) as fh:
+        with _output_arg("out", args.out) as fh:
             write_float_csv(fh, header, rows)
     for line in lines:
         print(line)

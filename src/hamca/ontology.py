@@ -133,7 +133,26 @@ def _neighbour_pairs(m: int) -> range:
 
 
 def scan_ontological_pairs(H: GaussMatrix, max_steps: int | None = None) -> list[CycleReport]:
-    """neighbour_pair_period for every k = 1..m-1."""
+    """neighbour_pair_period for every k = 1..m-1, searching each orbit once.
+
+    A found orbit that visits (e_k, e_{k+1}) itself, phase 1 in both, at
+    steps s and s + 1 (mod P) is pair k's orbit from step s on: the pair map
+    is invertible, so the period is the same, and L = 0 for every basis pair.
+    A later such k is read off that orbit; any other k is searched."""
     m = H.shape[0]
     budget = default_scan_budget(m) if max_steps is None else max_steps
-    return [neighbour_pair_period(H, k, budget) for k in _neighbour_pairs(m)]
+    met: dict[int, tuple[CycleReport, int]] = {}  # pair k -> (found orbit, step s of (e_k, e_{k+1}))
+    reports = []
+    for k in _neighbour_pairs(m):
+        if k in met:
+            rep, s = met[k]
+            turned = rep.visits[s:] + rep.visits[:s]
+            reports.append(rep._replace(visits=tuple(Visit(n, *v[1:]) for n, v in enumerate(turned)), pair_index=k))
+            continue
+        rep = neighbour_pair_period(H, k, budget)
+        reports.append(rep)
+        if rep.found:
+            for s, (v, w) in enumerate(zip(rep.visits, rep.visits[1:] + rep.visits[:1])):
+                if v.k is not None and w.k == v.k + 1 and v.phase == w.phase == GaussInt(1):
+                    met.setdefault(v.k, (rep, s))
+    return reports

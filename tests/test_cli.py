@@ -513,11 +513,11 @@ class TestFileErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "3",
-          "--out", "{missing}/t.jsonl"], NO_FILE),
+          "--out", "{missing}/t.jsonl"], "out: " + NO_FILE),
         (["run", "--model", "{dir}", "--psi0", "1,0", "--psi1", "0,1", "--steps", "3"],
          "model: [Errno 21] Is a directory: "),
-        (["cycle", "--model", "H3", "--out", "{missing}/c.csv"], NO_FILE),
-        (["continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--out", "{missing}/b.csv"], NO_FILE),
+        (["cycle", "--model", "H3", "--out", "{missing}/c.csv"], "out: " + NO_FILE),
+        (["continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--out", "{missing}/b.csv"], "out: " + NO_FILE),
         (["check", "{dir}/t.jsonl", "--g", "{dir}"], "G: [Errno 21] Is a directory: "),
         (["run", "--model", "H2", "--psi0", "@{dir}/v.json", "--psi1", "0,1", "--steps", "3", "--probe"],
          "psi0: {dir}/v.json: not valid JSON (Expecting value: line 1 column 1 (char 0))\n"),
@@ -965,7 +965,7 @@ class TestProbeHelper:
         out = tmp_path / "missing" / "x.jsonl"
         assert run_cli(*self.ARGS, "--steps", "9", "--out", str(out)) == EXIT_VALIDATION
         assert two_cpus == []
-        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert capsys.readouterr().err.startswith("error: out: [Errno 2] No such file or directory")
         assert no_child_left()
 
     def test_out_is_the_same_with_a_helper(self, monkeypatch, tmp_path, capsys):

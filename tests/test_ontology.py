@@ -207,16 +207,16 @@ BIG = st.sampled_from([1, -1]).map(lambda s: s * (2**64 + 3))  # past 64 bits
 
 
 @st.composite
-def hermitian_models(draw):
-    """A random Hermitian H = S + iA with m <= 5 and entries in [-2, 2]."""
-    m = draw(st.integers(1, 5))
+def hermitian_models(draw, dims=st.integers(1, 5), part=UNIT):
+    """A random Hermitian H = S + iA, by default with m <= 5 and entries in [-2, 2]."""
+    m = draw(dims)
     S = [[0] * m for _ in range(m)]
     A = [[0] * m for _ in range(m)]
     for i in range(m):
-        S[i][i] = draw(UNIT)
+        S[i][i] = draw(part)
         for j in range(i + 1, m):
-            S[i][j] = S[j][i] = draw(UNIT)
-            A[i][j] = draw(UNIT)
+            S[i][j] = S[j][i] = draw(part)
+            A[i][j] = draw(part)
             A[j][i] = -A[i][j]
     return HamiltonianSpec(m, S, A)
 
@@ -304,3 +304,62 @@ class TestFindPeriodMemory:
         assert not find_period(psi0, psi1, H, budget).found  # also compiles H's kernel
         stored = traced_peak(lambda: list(stream_states(psi0, psi1, H, budget)))
         assert traced_peak(lambda: find_period(psi0, psi1, H, budget)) < stored / 2
+
+
+# ---------------------------------------------------------------------------
+# the scan reads a pair met on a found orbit off that orbit
+# ---------------------------------------------------------------------------
+
+
+def per_pair(H: GaussMatrix, budget: int) -> list:
+    """One search for each neighbour pair: the scan without reuse."""
+    return [neighbour_pair_period(H, k, budget) for k in range(1, H.shape[0])]
+
+
+def twisted_ring(m: int, slot: int) -> HamiltonianSpec:
+    """Hm:m with the coupling between slots `slot` and `slot + 1` negated."""
+    ring = make_cyclic_model(m)
+    A = [list(row) for row in ring.A]
+    A[slot - 1][slot], A[slot][slot - 1] = -A[slot - 1][slot], -A[slot][slot - 1]
+    return HamiltonianSpec(m, ring.S, A)
+
+
+class TestScanReusesFoundOrbits:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=hermitian_models(st.integers(2, 6), st.integers(-1, 1)))
+    def test_equals_one_search_per_pair(self, spec):
+        H = build_hamiltonian(spec)
+        for budget in (1, 3, default_scan_budget(spec.dim)):
+            assert scan_ontological_pairs(H, budget) == per_pair(H, budget)
+
+    def test_block_model_pairs_with_no_period_seed_nothing(self):
+        H = build_hamiltonian(ring_blocks(7, 9, 11, 13))
+        reports = scan_ontological_pairs(H)
+        assert [r.found for r in reports].count(False) == 3  # the pairs that straddle two rings
+        assert reports == per_pair(H, default_scan_budget(40))
+
+    def test_pair_met_with_phase_minus_one_is_searched(self):
+        # pair 1's orbit (period 24) meets pairs 4 and 5 first as (-e_k, -e_{k+1})
+        H = build_hamiltonian(twisted_ring(6, 3))
+        first = neighbour_pair_period(H, 1, 56)
+        assert first.period == 24
+        for k in (4, 5):
+            v, w = next((v, w) for v, w in zip(first.visits, first.visits[1:]) if (v.k, w.k) == (k, k + 1))
+            assert v.phase == w.phase == GaussInt(-1)
+        assert scan_ontological_pairs(H) == per_pair(H, 56)
+
+    def test_ring_is_searched_once(self, monkeypatch):
+        import hamca.ontology as ontology
+
+        searched = []
+        search = ontology.neighbour_pair_period
+
+        def counted(H, k, max_steps):
+            searched.append(k)
+            return search(H, k, max_steps)
+
+        monkeypatch.setattr(ontology, "neighbour_pair_period", counted)
+        reports = scan_ontological_pairs(build_hamiltonian(make_cyclic_model(30)))
+        assert searched == [1]
+        assert [r.pair_index for r in reports] == list(range(1, 30))
+        assert all(r.period == 120 for r in reports)

@@ -42,10 +42,6 @@ FAST = [v for v in HOSTILE if v != "9" * 20]
 
 #: (option, value) cases whose exit-3 line does not name the option, each with its reason
 UNNAMED = {
-    ("out", "/"): "the OS error of an output path quotes the path, not the option",
-    ("out", MISSING): "the OS error of an output path quotes the path, not the option",
-    ("report", "/"): "the OS error of an output path quotes the path, not the option",
-    ("report", MISSING): "the OS error of an output path quotes the path, not the option",
     ("l-values", "9" * 20): "born names the scale l of l-values that breaks l * max|eigenvalue| < 1",
 }
 

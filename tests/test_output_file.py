@@ -180,4 +180,4 @@ class TestCommandLine:
         assert run_out(traj) == EXIT_OK
         capsys.readouterr()
         assert main([a.format(out=out, traj=traj) for a in argv]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert capsys.readouterr().err == f"error: {argv[-2][2:]}: [Errno 2] No such file or directory: '{out}'\n"
