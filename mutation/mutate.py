@@ -92,7 +92,14 @@ MUTANTS = [
     Mutant("_converged uses >=", "float_reports.py", "all(a > b or b == 0", "all(a >= b or b == 0"),
     Mutant("SingularSpectrumError dropped from _EXIT_CODES", "cli.py",
            "    (SingularSpectrumError, EXIT_SINGULAR),\n", ""),
-    Mutant("born takes no horizon in (0, 1]", "cli.py", "args.horizon > 0", "args.horizon > 1"),
+    Mutant("born takes no horizon in (0, 1]", "cli.py",
+           '("horizon", Number(float, 0, closed=False))', '("horizon", Number(float, 1, closed=False))'),
+    Mutant("points takes 0", "cli.py", '("points", Number(int, 1))', '("points", Number(int, 0))'),
+    Mutant("a window may reach steps", "cli.py",
+           '            (window, Below(f"2 * max({window}) + 3", lambda a, M: 2 * max(windows(a)) + 3, "steps")),\n',
+           ""),
+    Mutant("an open lower bound takes lo", "cli.py", "(self.closed or value > self.lo)",
+           "(self.closed or value >= self.lo)"),
     Mutant("_canonical_int accepts leading zeros", "models.py",
            'text.isdigit() and (text == "0" or text[0] != "0")', "text.isdigit()"),
     Mutant("born midpoints at n, not n + 1/2", "continuum.py",

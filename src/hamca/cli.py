@@ -29,6 +29,7 @@ import os
 import sys
 from contextlib import ExitStack, closing, contextmanager, nullcontext
 from pathlib import Path
+from typing import Callable
 
 from . import continuum as ct
 from .conservation import q1, verify_stream
@@ -115,14 +116,6 @@ def _load_vector_arg(name: str, text: str, dim: int) -> GaussVector:
     return vec
 
 
-def _non_negative(args: argparse.Namespace, *names: str) -> None:
-    """Each named option is >= 0, or a ValueError names the first that is not."""
-    for name in names:
-        value = getattr(args, name)
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-
-
 def _g_matrix_arg(H: GaussMatrix, text: str) -> GaussMatrix:
     dim = H.shape[0]
     if text == "identity":
@@ -139,17 +132,9 @@ def _g_matrix_arg(H: GaussMatrix, text: str) -> GaussMatrix:
     return build_hamiltonian(gspec)
 
 
-# ---------------------------------------------------------------------------
-# run
-# ---------------------------------------------------------------------------
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _load_model_arg(args.model)
+def _cmd_run(args: argparse.Namespace, spec: HamiltonianSpec) -> int:
     psi0 = _load_vector_arg("psi0", args.psi0, spec.dim)
     psi1 = _load_vector_arg("psi1", args.psi1, spec.dim)
-    _non_negative(args, "steps")
-    _scale(args)
     H = build_hamiltonian(spec)
     from .probe import first_drift  # here, not at start-up: only run compiles it
 
@@ -169,12 +154,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# check
-# ---------------------------------------------------------------------------
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace, _: None) -> int:
     with _argument("trajectory"):
         model, l, states = read_trajectory_stream(args.trajectory)
     with closing(states):  # on every exit: a bad --g or --report, a violation
@@ -194,17 +174,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# cycle
-# ---------------------------------------------------------------------------
-
-
-def _cmd_cycle(args: argparse.Namespace) -> int:
-    spec = _load_model_arg(args.model)
+def _cmd_cycle(args: argparse.Namespace, spec: HamiltonianSpec) -> int:
     H = build_hamiltonian(spec)
     budget = args.budget if args.budget is not None else default_scan_budget(spec.dim)
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     if args.pair == "all":
         reports = scan_ontological_pairs(H, budget)
     elif args.pair.startswith("k="):
@@ -227,33 +199,32 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     for rep in reports:
         tag = f"pair {rep.pair_index}" if rep.pair_index is not None else "pair"
         if rep.found:
-            note = ""
-            if rep.matches_expected is False:
-                note = f" (differs from expected {rep.expected_period})"
-            print(
-                f"{tag}: period {rep.period}{note}, ontological={rep.ontological}, "
-                f"L={rep.link_number}"
-            )
+            note = f" (differs from expected {rep.expected_period})" if rep.matches_expected is False else ""
+            print(f"{tag}: period {rep.period}{note}, ontological={rep.ontological}, L={rep.link_number}")
         else:
             print(f"{tag}: no recurrence within {rep.max_steps} steps")
             status = EXIT_BUDGET
     return status
 
 
-# ---------------------------------------------------------------------------
-# continuum
-# ---------------------------------------------------------------------------
-
-
-def _cmd_continuum(args: argparse.Namespace) -> int:
-    spec = _load_model_arg(args.model)
-    # every option is checked before any float work; the report takes their values
-    options = {"closedform": _closedform_options, "sinh": _sinh_options, "q1": _q1_options,
-               "born": _born_options}[args.mode](args, spec.dim)
+def _cmd_continuum(args: argparse.Namespace, M) -> int:
     from . import float_reports as fr  # here, not at start-up: no exact command compiles it
 
+    # the report's keyword arguments, from options checked in DOMAINS
+    if args.mode == "closedform":
+        options = dict(pairs=args.pairs, nmax=args.nmax, seed=args.seed, strict_band=args.strict_band, tol=args.tol)
+    elif args.mode == "born":
+        options = dict(l_values=args.l_values, horizon=args.horizon, psi=_complex_state(args, "psi", len(M)),
+                       seed=args.seed, psi1=_complex_state(args, "psi1", len(M)))
+    else:  # the span of the --points evaluation times for each half-width W: where a
+        # reconstruction shifted by up to two samples stays in the states
+        windows = args.windows if args.mode == "sinh" else [args.window]
+        spans = {W: ((W + 2) * args.l, (args.steps - 1 - W) * args.l) for W in windows}
+        options = dict(seed=args.seed, steps=args.steps, l=args.l, points=args.points, spans=spans)
+        if args.mode == "q1":
+            options.update(convention=args.convention, tol=args.tol)
     report = {"closedform": fr.closedform, "sinh": fr.sinh, "q1": fr.q1, "born": fr.born}[args.mode]
-    header, rows, lines, ok = report(ct.as_matrix(build_hamiltonian(spec)), **options)
+    header, rows, lines, ok = report(M, **options)
     if args.out:
         with _output_arg("out", args.out) as fh:
             write_float_csv(fh, header, rows)
@@ -262,100 +233,11 @@ def _cmd_continuum(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def _tolerance(args) -> float:
-    """--tol, which must be a finite number >= 0: exit 1 means a real
-    tolerance was not met, so an unusable one must not produce it."""
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {args.tol}")
-    return args.tol
-
-
-def _scale(args) -> None:
-    if not (math.isfinite(args.l) and args.l > 0):
-        raise ValueError(f"l must be a finite positive number, got {args.l}")
-
-
 def _memory_bytes() -> int:
     try:
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no page count here: numpy's own limit
         return sys.maxsize
-
-
-def _fits_memory(option: str, rows: int, dim: int) -> None:
-    """The `rows` float states of `dim` complex values that `option` asks a
-    continuum mode for fit in this machine's memory, or a ValueError names
-    the option.  Compared as ints: a size past float range stops here."""
-    need, have = rows * dim * 16, _memory_bytes()
-    if need > have:
-        raise ValueError(f"{option}: needs {need >> 20} MiB of float states, more than this machine's {have >> 20} MiB")
-
-
-def _closedform_options(args, dim: int) -> dict:
-    _non_negative(args, "pairs", "nmax", "seed")
-    _fits_memory("nmax", args.nmax + 2, dim)
-    return dict(pairs=args.pairs, nmax=args.nmax, seed=args.seed, strict_band=args.strict_band, tol=_tolerance(args))
-
-
-def _signal_options(args, option: str, windows: list[int], dim: int) -> dict:
-    """The options of a report on the smooth trajectory of a `dim`-state model,
-    with the span of the --points evaluation times for each of the increasing
-    half-widths `windows`: where a reconstruction shifted by up to two samples
-    stays in the states."""
-    _non_negative(args, "seed", "steps")
-    _fits_memory("steps", args.steps + 2, dim)
-    _scale(args)
-    if windows[0] < 8:  # the sinc sum's smallest half-width
-        raise ValueError(f"{option} must be >= 8, got {windows[0]}")
-    if args.points < 1:
-        raise ValueError(f"points must be >= 1, got {args.points}")
-    _fits_memory("points", args.points, dim)
-    spans = {}
-    for W in windows:
-        if W >= args.steps:  # compared as ints: a window past float range stops here
-            raise ValueError(f"{option}: {W} is not below steps = {args.steps}")
-        spans[W] = lo, hi = (W + 2) * args.l, (args.steps - 1 - W) * args.l
-        if not math.isfinite(hi):
-            raise ValueError(f"l: the last evaluation time (steps - 1 - {W}) * l is past float range, with "
-                             f"steps = {args.steps} and l = {args.l}")
-        if hi <= lo:
-            raise ValueError(f"steps={args.steps} too short for window {W}")
-    return dict(seed=args.seed, steps=args.steps, l=args.l, points=args.points, spans=spans)
-
-
-def _sinh_options(args, dim: int) -> dict:
-    windows = _number_list("windows", args.windows, int)
-    if any(b <= a for a, b in zip(windows, windows[1:])):
-        raise ValueError(f"windows: must be strictly increasing, got {args.windows!r}")
-    return _signal_options(args, "windows", windows, dim)
-
-
-def _q1_options(args, dim: int) -> dict:
-    tol = _tolerance(args)
-    options = _signal_options(args, "window", [args.window], dim)
-    ct.check_q1_scale(args.l)
-    return dict(options, convention=args.convention, tol=tol)
-
-
-def _born_options(args, dim: int) -> dict:
-    ls = _number_list("l-values", args.l_values, float)
-    if not all(math.isfinite(l) and l > 0 for l in ls):
-        raise ValueError(f"l-values: must be finite positive numbers, got {args.l_values!r}")
-    if any(b >= a for a, b in zip(ls, ls[1:])):
-        raise ValueError(f"l-values: must be strictly decreasing, got {args.l_values!r}")
-    psi = _complex_state("psi", args.psi, dim) if args.psi else None
-    if psi is None:
-        _non_negative(args, "seed")
-    elif not any(psi):
-        raise ValueError(f"psi: must be a nonzero state, got {args.psi!r}")
-    psi1 = _complex_state("psi1", args.psi1, dim) if args.psi1 else None
-    if not (math.isfinite(args.horizon) and args.horizon > 0):
-        raise ValueError(f"horizon must be a finite positive number, got {args.horizon}")
-    if not math.isfinite(args.horizon / ls[-1]):  # the smallest l runs the most steps
-        raise ValueError(f"horizon / l-values must be finite, got horizon = {args.horizon} and "
-                         f"l-values = {args.l_values!r}")
-    _fits_memory("horizon", round(args.horizon / ls[-1]) + 2, dim)
-    return dict(l_values=ls, horizon=args.horizon, psi=psi, seed=args.seed, psi1=psi1)
 
 
 def _ascii(kind: type):
@@ -368,21 +250,123 @@ def _ascii(kind: type):
     return parse
 
 
-def _number_list(option: str, text: str, kind: type) -> list:
+def _number_list(text: str, kind: type) -> list:
     """A comma-separated option value as a list of `kind` (int, float or complex)."""
     try:
         return list(map(_ascii(kind), text.split(",")))
     except ValueError:
-        raise ValueError(f"{option}: expected comma-separated {kind.__name__} values, got {text!r}") from None
+        raise ValueError(f"expected comma-separated {kind.__name__} values, got {text!r}") from None
 
 
-def _complex_state(option: str, text: str, dim: int) -> list[complex]:
-    values = _number_list(option, text, complex)
-    if len(values) != dim:
-        raise ValueError(f"{option}: has {len(values)} components, model needs {dim}")
-    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
-        raise ValueError(f"{option}: components must be finite, got {text!r}")
+def _complex_state(args: argparse.Namespace, option: str, dim: int) -> list[complex] | None:
+    """born's --psi or --psi1, one complex number per model dimension; None if not given."""
+    text = getattr(args, option)
+    if not text:
+        return None
+    with _argument(option):
+        values = _number_list(text, complex)
+        if len(values) != dim:
+            raise ValueError(f"has {len(values)} components, model needs {dim}")
+        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
+            raise ValueError(f"components must be finite, got {text!r}")
+        if option == "psi" and not any(values):
+            raise ValueError(f"must be a nonzero state, got {text!r}")
     return values
+
+
+# ---------------------------------------------------------------------------
+# option domains
+# ---------------------------------------------------------------------------
+
+
+class Number:
+    """An int or a finite float, >= lo (> lo unless `closed`) and <= hi; unused, so unchecked, if `unless` is given."""
+
+    def __init__(self, kind: type, lo: float, closed: bool = True, hi: float = math.inf, unless: str | None = None):
+        self.kind, self.lo, self.closed, self.hi, self.unless = kind, lo, closed, hi, unless
+
+    def check(self, value, args: argparse.Namespace, model):
+        inside = self.lo <= value <= self.hi and value < math.inf and (self.closed or value > self.lo)
+        if not inside and not (self.unless and getattr(args, self.unless)):
+            upper = f" and <= {self.hi:.3g}" if self.hi < math.inf else ""
+            kind = "an int" if self.kind is int else "a finite float"
+            raise ValueError(f"must be {kind} {'>=' if self.closed else '>'} {self.lo:.3g}{upper}, got {value}")
+        return value
+
+
+class Monotone:
+    """Comma-separated `item` values, strictly increasing, or decreasing when `step` is -1."""
+
+    def __init__(self, item: Number, step: int = 1):
+        self.item, self.step = item, step
+
+    def check(self, text: str, args: argparse.Namespace, model) -> list:
+        values = _number_list(text, self.item.kind)
+        for value in values:
+            self.item.check(value, args, model)
+        ordered = values[:: self.step]
+        if any(b <= a for a, b in zip(ordered, ordered[1:])):
+            raise ValueError(f"must be strictly {'increasing' if self.step > 0 else 'decreasing'}, got {text!r}")
+        return values
+
+
+class FitsMemory:
+    """`rows(args)` float states of M fit in this machine's memory; as ints, so a size past float range stops here."""
+
+    def __init__(self, rows: Callable[[argparse.Namespace], int]):
+        self.rows = rows
+
+    def check(self, value, args: argparse.Namespace, M):
+        need, have = self.rows(args) * len(M) * 16, _memory_bytes()
+        if need > have:
+            raise ValueError(f"needs {need >> 20} MiB of float states, more than this machine's {have >> 20} MiB")
+        return value
+
+
+class Below:
+    """A rule across options: `of(args, model)`, named `name`, is below `limit`, a number or the option so named."""
+
+    def __init__(self, name: str, of: Callable, limit: float | str = math.inf):
+        self.name, self.of, self.limit = name, of, limit
+
+    def check(self, value, args: argparse.Namespace, model):
+        x, limit = self.of(args, model), getattr(args, self.limit) if isinstance(self.limit, str) else self.limit
+        if not x < limit:
+            bound = f"below {self.limit}" if limit == self.limit else f"below {self.limit} = {limit}"
+            raise ValueError(f"{self.name} = {x} is not " + ("finite" if limit == math.inf else bound))
+        return value
+
+
+def _signal(window: str, domain: Number | Monotone, scale: Number, windows: Callable) -> tuple:
+    """The domains of a sinh or q1 report with half-widths `windows(args)`, at least the sinc
+    sum's smallest, 8: 2 W + 3 < steps leaves evaluation times in [(W + 2) l, (steps - 1 - W) l],
+    whose end must be finite.  Compared as ints, so no window overflows."""
+    return ((window, domain), ("seed", Number(int, 0)), ("steps", Number(int, 0)),
+            ("steps", FitsMemory(lambda a: a.steps + 2)), ("l", scale), ("points", Number(int, 1)),
+            ("points", FitsMemory(lambda a: a.points)),
+            (window, Below(f"2 * max({window}) + 3", lambda a, M: 2 * max(windows(a)) + 3, "steps")),
+            ("l", Below(f"(steps - 1 - min({window})) * l", lambda a, M: (a.steps - 1 - min(windows(a))) * a.l)))
+
+
+#: the domain of each option that takes a value, for each command and
+#: continuum mode, checked in this order before any command work; a rule
+#: comes after the options it reads, so it sees checked values
+DOMAINS = {
+    "run": (("steps", Number(int, 0)), ("l", Number(float, 0, closed=False))),
+    "cycle": (("budget", Number(int, 1)),),
+    # --tol must be usable: exit 1 means a real tolerance was not met
+    "closedform": (("pairs", Number(int, 0)), ("nmax", Number(int, 0)), ("seed", Number(int, 0)),
+                   ("nmax", FitsMemory(lambda a: a.nmax + 2)), ("tol", Number(float, 0))),
+    "sinh": _signal("windows", Monotone(Number(int, 8)), Number(float, 0, closed=False), lambda a: a.windows),
+    "q1": (("tol", Number(float, 0)), *_signal("window", Number(int, 8),
+                                               Number(float, ct.Q1_SCALES[0], hi=ct.Q1_SCALES[1]), lambda a: [a.window])),
+    "born": (("l-values", Monotone(Number(float, 0, closed=False), step=-1)), ("seed", Number(int, 0, unless="psi")),
+             ("horizon", Number(float, 0, closed=False)),
+             ("horizon", Below("horizon / min(l-values)", lambda a, M: a.horizon / a.l_values[-1])),
+             ("horizon", FitsMemory(lambda a: round(a.horizon / a.l_values[-1]) + 2)),
+             ("l-values", Below("max(l-values) * max|eigenvalue|", lambda a, M:
+                                a.l_values[0] * float(ct.np.max(ct.np.abs(ct.spectral_decompose(M).eigenvalues))), 1))),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +427,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # exact values print in full at any size: a grown orbit's q_G, the
         # q1 of a 5000-digit literal (the library scopes its own conversions)
         with _AnyDigits():
-            return args.func(args)
+            model = _load_model_arg(args.model) if "model" in args else None
+            if args.command == "continuum":  # as floats before the options: born's read its spectrum
+                model = ct.as_matrix(build_hamiltonian(model))
+            # each option in its scope, in DOMAINS' order; a list option's text becomes its values
+            for option, domain in DOMAINS.get(getattr(args, "mode", args.command), ()):
+                dest = option.replace("-", "_")
+                if getattr(args, dest) is not None:  # cycle's --budget: the default fits the model
+                    with _argument(option):
+                        setattr(args, dest, domain.check(getattr(args, dest), args, model))
+            return args.func(args, model)
     except Exception as exc:
         code = next((code for kinds, code in _EXIT_CODES if isinstance(exc, kinds)), EXIT_INTERNAL)
         # a bug, not a verdict: never exit 1, "tolerance not met"

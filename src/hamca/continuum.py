@@ -396,10 +396,13 @@ class Q1Result(NamedTuple):
     remainder: float
 
 
+#: the scales l at which q1's second difference over (2l)**2 is a normal float on both sides
+Q1_SCALES = (math.sqrt(sys.float_info.min) / 2, math.sqrt(sys.float_info.max) / 2)
+
+
 def check_q1_scale(l: float) -> None:
-    """A ValueError naming l unless q1's second difference, divided by
-    (2l)**2, is a normal float on both sides."""
-    lo, hi = math.sqrt(sys.float_info.min) / 2, math.sqrt(sys.float_info.max) / 2
+    """A ValueError naming l unless it is in Q1_SCALES."""
+    lo, hi = Q1_SCALES
     if not lo <= l <= hi:
         raise ValueError(f"l must be between {lo:.3g} and {hi:.3g} for q1, which divides by (2l)**2, got {l}")
 

@@ -164,9 +164,12 @@ def _json_file(path: str | Path, error: type[ValueError]):
 def load_model(path: str | Path) -> HamiltonianSpec:
     with _AnyDigits():  # exact ints of any size, in the file and in the messages that quote them
         data = _json_file(path, ModelValidationError)
-        if not isinstance(data, dict):
-            raise ModelValidationError(f"{path}: model document must be a JSON object")
-        return HamiltonianSpec.from_dict(data)
+        try:
+            if not isinstance(data, dict):
+                raise ModelValidationError("model document must be a JSON object")
+            return HamiltonianSpec.from_dict(data)
+        except ModelValidationError as exc:  # the file, then what is wrong in it
+            raise ModelValidationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

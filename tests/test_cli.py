@@ -595,12 +595,13 @@ class TestSampleTimes:
     def test_short_trajectory_rejected(self, capsys, mode, window):
         code = run_cli("continuum", mode, "--model", "H3", "--steps", "50", window, "32")
         assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: steps=50 too short for window 32\n"
+        name = window.lstrip("-")
+        assert capsys.readouterr().err == f"error: {name}: 2 * max({name}) + 3 = 67 is not below steps = 50\n"
 
     @pytest.mark.parametrize("mode", ["sinh", "q1"])
     def test_no_points_rejected(self, capsys, mode):
         assert run_cli("continuum", mode, "--model", "H3", "--points", "0") == EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: points must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: points: must be an int >= 1, got 0\n"
 
     @pytest.mark.parametrize("mode, window", [("sinh", "--windows"), ("q1", "--window")])
     def test_smallest_run_still_valid(self, tmp_path, mode, window):
@@ -618,7 +619,7 @@ class TestNumericOptionRange:
         code = run_cli("continuum", "born", "--model", "H2", "--psi", "0.8,0.6",
                        f"--horizon={horizon}")
         assert code == EXIT_VALIDATION
-        assert "horizon must be a finite positive number" in capsys.readouterr().err
+        assert f"horizon: must be a finite float > 0, got {float(horizon)}" in capsys.readouterr().err
 
     def test_born_horizon_below_one_runs(self):
         assert run_cli("continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--horizon", "0.5",
@@ -627,7 +628,7 @@ class TestNumericOptionRange:
     def test_closedform_negative_pairs_rejected(self, capsys):
         code = run_cli("continuum", "closedform", "--model", "H2", "--pairs", "-2", "--nmax", "5")
         assert code == EXIT_VALIDATION
-        assert "pairs must be >= 0" in capsys.readouterr().err
+        assert "pairs: must be an int >= 0, got -2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, option", [
         (["closedform", "--seed", "-1"], "seed"),
@@ -641,35 +642,35 @@ class TestNumericOptionRange:
     ])
     def test_continuum_range_errors_name_their_option(self, capsys, argv, option):
         assert run_cli("continuum", argv[0], "--model", "H2", *argv[1:]) == EXIT_VALIDATION
-        assert capsys.readouterr() == ("", f"error: {option} must be >= 0, got -1\n")
+        assert capsys.readouterr() == ("", f"error: {option}: must be an int >= 0, got -1\n")
 
     @pytest.mark.parametrize("argv, message", [
-        (["sinh", "--model", "Hm:8", "--windows=-4,16", "--steps", "200000"], "windows must be >= 8, got -4"),
-        (["sinh", "--windows", "4,16"], "windows must be >= 8, got 4"),
-        (["q1", "--window", "4"], "window must be >= 8, got 4"),
-        (["sinh", "--points", "0"], "points must be >= 1, got 0"),
-        (["q1", "--points", "0"], "points must be >= 1, got 0"),
-        (["sinh", "--steps", "20"], "steps=20 too short for window 16"),
-        (["sinh", "--windows", "8,16", "--steps", "34"], "steps=34 too short for window 16"),
-        (["q1", "--steps", "60"], "steps=60 too short for window 32"),
-        (["q1", "--window", "400"], "window: 400 is not below steps = 400"),
+        (["sinh", "--model", "Hm:8", "--windows=-4,16", "--steps", "200000"], "windows: must be an int >= 8, got -4"),
+        (["sinh", "--windows", "4,16"], "windows: must be an int >= 8, got 4"),
+        (["q1", "--window", "4"], "window: must be an int >= 8, got 4"),
+        (["sinh", "--points", "0"], "points: must be an int >= 1, got 0"),
+        (["q1", "--points", "0"], "points: must be an int >= 1, got 0"),
+        (["sinh", "--steps", "20"], "windows: 2 * max(windows) + 3 = 131 is not below steps = 20"),
+        (["sinh", "--windows", "8,16", "--steps", "34"], "windows: 2 * max(windows) + 3 = 35 is not below steps = 34"),
+        (["q1", "--steps", "60"], "window: 2 * max(window) + 3 = 67 is not below steps = 60"),
+        (["q1", "--window", "400"], "window: 2 * max(window) + 3 = 803 is not below steps = 400"),
         # windows past float range: (W + 2) * l would raise OverflowError, an internal error
-        (["sinh", "--windows", "8," + "9" * 400], f"windows: {'9' * 400} is not below steps = 400"),
-        (["q1", "--window", "9" * 310], f"window: {'9' * 310} is not below steps = 400"),
+        (["sinh", "--windows", "8," + "9" * 400], f"windows: 2 * max(windows) + 3 = {2 * 10**400 + 1} is not below steps = 400"),
+        (["q1", "--window", "9" * 310], f"window: 2 * max(window) + 3 = {2 * 10**310 + 1} is not below steps = 400"),
         # steps past float range: (steps - 1 - W) * l would raise OverflowError; memory stops them first
         (["sinh", "--steps", "9" * 400], past_memory("steps", 10**400 + 1)),
         (["q1", "--steps", "9" * 400], past_memory("steps", 10**400 + 1)),
         (["sinh", "--points", str(10**17)], past_memory("points", 10**17)),
         # (2l)**2 past float range would raise OverflowError, and below it divide by 0
         (["q1", "--l", "1e300", "--steps", "100000"],
-         "l must be between 7.46e-155 and 6.7e+153 for q1, which divides by (2l)**2, got 1e+300"),
+         "l: must be a finite float >= 7.46e-155 and <= 6.7e+153, got 1e+300"),
         (["q1", "--l", "1e-320"],
-         "l must be between 7.46e-155 and 6.7e+153 for q1, which divides by (2l)**2, got 1e-320"),
+         "l: must be a finite float >= 7.46e-155 and <= 6.7e+153, got 1e-320"),
         (["sinh", "--l", "1e305", "--steps", "100000"],
-         "l: the last evaluation time (steps - 1 - 16) * l is past float range, with steps = 100000 and l = 1e+305"),
-        (["sinh", "--l", "0"], "l must be a finite positive number, got 0.0"),
-        (["q1", "--l=-1"], "l must be a finite positive number, got -1.0"),
-        (["born", "--l-values=0.5,-0.1"], "l-values: must be finite positive numbers, got '0.5,-0.1'"),
+         "l: (steps - 1 - min(windows)) * l = inf is not finite"),
+        (["sinh", "--l", "0"], "l: must be a finite float > 0, got 0.0"),
+        (["q1", "--l=-1"], "l: must be a finite float >= 7.46e-155 and <= 6.7e+153, got -1.0"),
+        (["born", "--l-values=0.5,-0.1"], "l-values: must be a finite float > 0, got -0.1"),
         (["born", "--l-values", "0.1,0.2"], "l-values: must be strictly decreasing, got '0.1,0.2'"),
         (["born", "--l-values", "0.1,0.1"], "l-values: must be strictly decreasing, got '0.1,0.1'"),
     ], ids=["sinh-negative-window", "sinh-small-window", "q1-small-window", "sinh-points", "q1-points",
@@ -693,7 +694,7 @@ class TestNumericOptionRange:
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_cycle_budget_must_be_positive(self, capsys, budget):
         assert run_cli("cycle", "--model", "H3", "--budget", budget) == EXIT_VALIDATION
-        assert capsys.readouterr() == ("", f"error: budget must be >= 1, got {budget}\n")
+        assert capsys.readouterr() == ("", f"error: budget: must be an int >= 1, got {budget}\n")
 
     def test_closedform_zero_pairs_still_runs(self):
         assert run_cli("continuum", "closedform", "--model", "H2", "--pairs", "0", "--nmax", "5") == EXIT_OK
@@ -703,7 +704,7 @@ class TestNumericOptionRange:
     def test_tolerance_must_be_finite_and_non_negative(self, capsys, mode, tol):
         code = run_cli("continuum", mode, "--model", "H2", f"--tol={tol}")
         assert code == EXIT_VALIDATION
-        assert f"tol must be a finite number >= 0, got {float(tol)}" in capsys.readouterr().err
+        assert f"tol: must be a finite float >= 0, got {float(tol)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("l", ["nan", "inf"])
     def test_run_l_must_be_finite(self, tmp_path, l):
@@ -778,7 +779,7 @@ class TestInternalError:
     @pytest.mark.parametrize("exc", [RuntimeError("boom"), AssertionError("broken invariant")],
                              ids=["RuntimeError", "AssertionError"])
     def test_uncaught_exception_exits_9_not_1(self, monkeypatch, capsys, exc):
-        def broken(args):
+        def broken(args, spec):
             raise exc
 
         monkeypatch.setattr(cli, "_cmd_cycle", broken)
@@ -999,6 +1000,27 @@ class TestProbeHelper:
         assert capsys.readouterr() == ("", "error: internal error: RuntimeError: probe helper sent no result\n")
         assert no_child_left()
 
+    def test_the_parent_raising_kills_and_reaps_the_helper(self, monkeypatch):
+        class Planted(Exception):
+            pass
+
+        monkeypatch.setattr(probe, "_cpus", lambda: 2)
+        forked = record_forks(monkeypatch, 2)
+        parent, failure = os.getpid(), Planted("the parent's states fail")
+
+        def states():  # the helper reads its own copy to the end
+            for n, psi in enumerate(self.STATES):
+                if n == 3 and os.getpid() == parent:
+                    raise failure
+                yield psi
+
+        with pytest.raises(Planted) as caught:
+            probe.first_drift(states(), 2, len(self.STATES) - 1)
+        assert caught.value is failure
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):  # killed and reaped: not even a zombie is left
+            os.waitpid(forked[0], os.WNOHANG)
+
     def test_the_helper_dies_with_the_command(self, tmp_path):
         """SIGKILL the command in the middle of a long probe: its helper is
         gone, or a zombie, within 2 s."""
@@ -1037,6 +1059,24 @@ class TestProbeHelper:
 
 class TestInputChecksExit3:
     """Each check exits 3 with a message naming the input at fault."""
+
+    RUN_MODEL = ["run", "--model", "{path}", "--psi0", "1,0", "--psi1", "0,1", "--steps", "1"]
+
+    @pytest.mark.parametrize("name, content, argv, message", [
+        ("t.jsonl", '{"l":"1","version":1}\n', ["check", "{path}"],
+         "trajectory: {path}: not a trajectory file (missing format marker)"),
+        ("t.jsonl", '{"format":"hamca-trajectory","l":"1","version":1}\n', ["check", "{path}"],
+         "trajectory: {path}: header has no model object"),
+        ("m.json", '{"dim": 2, "S": [[0, 1], [1]], "A": [[0, 0], [0, 0]]}\n', RUN_MODEL,
+         "model: {path}: S must be 2x2, got a row of length 1"),
+        ("m.json", '{"dim": 2, "S": [0, 1, 1], "A": [0, 0, 0, 0]}\n', RUN_MODEL,
+         "model: {path}: flat matrix needs 4 entries, got 3"),
+    ], ids=["trajectory-without-format-marker", "trajectory-without-model", "model-row-length", "flat-matrix-size"])
+    def test_malformed_file_names_the_file(self, tmp_path, capsys, name, content, argv, message):
+        path = tmp_path / name
+        path.write_text(content)
+        assert run_cli(*[a.format(path=path) for a in argv]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
 
     @pytest.mark.parametrize("g", ["missing", "malformed", "wrong_dim"])
     def test_check_g_file(self, tmp_path, capsys, g):
@@ -1096,12 +1136,12 @@ class TestInputChecksExit3:
         assert capsys.readouterr() == ("", "error: a 1-state model has no neighbour pair\n")
 
     @pytest.mark.parametrize("mode, option, value, message", [
-        ("born", "--l-values", "nan", "l-values: must be finite positive numbers, got 'nan'"),
-        ("born", "--l-values", "0.2,inf", "l-values: must be finite positive numbers, got '0.2,inf'"),
+        ("born", "--l-values", "nan", "l-values: must be a finite float > 0, got nan"),
+        ("born", "--l-values", "0.2,inf", "l-values: must be a finite float > 0, got inf"),
         ("born", "--l-values", ",", "l-values: expected comma-separated float values, got ','"),
-        ("sinh", "--l", "nan", "l must be a finite positive number, got nan"),
-        ("sinh", "--l", "inf", "l must be a finite positive number, got inf"),
-        ("q1", "--l", "inf", "l must be a finite positive number, got inf"),
+        ("sinh", "--l", "nan", "l: must be a finite float > 0, got nan"),
+        ("sinh", "--l", "inf", "l: must be a finite float > 0, got inf"),
+        ("q1", "--l", "inf", "l: must be a finite float >= 7.46e-155 and <= 6.7e+153, got inf"),
         ("sinh", "--windows", ",,", "windows: expected comma-separated int values, got ',,'"),
         ("sinh", "--windows", "16,1_6,32", "windows: expected comma-separated int values, got '16,1_6,32'"),
         ("sinh", "--windows", "64,32,16", "windows: must be strictly increasing, got '64,32,16'"),
@@ -1115,8 +1155,7 @@ class TestInputChecksExit3:
         ("born", "--psi", "nan,0", "psi: components must be finite, got 'nan,0'"),
         ("born", "--psi1", "inf,0", "psi1: components must be finite, got 'inf,0'"),
         ("born", "--psi", "0,0", "psi: must be a nonzero state, got '0,0'"),
-        ("born", "--l-values", "1e-320", "horizon / l-values must be finite, got horizon = 3.0 and "
-                                         "l-values = '1e-320'"),
+        ("born", "--l-values", "1e-320", "horizon: horizon / min(l-values) = inf is not finite"),
     ], ids=["born-nan", "born-inf", "born-empty", "sinh-nan", "sinh-inf", "q1-inf", "sinh-empty-windows",
             "sinh-underscored-window", "sinh-decreasing-windows", "sinh-repeated-window", "born-underscored-l",
             "born-psi-malformed", "born-psi-underscored", "born-psi-length", "born-psi1-malformed",
@@ -1130,11 +1169,23 @@ class TestInputChecksExit3:
     def test_run_scale_must_be_finite_and_positive(self, capsys, l):
         assert run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "1",
                        "--l", l, "--probe") == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: l must be a finite positive number, got {float(l)}\n"
+        assert capsys.readouterr().err == f"error: l: must be a finite float > 0, got {float(l)}\n"
 
     def test_run_negative_steps(self, capsys):
         assert run_cli("run", "--model", "H2", "--psi0", "1,0", "--psi1", "0,1", "--steps", "-1") == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("error: steps must be >= 0")
+        assert capsys.readouterr().err == "error: steps: must be an int >= 0, got -1\n"
+
+    def test_no_page_count_sets_no_memory_limit(self, monkeypatch, capsys):
+        def sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert cli._memory_bytes() == sys.maxsize
+        assert run_cli("continuum", "closedform", "--model", "H2", "--pairs", "2", "--nmax", "10") == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_seed_is_unused_and_unchecked_with_psi(self):
+        assert run_cli("continuum", "born", "--model", "H2", "--psi", "0.8,0.6", "--seed", "-1") == EXIT_OK
 
     def test_a_size_past_memory_exits_3(self, capsys):
         # about 2.8 EiB and 28 PiB of states, past any 64-bit address space:
